@@ -39,7 +39,6 @@ from .leibniz import (
     check_filippov,
     check_fundamental_identity,
     check_multilinearity_sample,
-    check_self_derivation,
 )
 
 
@@ -213,7 +212,9 @@ def cmd_leibniz(args) -> int:
             "rhs": [str(v) for v in witness[3]],
         },
         "filippov": check_filippov(L),
-        "self_derivation": check_self_derivation(L),
+        # Every basis adjoint is a derivation exactly when the fundamental
+        # identity holds on the basis: the same equations, so one pass.
+        "self_derivation": ok,
         "multilinearity_probe": check_multilinearity_sample(L, seed=args.seed),
         "seed": args.seed,
         "derivation": None,

@@ -242,7 +242,9 @@ def reduce_nrack_to_rack(R: FiniteNRack) -> FiniteRack:
 
     Tuples are indexed lexicographically, first coordinate most
     significant.  Pointed at the all-basepoint tuple when R is pointed.
-    The output is re-validated; an n-rack always reduces to a rack.
+    R's own axiom scan is the one kept on R by validate, so reducing an
+    already validated table does not scan it again.  The output is
+    re-validated once per reduction; an n-rack always reduces to a rack.
     """
     report = validate(R)
     if not report.is_nrack:

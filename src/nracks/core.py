@@ -10,6 +10,7 @@ are always {0,...,m-1}; named elements belong to I/O adapters.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 
@@ -70,6 +71,18 @@ class FiniteNRack:
 
     def prefixes(self):
         return product(range(self.size), repeat=self.arity - 1)
+
+    @cached_property
+    def _report(self) -> "ValidationReport":
+        """The axiom scan of this table, run on first access and kept with
+        the table object; read it through validate."""
+        dist_ok, dist_witness = check_left_distributive(self)
+        bij_ok, bij_witness = check_translation_bijective(self)
+        return ValidationReport(
+            classification=_classification(self, dist_ok and bij_ok),
+            distributivity_witness=dist_witness,
+            bijectivity_witness=bij_witness,
+        )
 
 
 @dataclass(frozen=True)
@@ -172,15 +185,12 @@ def _check_involutive(R: FiniteNRack) -> bool:
     return True
 
 
-def classify(R: FiniteNRack) -> Classification:
-    """Evaluate all structure flags by exhaustive check.
+def _classification(R: FiniteNRack, is_nrack: bool) -> Classification:
+    """The structure flags of R, given the verdict of the n-rack axioms.
 
     All flags other than is_nrack are forced False when the table is not
     an n-rack; pointedness is reported as None when no basepoint is set.
     """
-    dist_ok, _ = check_left_distributive(R)
-    bij_ok, _ = check_translation_bijective(R)
-    is_nrack = dist_ok and bij_ok
     if not is_nrack:
         pointed = None if R.basepoint is None else False
         return Classification(False, pointed, False, False, False, False)
@@ -198,15 +208,20 @@ def classify(R: FiniteNRack) -> Classification:
     )
 
 
+def classify(R: FiniteNRack) -> Classification:
+    """Evaluate all structure flags by exhaustive check: validate(R).classification."""
+    return validate(R).classification
+
+
 def validate(R: FiniteNRack) -> ValidationReport:
-    """classify plus the first counterexample for each failed n-rack axiom."""
-    dist_ok, dist_witness = check_left_distributive(R)
-    bij_ok, bij_witness = check_translation_bijective(R)
-    return ValidationReport(
-        classification=classify(R),
-        distributivity_witness=None if dist_ok else dist_witness,
-        bijectivity_witness=None if bij_ok else bij_witness,
-    )
+    """All structure flags plus the first counterexample for each failed
+    n-rack axiom.
+
+    Each axiom is scanned once per table object: the report is computed on
+    the first call and kept on R, so later calls on the same object (from
+    classify, the constructions or the chain complex) return it at no cost.
+    """
+    return R._report
 
 
 def is_homomorphism(f, R: FiniteNRack, S: FiniteNRack, pointed: bool = False) -> bool:

@@ -22,7 +22,7 @@ the torsion of integral H_{k-1}.  Tests cross-check this against direct
 mod-p Gaussian elimination on all fixtures.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 
 from .constructions import reduce_nrack_to_rack
@@ -77,7 +77,9 @@ class ChainComplex:
     full tuple space {0..M-1}^k (encoded base M, first entry most
     significant); the full rack complex retains everything.  cols[k][j] is
     column j of d_k as a map from row position (index into basis[k-1]) to
-    its integer coefficient.
+    its integer coefficient.  The invariant factors of each d_k are
+    computed on first use and kept with the complex; the boundary columns
+    must not change afterwards.
     """
 
     carrier_size: int
@@ -86,6 +88,15 @@ class ChainComplex:
     basis: list[list[int]]
     cols: list[list[dict[int, int]]]
     variant: str = "R"
+    _factors: dict[int, tuple[int, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def factors(self, k: int) -> tuple[int, ...]:
+        """Invariant factors of d_k as stored, factored once per complex."""
+        if k not in self._factors:
+            self._factors[k] = invariant_factors(self.boundary_dense(k))
+        return self._factors[k]
 
     def boundary_dense(self, k: int) -> list[list[int]]:
         """d_k as a dense rows x cols list (rows = ranks[k-1], cols = ranks[k])."""
@@ -301,12 +312,6 @@ def quandle_quotient_complex(C: ChainComplex, D: ChainComplex) -> ChainComplex:
     return quotient
 
 
-def _transpose(M: list[list[int]]) -> list[list[int]]:
-    rows = len(M)
-    cols = len(M[0]) if rows else 0
-    return [[M[i][j] for i in range(rows)] for j in range(cols)]
-
-
 def _group_from_matrices(rank: int, out_factors, in_factors, A: CoefficientGroup):
     """Structure of ker(out)/im(in) over A, from integral invariant factors.
 
@@ -328,28 +333,34 @@ def _group_from_matrices(rank: int, out_factors, in_factors, A: CoefficientGroup
     )
 
 
-def homology(C: ChainComplex, k: int, A: CoefficientGroup = CoefficientGroup()) -> HomologyResult:
-    """H_k of the complex over A: ker d_k / im d_{k+1} via Smith normal form."""
+def _derived_group(
+    C: ChainComplex, k: int, A: CoefficientGroup, out_map: int, in_map: int
+) -> HomologyResult:
+    """The group in degree k over A, with d_out_map leaving the degree and
+    d_in_map arriving at it."""
     if not 1 <= k < C.max_degree:
         raise ValueError(
             f"degree {k} out of range; need 1 <= k < {C.max_degree} "
             "so that both boundary maps exist"
         )
-    out_factors = invariant_factors(C.boundary_dense(k))
-    in_factors = invariant_factors(C.boundary_dense(k + 1))
-    invariants = _group_from_matrices(C.ranks[k], out_factors, in_factors, A)
+    invariants = _group_from_matrices(C.ranks[k], C.factors(out_map), C.factors(in_map), A)
     return HomologyResult(degree=k, invariants=invariants, variant=C.variant, coefficients=A)
+
+
+def homology(C: ChainComplex, k: int, A: CoefficientGroup = CoefficientGroup()) -> HomologyResult:
+    """H_k of the complex over A: ker d_k / im d_{k+1}.
+
+    Uses the same per-map invariant factors as cohomology (see
+    ChainComplex.factors), so each boundary map is factored once per complex.
+    """
+    return _derived_group(C, k, A, k, k + 1)
 
 
 def cohomology(C: ChainComplex, k: int, A: CoefficientGroup = CoefficientGroup()) -> HomologyResult:
-    """H^k over A: homology of the dual complex with transposed boundaries,
-    ker d_{k+1}^T / im d_k^T."""
-    if not 1 <= k < C.max_degree:
-        raise ValueError(
-            f"degree {k} out of range; need 1 <= k < {C.max_degree} "
-            "so that both boundary maps exist"
-        )
-    out_factors = invariant_factors(_transpose(C.boundary_dense(k + 1)))
-    in_factors = invariant_factors(_transpose(C.boundary_dense(k)))
-    invariants = _group_from_matrices(C.ranks[k], out_factors, in_factors, A)
-    return HomologyResult(degree=k, invariants=invariants, variant=C.variant, coefficients=A)
+    """H^k over A: homology of the dual complex, ker d_{k+1}^T / im d_k^T.
+
+    A matrix and its transpose have the same invariant factors, so H^k is
+    derived from the factors of d_k and d_{k+1} as stored, the same ones
+    homology uses, with the roles of the two maps swapped.
+    """
+    return _derived_group(C, k, A, k + 1, k)

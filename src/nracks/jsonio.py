@@ -28,13 +28,24 @@ def dump_line(obj) -> str:
     return json.dumps(obj, sort_keys=True)
 
 
+def _is_int(value) -> bool:
+    # JSON true/false load as bool, which Python counts as an int.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _require(mapping, key, kind):
     if not isinstance(mapping, dict) or key not in mapping:
         raise ValueError(f"missing field {key!r}")
     value = mapping[key]
-    if kind is not None and not isinstance(value, kind):
+    if not (_is_int(value) if kind is int else isinstance(value, kind)):
         raise ValueError(f"field {key!r} has wrong type")
     return value
+
+
+def _ints(values, what: str) -> tuple[int, ...]:
+    if not isinstance(values, list) or not all(_is_int(v) for v in values):
+        raise ValueError(f"{what} must contain integers")
+    return tuple(values)
 
 
 def nrack_to_json(R: FiniteNRack) -> dict:
@@ -49,13 +60,11 @@ def nrack_to_json(R: FiniteNRack) -> dict:
 def nrack_from_json(doc) -> FiniteNRack:
     arity = _require(doc, "arity", int)
     size = _require(doc, "size", int)
-    table = _require(doc, "table", list)
+    table = _ints(_require(doc, "table", list), "table")
     basepoint = doc.get("basepoint")
-    if basepoint is not None and not isinstance(basepoint, int):
+    if basepoint is not None and not _is_int(basepoint):
         raise ValueError("basepoint must be an integer or null")
-    if any(not isinstance(v, int) for v in table):
-        raise ValueError("table must contain integers")
-    return FiniteNRack(arity, size, tuple(table), basepoint)
+    return FiniteNRack(arity, size, table, basepoint)
 
 
 def group_to_json(G: FiniteGroup) -> dict:
@@ -64,11 +73,9 @@ def group_to_json(G: FiniteGroup) -> dict:
 
 def group_from_json(doc) -> FiniteGroup:
     size = _require(doc, "size", int)
-    cayley = _require(doc, "cayley", list)
+    cayley = _ints(_require(doc, "cayley", list), "cayley table")
     identity = _require(doc, "identity", int)
-    if any(not isinstance(v, int) for v in cayley):
-        raise ValueError("cayley table must contain integers")
-    return FiniteGroup(size, tuple(cayley), identity)
+    return FiniteGroup(size, cayley, identity)
 
 
 def presentation_to_json(P: GroupPresentation) -> dict:
@@ -143,11 +150,11 @@ def tensor_from_json(doc) -> LeibnizNAlgebra:
     constants = _require(doc, "constants", list)
     entries = []
     for item in constants:
-        args = _require(item, "args", list)
+        args = _ints(_require(item, "args", list), "tensor args")
         out = _require(item, "out", int)
         value = _require(item, "value", str)
         try:
-            entries.append((tuple(args), out, Fraction(value)))
+            entries.append((args, out, Fraction(value)))
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"bad rational value {value!r}: {exc}") from exc
         if not (0 <= out < dimension):
@@ -178,11 +185,9 @@ def module_group_from_json(doc):
     H = group_from_json(_require(doc, "group", dict))
     V = group_from_json(_require(doc, "module", dict))
     action = _require(doc, "action", list)
-    bracket = _require(doc, "bracket", list)
-    if any(not isinstance(v, int) for v in bracket):
-        raise ValueError("bracket table must contain integers")
-    module = GroupModule(space=V, acting=H, action=tuple(tuple(p) for p in action))
-    return H, tuple(bracket), module, arity
+    bracket = _ints(_require(doc, "bracket", list), "bracket table")
+    module = GroupModule(space=V, acting=H, action=tuple(_ints(p, "action entry") for p in action))
+    return H, bracket, module, arity
 
 
 def load_json(path: str):

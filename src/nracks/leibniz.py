@@ -199,7 +199,10 @@ def check_self_derivation(L: LeibnizNAlgebra) -> bool:
     """Whether every basis adjoint operator is a derivation of the bracket.
 
     Agrees with check_fundamental_identity on every tensor: the two are
-    reformulations of the same basis equations.
+    reformulations of the same basis equations.  The CLI therefore reports
+    the fundamental-identity verdict as self_derivation; this check is the
+    reference that test_self_derivation_equals_fundamental_identity holds
+    it to.
     """
     for xs in product(range(L.dimension), repeat=L.arity - 1):
         op = adjoint(L, *(_basis(L.dimension, x) for x in xs))

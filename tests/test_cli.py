@@ -1,3 +1,4 @@
+import importlib
 import json
 import subprocess
 import sys
@@ -5,8 +6,15 @@ import sys
 import pytest
 
 from helpers import dihedral_nrack
-from nracks import cyclic_group, levi_civita_nalgebra, symmetric_group
-from nracks.jsonio import dump_document, group_to_json, nrack_to_json, tensor_to_json
+from nracks import check_self_derivation, cyclic_group, levi_civita_nalgebra, symmetric_group
+from nracks.cli import main
+from nracks.jsonio import (
+    dump_document,
+    group_to_json,
+    nrack_to_json,
+    tensor_from_json,
+    tensor_to_json,
+)
 
 
 def run_cli(*args):
@@ -351,3 +359,106 @@ def test_repeated_runs_byte_identical(workspace):
 def test_seed_is_echoed(workspace):
     result = run_cli("leibniz", "--input", str(workspace["nambu"]), "--seed", "7")
     assert json.loads(result.stdout)["seed"] == 7
+
+
+def test_bool_or_string_where_an_int_belongs_is_an_input_error(tmp_path):
+    table = tmp_path / "bool_table.json"
+    table.write_text(json.dumps({"arity": 2, "size": True, "table": [False]}))
+    tensor = tmp_path / "string_args.json"
+    tensor.write_text(json.dumps({
+        "dimension": 2, "arity": 2,
+        "constants": [{"args": ["a", 0], "out": 0, "value": "1"}],
+    }))
+    for args in (("check", "--input", str(table)), ("leibniz", "--input", str(tensor))):
+        result = run_cli(*args)
+        assert result.returncode == 2, args
+        assert result.stderr.startswith("input error"), result.stderr
+        assert result.stdout == ""
+
+
+# Work done per command, counted in-process by replacing the function in
+# every nracks module that binds it.
+
+
+def _count_calls(monkeypatch, module_name, attr):
+    original = getattr(importlib.import_module(module_name), attr)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "nracks" and getattr(module, attr, None) is original:
+            monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
+def _small_module_group_bundle(tmp_path):
+    # C2 acting on C3, trivial bracket: a 6-element 3-rack.
+    path = tmp_path / "small_bundle.json"
+    path.write_text(dump_document({
+        "arity": 3,
+        "group": group_to_json(cyclic_group(2)),
+        "module": group_to_json(cyclic_group(3)),
+        "action": [[0, 1, 2], [0, 2, 1]],
+        "bracket": [0] * 8,
+    }))
+    return path
+
+
+@pytest.mark.parametrize(
+    "argv, code, scans",
+    [
+        (["check", "--input", "dihedral"], 0, 1),
+        (["check", "--input", "mod2"], 1, 1),
+        (["inner", "--input", "dihedral"], 0, 1),
+        (["assoc-group", "--input", "dihedral"], 0, 1),
+        (["construct", "module-group", "--input", "bundle"], 0, 1),
+        # The input, then the reduced rack's own check once per reduction:
+        # Q reduces again inside the degenerate subcomplex.
+        (["homology", "--input", "dihedral", "--variant", "R", "--degrees", "1-2"], 0, 2),
+        (["homology", "--input", "dihedral", "--variant", "Q", "--degrees", "1-2"], 0, 3),
+        (["homology", "--input", "mod2", "--degrees", "1-2"], 1, 1),
+    ],
+)
+def test_each_table_is_scanned_for_distributivity_once(
+    monkeypatch, capsys, workspace, tmp_path, argv, code, scans
+):
+    files = {"bundle": _small_module_group_bundle(tmp_path), **workspace}
+    argv = [str(files[a]) if a in ("dihedral", "mod2", "bundle") else a for a in argv]
+    calls = _count_calls(monkeypatch, "nracks.core", "check_left_distributive")
+    assert main(argv) == code
+    capsys.readouterr()
+    assert len(calls) == scans
+
+
+@pytest.mark.parametrize("command", ["homology", "cohomology"])
+def test_each_boundary_map_is_factored_once(monkeypatch, capsys, workspace, command):
+    calls = _count_calls(monkeypatch, "nracks.homology", "invariant_factors")
+    argv = [command, "--input", str(workspace["dihedral"]), "--degrees", "1-3"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    # --degrees 1-3 builds d_1 .. d_4; each is factored once, as stored.
+    assert sorted((len(M), len(M[0])) for (M,) in calls) == [(1, 3), (3, 9), (9, 27), (27, 81)]
+
+
+def test_leibniz_self_derivation_is_the_fundamental_identity_verdict(
+    monkeypatch, capsys, workspace, tmp_path
+):
+    doc = json.loads(workspace["nambu"].read_text())
+    for entry in doc["constants"]:
+        if entry["args"] == [0, 1, 2]:
+            entry["value"] = "2"
+    mutant = tmp_path / "mutant.json"
+    mutant.write_text(dump_document(doc))
+    cases = []
+    for path, code in ((workspace["nambu"], 0), (mutant, 1)):
+        L = tensor_from_json(json.loads(path.read_text()))
+        cases.append((path, code, check_self_derivation(L)))
+    calls = _count_calls(monkeypatch, "nracks.leibniz", "check_self_derivation")
+    for path, code, reference in cases:
+        assert main(["leibniz", "--input", str(path)]) == code
+        out = json.loads(capsys.readouterr().out)
+        assert out["self_derivation"] is reference is out["fundamental_identity"]
+    assert calls == []
