@@ -105,7 +105,7 @@ def _construct_table(args):
     if kind == "reduce":
         if args.input is None:
             raise ValueError("construct reduce requires --input")
-        return reduce_nrack_to_rack(_load_table(args.input)).to_nrack()
+        return reduce_nrack_to_rack(_load_table(args.input))
     raise ValueError(f"unknown construction kind {kind!r}")
 
 

@@ -12,26 +12,12 @@ from .errors import ConstructionError
 from .snf import AbelianGroupInvariants, group_from_diagonal, invariant_factors
 
 
-@dataclass(frozen=True)
-class FiniteRack:
-    """A binary left rack candidate on {0..size-1}: flat table, entry for
+class FiniteRack(FiniteNRack):
+    """A binary left rack candidate: the arity-2 FiniteNRack, entry for
     (x, y) at index x*size + y.  Structural checks only; use validate_rack."""
 
-    size: int
-    table: tuple[int, ...]
-    basepoint: int | None = None
-
-    def __post_init__(self):
-        if self.size < 1:
-            raise ValueError(f"size must be >= 1, got {self.size}")
-        if not isinstance(self.table, tuple):
-            object.__setattr__(self, "table", tuple(self.table))
-        if len(self.table) != self.size**2:
-            raise ValueError(f"table must have {self.size ** 2} entries")
-        if any(not (0 <= v < self.size) for v in self.table):
-            raise ValueError("table entries must lie in the carrier")
-        if self.basepoint is not None and not (0 <= self.basepoint < self.size):
-            raise ValueError(f"basepoint {self.basepoint} outside carrier")
+    def __init__(self, size: int, table, basepoint: int | None = None):
+        super().__init__(2, size, table, basepoint)
 
     def op(self, x: int, y: int) -> int:
         return self.table[x * self.size + y]
@@ -40,7 +26,7 @@ class FiniteRack:
         return self.table[x * self.size : (x + 1) * self.size]
 
     def to_nrack(self) -> FiniteNRack:
-        return FiniteNRack(2, self.size, self.table, self.basepoint)
+        return self
 
     @classmethod
     def from_nrack(cls, R: FiniteNRack) -> "FiniteRack":
@@ -50,8 +36,8 @@ class FiniteRack:
 
 
 def validate_rack(Q: FiniteRack) -> ValidationReport:
-    """Rack axioms via the arity-2 specialization of the n-rack validator."""
-    return validate(Q.to_nrack())
+    """Rack axioms: the n-rack report of Q, kept on Q like any other table's."""
+    return validate(Q)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ member of each isomorphism class is its least representative.
 """
 
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import permutations, product, repeat
 
 from .core import FiniteNRack, classify, find_isomorphism
 from .errors import BudgetExceededError
@@ -41,6 +41,25 @@ def _passes(flags, filter_name: str) -> bool:
     raise ValueError(f"unknown filter {filter_name!r}; choose from {FILTERS}")
 
 
+def _passes_budget(factors, budget: int) -> bool:
+    """Whether the product of factors passes budget, multiplied out only
+    until a partial product does."""
+    total = 1
+    for f in factors:
+        total *= f
+        if total > budget:
+            return True
+    return total > budget
+
+
+def _budget_error(budget: int, reached: int) -> BudgetExceededError:
+    return BudgetExceededError(
+        f"enumeration exceeded the budget of {budget} candidates",
+        limit=budget,
+        reached=reached,
+    )
+
+
 def enumerate_nracks(
     arity: int,
     size: int,
@@ -56,6 +75,13 @@ def enumerate_nracks(
     m, n = size, arity
     if n < 2 or m < 1:
         raise ValueError("need arity >= 2 and size >= 1")
+    # Prefix 0 tries all m! rows, and the first path places the identity
+    # row at each of the m^(n-1) prefixes: if either count passes the
+    # budget, so does the search, at the first placement past it.
+    if _passes_budget(range(2, m + 1), budget) or (
+        m > 1 and _passes_budget(repeat(m, n - 1), budget)
+    ):
+        raise _budget_error(budget, max(budget, 0) + 1)
     prefix_count = m ** (n - 1)
     prefix_digits = list(product(range(m), repeat=n - 1))
     all_rows = [list(p) for p in permutations(range(m))]
@@ -104,11 +130,7 @@ def enumerate_nracks(
         for row in all_rows:
             visited += 1
             if visited > budget:
-                raise BudgetExceededError(
-                    f"enumeration exceeded the budget of {budget} candidates",
-                    limit=budget,
-                    reached=visited,
-                )
+                raise _budget_error(budget, visited)
             rows[t] = row
             if distributive_at(t):
                 extend(t + 1)

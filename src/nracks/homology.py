@@ -25,7 +25,7 @@ mod-p Gaussian elimination on all fixtures.
 from dataclasses import dataclass, field
 from math import gcd
 
-from .constructions import reduce_nrack_to_rack
+from .constructions import FiniteRack, reduce_nrack_to_rack
 from .core import FiniteNRack, classify, validate
 from .errors import BudgetExceededError, SubcomplexError
 from .snf import (
@@ -73,16 +73,17 @@ class CoefficientGroup:
 class ChainComplex:
     """Ranked free chain groups with sparse integer boundary columns.
 
-    basis[k] lists, for each degree, the retained tuple indices within the
-    full tuple space {0..M-1}^k (encoded base M, first entry most
-    significant); the full rack complex retains everything.  cols[k][j] is
-    column j of d_k as a map from row position (index into basis[k-1]) to
-    its integer coefficient.  The invariant factors of each d_k are
-    computed on first use and kept with the complex; the boundary columns
-    must not change afterwards.
+    rack is the reduced rack Y the complex lives on, of size M.  basis[k]
+    lists, for each degree, the retained tuple indices within the full
+    tuple space {0..M-1}^k (encoded base M, first entry most significant);
+    the full rack complex retains everything.  cols[k][j] is column j of
+    d_k as a map from row position (index into basis[k-1]) to its integer
+    coefficient.  The invariant factors of each d_k are computed on first
+    use and kept with the complex; the boundary columns must not change
+    afterwards.
     """
 
-    carrier_size: int
+    rack: FiniteRack
     max_degree: int
     ranks: list[int]
     basis: list[list[int]]
@@ -91,6 +92,10 @@ class ChainComplex:
     _factors: dict[int, tuple[int, ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+
+    @property
+    def carrier_size(self) -> int:
+        return self.rack.size
 
     def factors(self, k: int) -> tuple[int, ...]:
         """Invariant factors of d_k as stored, factored once per complex."""
@@ -175,15 +180,18 @@ def rack_chain_complex(
             f"bijectivity witness {report.bijectivity_witness}"
         )
     M = X.size ** (X.arity - 1)
-    ranks = [1] + [M**k for k in range(1, max_degree + 1)]
-    for k, r in enumerate(ranks):
+    ranks = []
+    for k in range(max_degree + 1):
+        r = M**k
         if r > budget:
             raise BudgetExceededError(
                 f"chain rank {r} in degree {k} exceeds the {budget}-column budget",
                 limit=budget,
                 reached=r,
             )
-    rack = reduced_rack_table(X)
+        ranks.append(r)
+    rack = reduce_nrack_to_rack(X)
+    rows = [rack.row(a) for a in range(M)]
     cols: list[list[dict[int, int]]] = [[]]
     for k in range(1, max_degree + 1):
         if k == 1:
@@ -196,7 +204,7 @@ def rack_chain_complex(
             for i in range(2, k + 1):
                 sign = 1 if i % 2 == 0 else -1
                 kept = t[: i - 1] + t[i:]
-                acted = tuple(rack[t[i - 1]][x] for x in t[: i - 1]) + t[i:]
+                acted = tuple(rows[t[i - 1]][x] for x in t[: i - 1]) + t[i:]
                 for target, s in ((kept, sign), (acted, -sign)):
                     idx = 0
                     for digit in target:
@@ -205,7 +213,7 @@ def rack_chain_complex(
             degree_cols.append({i: v for i, v in col.items() if v != 0})
         cols.append(degree_cols)
     complex_ = ChainComplex(
-        carrier_size=M,
+        rack=rack,
         max_degree=max_degree,
         ranks=ranks,
         basis=[list(range(r)) for r in ranks],
@@ -225,8 +233,8 @@ def degenerate_subcomplex(X: FiniteNRack, C: ChainComplex) -> ChainComplex:
     """Subcomplex spanned by tuples with two consecutive equal entries.
 
     Requires X to classify as an n-quandle; the induced quandle identity
-    on the reduced rack and closure under the boundary are both verified,
-    not assumed.
+    on the reduced rack C lives on and closure under the boundary are both
+    verified, not assumed.
     """
     if C.variant != "R":
         raise SubcomplexError("degenerate subcomplex is taken inside the rack complex")
@@ -235,8 +243,7 @@ def degenerate_subcomplex(X: FiniteNRack, C: ChainComplex) -> ChainComplex:
     flags = classify(X)
     if not flags.is_nquandle:
         raise ValueError("degenerate subcomplex requires an n-quandle")
-    rack = reduced_rack_table(X)
-    if any(rack[a][a] != a for a in range(C.carrier_size)):
+    if any(C.rack.op(a, a) != a for a in range(C.carrier_size)):
         raise SubcomplexError("reduced rack of an n-quandle must be a quandle")
     M = C.carrier_size
     basis = [
@@ -259,7 +266,7 @@ def degenerate_subcomplex(X: FiniteNRack, C: ChainComplex) -> ChainComplex:
             degree_cols.append(sub_col)
         cols.append(degree_cols)
     sub = ChainComplex(
-        carrier_size=M,
+        rack=C.rack,
         max_degree=C.max_degree,
         ranks=[len(b) for b in basis],
         basis=basis,
@@ -301,7 +308,7 @@ def quandle_quotient_complex(C: ChainComplex, D: ChainComplex) -> ChainComplex:
             degree_cols.append(projected)
         cols.append(degree_cols)
     quotient = ChainComplex(
-        carrier_size=C.carrier_size,
+        rack=C.rack,
         max_degree=C.max_degree,
         ranks=[len(b) for b in basis],
         basis=basis,

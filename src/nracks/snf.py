@@ -142,13 +142,25 @@ def smith_normal_form(M):
     return U, S, V
 
 
+def _sparse_product(A, B):
+    """A*B for matrices given as lists of {column: nonzero entry} rows."""
+    out = []
+    for row in A:
+        acc: dict[int, int] = {}
+        for k, a in row.items():
+            for j, b in B[k].items():
+                acc[j] = acc.get(j, 0) + a * b
+        out.append(acc)
+    return out
+
+
 def _assert_product(U, M, V, S):
-    rows, cols = len(U), len(V)
-    # U*M sparse-ish: M columns visited only where U row is nonzero.
-    UM = [[sum(U[i][k] * M[k][j] for k in range(len(M))) for j in range(cols)] for i in range(rows)]
-    for i in range(rows):
-        for j in range(cols):
-            if sum(UM[i][k] * V[k][j] for k in range(cols)) != S[i][j]:
+    """Exact check of S = U*(M*V), summing over nonzero entries only."""
+    Us, Ms, Vs = ([{j: a for j, a in enumerate(row) if a} for row in A] for A in (U, M, V))
+    UMV = _sparse_product(Us, _sparse_product(Ms, Vs))
+    for i, row in enumerate(S):
+        for j, s in enumerate(row):
+            if UMV[i].get(j, 0) != s:
                 raise AssertionError("smith normal form verification failed")
 
 

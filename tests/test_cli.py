@@ -6,7 +6,19 @@ import sys
 import pytest
 
 from helpers import dihedral_nrack
-from nracks import check_self_derivation, cyclic_group, levi_civita_nalgebra, symmetric_group
+from nracks import (
+    FiniteNRack,
+    FiniteRack,
+    build_z4_module_nrack,
+    check_self_derivation,
+    cyclic_group,
+    degenerate_subcomplex,
+    levi_civita_nalgebra,
+    rack_chain_complex,
+    symmetric_group,
+    validate,
+    validate_rack,
+)
 from nracks.cli import main
 from nracks.jsonio import (
     dump_document,
@@ -415,22 +427,50 @@ def _small_module_group_bundle(tmp_path):
         (["inner", "--input", "dihedral"], 0, 1),
         (["assoc-group", "--input", "dihedral"], 0, 1),
         (["construct", "module-group", "--input", "bundle"], 0, 1),
-        # The input, then the reduced rack's own check once per reduction:
-        # Q reduces again inside the degenerate subcomplex.
+        # The input, then the reduced rack once: the degenerate subcomplex
+        # reads the reduced rack its complex keeps.
         (["homology", "--input", "dihedral", "--variant", "R", "--degrees", "1-2"], 0, 2),
-        (["homology", "--input", "dihedral", "--variant", "Q", "--degrees", "1-2"], 0, 3),
+        (["homology", "--input", "dihedral", "--variant", "Q", "--degrees", "1-2"], 0, 2),
         (["homology", "--input", "mod2", "--degrees", "1-2"], 1, 1),
+        # The input, then the reduced rack, whose report the CLI reuses.
+        (["construct", "reduce", "--input", "z4"], 0, 2),
+        (["reduce", "--input", "z4"], 0, 2),
     ],
 )
 def test_each_table_is_scanned_for_distributivity_once(
     monkeypatch, capsys, workspace, tmp_path, argv, code, scans
 ):
     files = {"bundle": _small_module_group_bundle(tmp_path), **workspace}
-    argv = [str(files[a]) if a in ("dihedral", "mod2", "bundle") else a for a in argv]
+    files["z4"] = tmp_path / "z4.json"
+    files["z4"].write_text(dump_document(nrack_to_json(build_z4_module_nrack(3, 4))))
+    argv = [str(files[a]) if a in ("dihedral", "mod2", "bundle", "z4") else a for a in argv]
     calls = _count_calls(monkeypatch, "nracks.core", "check_left_distributive")
     assert main(argv) == code
     capsys.readouterr()
     assert len(calls) == scans
+
+
+def test_a_rack_is_its_own_arity_two_nrack():
+    Q = FiniteRack(3, tuple((2 * x - y) % 3 for x in range(3) for y in range(3)))
+    assert isinstance(Q, FiniteNRack) and Q.arity == 2
+    assert Q.to_nrack() is Q
+    assert validate_rack(Q) is validate(Q)
+
+
+def test_degenerate_subcomplex_reads_the_reduced_rack_of_its_complex(monkeypatch):
+    R = dihedral_nrack(3)
+    C = rack_chain_complex(R, 3)
+    counted = [
+        _count_calls(monkeypatch, module, attr)
+        for module, attr in (
+            ("nracks.homology", "reduced_rack_table"),
+            ("nracks.constructions", "reduce_nrack_to_rack"),
+            ("nracks.core", "check_left_distributive"),
+        )
+    ]
+    D = degenerate_subcomplex(R, C)
+    assert counted == [[], [], []]
+    assert D.rack is C.rack
 
 
 @pytest.mark.parametrize("command", ["homology", "cohomology"])

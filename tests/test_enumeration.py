@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 
 from oracle_enumeration import brute_force_enumerate, canonical_form
+import nracks.enumeration
 from nracks import (
     BudgetExceededError,
     FiniteNRack,
@@ -12,6 +13,7 @@ from nracks import (
     enumerate_nracks,
     find_isomorphism,
 )
+from nracks.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "enumeration_counts.json")
 
@@ -78,6 +80,34 @@ def test_representative_is_least_in_class():
 def test_budget_exceeded_raises_without_partial_results():
     with pytest.raises(BudgetExceededError):
         enumerate_nracks(2, 3, budget=10)
+
+
+def test_oversized_search_refused_before_anything_is_built(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("rows or prefixes were built")
+
+    monkeypatch.setattr(nracks.enumeration, "permutations", refuse)
+    monkeypatch.setattr(nracks.enumeration, "product", refuse)
+    for arity, size in ((2, 8), (25, 2)):
+        with pytest.raises(BudgetExceededError) as err:
+            enumerate_nracks(arity, size, budget=1000)
+        assert (err.value.limit, err.value.reached) == (1000, 1001)
+        assert str(err.value) == "enumeration exceeded the budget of 1000 candidates"
+    assert main(["enumerate", "--n", "2", "--m", "12"]) == 3
+    assert "budget exceeded" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "arity, size, budget", [(2, 4, 20), (2, 4, 0), (2, 3, -1), (4, 2, 5), (2, 1, 0)]
+)
+def test_early_refusal_is_the_error_the_search_raises(monkeypatch, arity, size, budget):
+    with pytest.raises(BudgetExceededError) as early:
+        enumerate_nracks(arity, size, budget=budget)
+    monkeypatch.setattr(nracks.enumeration, "_passes_budget", lambda factors, budget: False)
+    with pytest.raises(BudgetExceededError) as searched:
+        enumerate_nracks(arity, size, budget=budget)
+    assert (early.value.limit, early.value.reached, str(early.value)) == (
+        searched.value.limit, searched.value.reached, str(searched.value))
 
 
 def test_unknown_filter_rejected():

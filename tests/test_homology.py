@@ -1,5 +1,6 @@
 import json
 import os
+import tracemalloc
 
 import pytest
 from sympy import Matrix
@@ -332,6 +333,20 @@ def test_budget_refusal():
         rack_chain_complex(R, 3)
     assert err.value.reached == 36**3
     rack_chain_complex(R, 2)  # within budget
+
+
+def test_budget_refused_at_the_first_rank_over_it():
+    R = build_z4_module_nrack(3, 4)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError) as err:
+            rack_chain_complex(R, 5000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (err.value.limit, err.value.reached) == (20000, 16**4)
+    assert str(err.value) == "chain rank 65536 in degree 4 exceeds the 20000-column budget"
+    assert peak < 2**20
 
 
 def test_triplet_export_format():

@@ -4,8 +4,10 @@ from hypothesis import strategies as st
 from sympy import Matrix
 from sympy.matrices.normalforms import invariant_factors as sympy_invariant_factors
 
-from nracks import AbelianGroupInvariants, invariant_factors, smith_normal_form
+from helpers import dihedral_nrack
+from nracks import AbelianGroupInvariants, invariant_factors, rack_chain_complex, smith_normal_form
 from nracks.snf import (
+    _assert_product,
     determinant,
     group_from_diagonal,
     invariants_from_cyclic_orders,
@@ -86,6 +88,25 @@ def test_snf_properties(M):
     ours = tuple(x for x in d if x != 0)
     theirs = tuple(int(x) for x in sympy_invariant_factors(Matrix(M)) if x != 0)
     assert ours == theirs
+
+
+@pytest.mark.parametrize(
+    "M",
+    [
+        [[2, 4, 6, 8, 1], [3, 0, -3, 5, 2], [1, 1, 1, 1, 1], [0, 6, 3, 9, 12]],
+        rack_chain_complex(dihedral_nrack(3), 3).boundary_dense(3),
+    ],
+    ids=["dense", "dihedral-d3"],
+)
+def test_product_check_catches_any_changed_entry_of_S(M):
+    U, S, V = smith_normal_form(M)
+    _assert_product(U, M, V, S)
+    for i, row in enumerate(S):
+        for j in range(len(row)):
+            changed = [list(r) for r in S]
+            changed[i][j] += 1
+            with pytest.raises(AssertionError, match="verification failed"):
+                _assert_product(U, M, V, changed)
 
 
 def test_determinant_known_values():
