@@ -1,17 +1,23 @@
 """Exhaustive enumeration of n-rack tables up to isomorphism.
 
-The search assigns one translation row per argument prefix, in
-lexicographic prefix order.  Rows are drawn from the permutations of the
-carrier (translation bijectivity row by row), and every left
-distributivity instance is checked as soon as all rows it touches are
-assigned.  Tables therefore come out in lexicographic order, so the first
-member of each isomorphism class is its least representative.
+The search is orderly (Read, "Every one a winner", 1978): it assigns one
+translation row per argument prefix, in lexicographic prefix order, and
+keeps a partial table only while no relabeling of the carrier can make
+it lexicographically smaller.  Rows are drawn from the permutations of
+the carrier in lexicographic order (translation bijectivity row by row),
+every left distributivity instance is checked as soon as all rows it
+touches are assigned, and the requested filter is applied row by row.
+Every complete table the search accepts is therefore the least member of
+its isomorphism class, tables come out in lexicographic order, and no two
+are isomorphic.  The labeled tables of a class number m!/|Aut T|, where
+the automorphisms of T are the relabelings that leave it unchanged.
 """
 
 from dataclasses import dataclass
 from itertools import permutations, product, repeat
+from math import factorial
 
-from .core import FiniteNRack, classify, find_isomorphism
+from .core import FiniteNRack, classify
 from .errors import BudgetExceededError
 
 DEFAULT_CANDIDATE_BUDGET = 2_000_000
@@ -60,16 +66,29 @@ def _budget_error(budget: int, reached: int) -> BudgetExceededError:
     )
 
 
+def _fixed_points(prefix, filter_name: str) -> tuple[int, ...]:
+    """The elements the row at prefix must fix under filter_name: x at the
+    diagonal prefix (x,...,x) for weak n-quandles, every entry of the
+    prefix for n-quandles and n-keis."""
+    if filter_name == "weak-n-quandle":
+        return prefix[:1] if len(set(prefix)) == 1 else ()
+    if filter_name in ("n-quandle", "n-kei"):
+        return tuple(sorted(set(prefix)))
+    return ()
+
+
 def enumerate_nracks(
     arity: int,
     size: int,
     filter_name: str = "nrack",
     budget: int = DEFAULT_CANDIDATE_BUDGET,
 ) -> EnumerationReport:
-    """Backtracking enumeration of all tables satisfying the axioms plus the
-    requested filter; representatives are deduplicated with the isomorphism
-    search.  Raises BudgetExceededError once the number of attempted row
-    placements passes the budget (no partial results)."""
+    """Orderly enumeration of the tables satisfying the axioms plus the
+    requested filter: one lex-least representative per isomorphism class,
+    in lexicographic order, and count_total summed over the classes by
+    orbit-stabilizer.  Every row tried at every prefix counts as one
+    placement, whether or not it is kept; BudgetExceededError is raised
+    once the placements pass the budget (no partial results)."""
     if filter_name not in FILTERS:
         raise ValueError(f"unknown filter {filter_name!r}; choose from {FILTERS}")
     m, n = size, arity
@@ -85,58 +104,140 @@ def enumerate_nracks(
     prefix_count = m ** (n - 1)
     prefix_digits = list(product(range(m), repeat=n - 1))
     all_rows = [list(p) for p in permutations(range(m))]
+    inverses = [sorted(range(m), key=row.__getitem__) for row in all_rows]
+    fixed = [_fixed_points(p, filter_name) for p in prefix_digits]
+    involutive = filter_name == "n-kei"
+
+    # rows[t] is all_rows[cursor[t] - 1] while the search stands below t.
     rows: list[list[int] | None] = [None] * prefix_count
+    cursor = [0] * prefix_count
     visited = 0
     count_total = 0
     representatives: list[tuple[int, ...]] = []
 
-    def distributive_at(t: int) -> bool:
-        # Verify every instance whose three rows (outer prefix, inner
-        # prefix, acted prefix) are all assigned and whose latest row is t.
-        for px in range(t + 1):
+    def acted(phi, p: int) -> int:
+        """The index of the prefix phi.p, phi applied digit by digit."""
+        q = 0
+        for d in prefix_digits[p]:
+            q = q * m + phi[d]
+        return q
+
+    # A distributivity instance has an outer prefix px, an inner prefix py
+    # and the acted prefix pz = phi.py, phi the row at px: it says
+    # phi . row_py = row_pz . phi.  Those whose latest row is t are
+    #   px = t, py and pz up to t: checked by distributive_at;
+    #   px < t, py = pz = t: row t commutes with phi (distributive_at);
+    #   px < t, py = t, pz < t: row t is phi^-1 . row_pz . phi;
+    #   px < t, py < t, pz = t: row t is phi . row_py . phi^-1.
+    # The last two depend on the rows before t only, and pin row t down.
+
+    def constraints(t: int):
+        """(forced, commuting) at prefix t, given the rows before t: the row
+        the pinning instances force ([] if two force different rows, None
+        if none applies), and the rows row t must commute with."""
+        forced, commuting = None, []
+        for px in range(t):
             phi = rows[px]
-            for py in range(t + 1):
-                acted = [phi[d] for d in prefix_digits[py]]
-                pz = 0
-                for d in acted:
-                    pz = pz * m + d
-                if pz > t:
-                    continue
-                if max(px, py, pz) != t:
-                    continue
+            inverse = inverses[cursor[px] - 1]
+            pins = []
+            pz = acted(phi, t)
+            if pz == t:
+                commuting.append(phi)
+            elif pz < t:
+                pins.append([inverse[rows[pz][phi[y]]] for y in range(m)])
+            py = acted(inverse, t)
+            if py < t:
+                pins.append([phi[rows[py][inverse[z]]] for z in range(m)])
+            for pin in pins:
+                if forced is None:
+                    forced = pin
+                elif pin != forced:
+                    return [], commuting
+        return forced, commuting
+
+    def admissible(t: int, row) -> bool:
+        if forced[t] is not None and row != forced[t]:
+            return False
+        if any(row[x] != x for x in fixed[t]):
+            return False
+        return not involutive or all(row[row[y]] == y for y in range(m))
+
+    def distributive_at(t: int) -> bool:
+        # The instances with latest row t that admissible leaves unchecked.
+        phi = rows[t]
+        for other in commuting[t]:
+            if any(other[phi[y]] != phi[other[y]] for y in range(m)):
+                return False
+        for py in range(t + 1):
+            pz = acted(phi, py)
+            if pz <= t:
                 row_y, row_z = rows[py], rows[pz]
-                for yn in range(m):
-                    if phi[row_y[yn]] != row_z[phi[yn]]:
-                        return False
+                if any(phi[row_y[y]] != row_z[phi[y]] for y in range(m)):
+                    return False
         return True
 
-    def emit():
-        nonlocal count_total
-        table = tuple(v for row in rows for v in row)
-        candidate = FiniteNRack(n, m, table)
-        if not _passes(classify(candidate), filter_name):
-            return
-        count_total += 1
-        for rep in representatives:
-            if find_isomorphism(candidate, FiniteNRack(n, m, rep)) is not None:
-                return
-        representatives.append(table)
+    def still_tied(t: int, tied):
+        """Compare T with each relabeling T^s in tied, an (s, q) list whose
+        rows before q agree, on the rows of both now assigned; row q of T^s
+        is s . row[s^-1 q] . s^-1.  None if some T^s is smaller; else the
+        (s, q) still equal so far.  Both sides' earlier rows are fixed, so
+        a smaller T^s stays smaller in every completion, and a larger one
+        can be dropped."""
+        out = []
+        for s, q in tied:
+            sigma, inverse = all_rows[s], inverses[s]
+            while q <= t and (source := acted(inverse, q)) <= t:
+                row = rows[source]
+                image = [sigma[row[y]] for y in inverse]
+                if image != rows[q]:
+                    break
+                q += 1
+            else:
+                out.append((s, q))
+                continue
+            if image < rows[q]:
+                return None
+        return out
 
-    def extend(t: int):
-        nonlocal visited
-        if t == prefix_count:
-            emit()
-            return
-        for row in all_rows:
-            visited += 1
-            if visited > budget:
-                raise _budget_error(budget, visited)
-            rows[t] = row
-            if distributive_at(t):
-                extend(t + 1)
-            rows[t] = None
+    # Per prefix t: the relabelings (all but the identity, all_rows[0])
+    # that agree with the table on every row compared before row t was
+    # placed, and the constraints of the rows before t on row t.
+    tied: list[list | None] = [None] * prefix_count
+    forced: list[list[int] | None] = [None] * prefix_count
+    commuting: list[list | None] = [None] * prefix_count
+    tied[0] = [(s, 0) for s in range(1, len(all_rows))]
+    commuting[0] = []
+    t = 0
+    while t >= 0:
+        c = cursor[t]
+        if c == len(all_rows):
+            cursor[t] = 0
+            t -= 1
+            continue
+        cursor[t] = c + 1
+        visited += 1
+        if visited > budget:
+            raise _budget_error(budget, visited)
+        row = all_rows[c]
+        if not admissible(t, row):
+            continue
+        rows[t] = row
+        if not distributive_at(t):
+            continue
+        ties = still_tied(t, tied[t])
+        if ties is None:
+            continue
+        if t + 1 < prefix_count:
+            t += 1
+            tied[t] = ties
+            forced[t], commuting[t] = constraints(t)
+            continue
+        # A full table: every relabeling still tied fixes it.
+        table = tuple(v for r in rows for v in r)
+        if _passes(classify(FiniteNRack(n, m, table)), filter_name):
+            count_total += factorial(m) // (1 + len(ties))
+            representatives.append(table)
 
-    extend(0)
     return EnumerationReport(
         arity=n,
         size=m,

@@ -502,3 +502,22 @@ def test_leibniz_self_derivation_is_the_fundamental_identity_verdict(
         out = json.loads(capsys.readouterr().out)
         assert out["self_derivation"] is reference is out["fundamental_identity"]
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["enumerate", "--n", "2", "--m", "4", "--filter", f]
+     for f in ("nrack", "weak-n-quandle", "n-quandle", "n-kei")]
+    + [["enumerate", "--n", "3", "--m", "3"]],
+)
+def test_enumeration_classifies_each_representative_once(monkeypatch, capsys, argv):
+    # The orderly search emits only lex-least tables, so no isomorphism
+    # test is needed, and classify runs once per class, not per table.
+    iso, cycle_types, classified = (
+        _count_calls(monkeypatch, "nracks.core", attr)
+        for attr in ("find_isomorphism", "translation_cycle_types", "classify")
+    )
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (len(iso), len(cycle_types)) == (0, 0)
+    assert len(classified) == doc["count_up_to_iso"] == len(doc["representatives"])

@@ -1,10 +1,13 @@
+import inspect
 import json
 import os
-from itertools import combinations
+import sys
+from itertools import combinations, permutations
+from math import factorial
 
 import pytest
 
-from oracle_enumeration import brute_force_enumerate, canonical_form
+from oracle_enumeration import _relabel, brute_force_enumerate, canonical_form
 import nracks.enumeration
 from nracks import (
     BudgetExceededError,
@@ -72,9 +75,42 @@ def test_representatives_satisfy_filter_and_are_nonisomorphic():
 
 
 def test_representative_is_least_in_class():
-    report = enumerate_nracks(2, 3)
+    for arity, size in ((2, 3), (2, 4), (3, 3)):
+        for f in FILTER_NAMES:
+            report = enumerate_nracks(arity, size, f)
+            for t in report.representatives:
+                assert t == canonical_form(t, size, arity), (arity, size, f)
+
+
+# Racks (OEIS A181771) and quandles (OEIS A181769) of order 1..6, up to
+# isomorphism; see Vendramin, "On the classification of quandles of low
+# order", J. Knot Theory Ramifications 21 (2012).
+PUBLISHED_CLASS_COUNTS = {
+    "nrack": (1, 2, 6, 19, 74, 353),
+    "n-quandle": (1, 1, 3, 7, 22, 73),
+}
+
+
+@pytest.mark.parametrize("filter_name", sorted(PUBLISHED_CLASS_COUNTS))
+def test_rack_and_quandle_class_counts_match_oeis(filter_name):
+    counts = tuple(
+        enumerate_nracks(2, m, filter_name).count_up_to_iso for m in range(1, 7)
+    )
+    assert counts == PUBLISHED_CLASS_COUNTS[filter_name]
+
+
+@pytest.mark.parametrize("arity, size", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2)])
+@pytest.mark.parametrize("filter_name", FILTER_NAMES)
+def test_count_total_is_the_sum_of_orbit_sizes(arity, size, filter_name):
+    report = enumerate_nracks(arity, size, filter_name)
+    labeled = 0
     for t in report.representatives:
-        assert t == canonical_form(t, 3, 2)
+        automorphisms = sum(
+            _relabel(t, size, arity, sigma) == t
+            for sigma in permutations(range(size))
+        )
+        labeled += factorial(size) // automorphisms
+    assert report.count_total == labeled
 
 
 def test_budget_exceeded_raises_without_partial_results():
@@ -97,17 +133,45 @@ def test_oversized_search_refused_before_anything_is_built(monkeypatch, capsys):
     assert "budget exceeded" in capsys.readouterr().err
 
 
+EARLY_REFUSALS = [
+    (2, 4, 20, "nrack"), (2, 4, 0, "nrack"), (2, 3, -1, "nrack"), (4, 2, 5, "nrack"),
+    (2, 1, 0, "nrack"), (2, 4, 20, "n-quandle"), (4, 2, 5, "n-kei"),
+]
+
+
 @pytest.mark.parametrize(
-    "arity, size, budget", [(2, 4, 20), (2, 4, 0), (2, 3, -1), (4, 2, 5), (2, 1, 0)]
+    "arity, size, budget, filter_name",
+    EARLY_REFUSALS,
+    # The default filter stays out of the id: "2-4-20", "2-4-20-n-quandle".
+    ids=["-".join(map(str, c[:3] if c[3] == "nrack" else c)) for c in EARLY_REFUSALS],
 )
-def test_early_refusal_is_the_error_the_search_raises(monkeypatch, arity, size, budget):
+def test_early_refusal_is_the_error_the_search_raises(
+    monkeypatch, arity, size, budget, filter_name
+):
+    # Rows the filter rejects still count as placements, so the search
+    # passes the budget exactly where the early refusal says it will.
     with pytest.raises(BudgetExceededError) as early:
-        enumerate_nracks(arity, size, budget=budget)
+        enumerate_nracks(arity, size, filter_name, budget=budget)
     monkeypatch.setattr(nracks.enumeration, "_passes_budget", lambda factors, budget: False)
     with pytest.raises(BudgetExceededError) as searched:
-        enumerate_nracks(arity, size, budget=budget)
+        enumerate_nracks(arity, size, filter_name, budget=budget)
     assert (early.value.limit, early.value.reached, str(early.value)) == (
         searched.value.limit, searched.value.reached, str(searched.value))
+
+
+def test_search_deeper_than_the_recursion_limit(capsys):
+    # 2^7 = 128 prefixes: a stack frame per prefix would pass the limit.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 50)
+    try:
+        with pytest.raises(BudgetExceededError) as err:
+            enumerate_nracks(8, 2, budget=200)
+        code = main(["enumerate", "--n", "8", "--m", "2", "--budget", "200"])
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (err.value.limit, err.value.reached) == (200, 201)
+    assert code == 3
+    assert "budget exceeded" in capsys.readouterr().err
 
 
 def test_unknown_filter_rejected():
