@@ -4,12 +4,25 @@ with its abelianization.
 """
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import permutations, product
 from math import gcd
 
-from .core import FiniteNRack, ValidationReport, is_homomorphism, validate
-from .errors import ConstructionError
+from .core import FiniteNRack, ValidationReport, first_power_past, is_homomorphism, validate
+from .errors import BudgetExceededError, ConstructionError
 from .snf import AbelianGroupInvariants, group_from_diagonal, invariant_factors
+
+
+# The most table entries a builder makes.  A larger table is refused before
+# anything is allocated or iterated; a table this size builds and validates
+# in a few seconds.
+TABLE_BUDGET = 2_000_000
+
+
+def _check_table_budget(size: int, arity: int) -> None:
+    reached = first_power_past(size, arity, TABLE_BUDGET)
+    if reached is not None:
+        message = f"a table of {size}**{arity} entries exceeds the {TABLE_BUDGET}-entry budget"
+        raise BudgetExceededError(message, limit=TABLE_BUDGET, reached=reached)
 
 
 class FiniteRack(FiniteNRack):
@@ -72,14 +85,12 @@ class FiniteGroup:
                 for c in range(k):
                     if self.cayley[ab * k + c] != self.cayley[a * k + self.cayley[b * k + c]]:
                         raise ValueError(f"associativity fails at ({a}, {b}, {c})")
-        inverse = [None] * k
+        inverse = []
         for a in range(k):
-            for b in range(k):
-                if self.cayley[a * k + b] == e and self.cayley[b * k + a] == e:
-                    inverse[a] = b
-                    break
-            if inverse[a] is None:
+            found = [b for b in range(k) if self.cayley[a * k + b] == e == self.cayley[b * k + a]]
+            if not found:
                 raise ValueError(f"element {a} has no inverse")
+            inverse.append(found[0])
         object.__setattr__(self, "inverse", tuple(inverse))
 
     def mul(self, a: int, b: int) -> int:
@@ -103,14 +114,10 @@ def cyclic_group(k: int) -> FiniteGroup:
 
 def symmetric_group(n: int) -> FiniteGroup:
     """S_n on lexicographically ordered permutation words; (p*q)(i) = p(q(i))."""
-    perms = sorted(product(range(n), repeat=n))
-    perms = [p for p in perms if len(set(p)) == n]
+    perms = list(permutations(range(n)))
     index = {p: i for i, p in enumerate(perms)}
-    table = []
-    for p in perms:
-        for q in perms:
-            table.append(index[tuple(p[q[i]] for i in range(n))])
-    return FiniteGroup(len(perms), tuple(table), index[tuple(range(n))])
+    table = tuple(index[tuple(p[j] for j in q)] for p in perms for q in perms)
+    return FiniteGroup(len(perms), table, index[tuple(range(n))])
 
 
 def dihedral_group(k: int) -> FiniteGroup:
@@ -145,6 +152,7 @@ def build_z4_module_nrack(arity: int, modulus: int = 4) -> FiniteNRack:
             f"violated relation: 4 = 0 (mod {modulus}) fails, so Z/{modulus} "
             "is not a module over Z/4"
         )
+    _check_table_budget(modulus, arity)
     m = modulus
     table = tuple(
         (2 * sum(xs[:-1]) + xs[-1]) % m for xs in product(range(m), repeat=arity)
@@ -182,6 +190,7 @@ def build_gamma_module_nrack(arity: int, modulus: int, t: int, s: int) -> Finite
             f"violated relation: (n-2)*s^2 = {(arity - 2) * s * s} != 0 (mod {m}); "
             "the bracket is not left distributive for this arity"
         )
+    _check_table_budget(m, arity)
     table = tuple(
         (s * sum(xs[:-1]) + t * xs[-1]) % m for xs in product(range(m), repeat=arity)
     )
@@ -194,6 +203,7 @@ def build_conjugation_nrack(G: FiniteGroup, arity: int) -> FiniteNRack:
     if arity < 2:
         raise ConstructionError(f"arity must be >= 2, got {arity}")
     k = G.size
+    _check_table_budget(k, arity)
     table = []
     for xs in product(range(k), repeat=arity):
         acc = xs[-1]
@@ -208,6 +218,7 @@ def lift_rack_to_nrack(Q: FiniteRack, arity: int) -> FiniteNRack:
     the rack itself as a 2-rack."""
     if arity < 2:
         raise ConstructionError(f"arity must be >= 2, got {arity}")
+    _check_table_budget(Q.size, arity)
     report = validate_rack(Q)
     if not report.is_nrack:
         raise ValueError("lift requires a valid rack")
@@ -232,11 +243,12 @@ def reduce_nrack_to_rack(R: FiniteNRack) -> FiniteRack:
     already validated table does not scan it again.  The output is
     re-validated once per reduction; an n-rack always reduces to a rack.
     """
+    m, n = R.size, R.arity
+    M = m ** (n - 1)
+    _check_table_budget(M, 2)
     report = validate(R)
     if not report.is_nrack:
         raise ValueError("reduce requires a valid n-rack")
-    m, n = R.size, R.arity
-    M = m ** (n - 1)
     tuples = list(product(range(m), repeat=n - 1))
     table = []
     for a in range(M):
@@ -339,6 +351,7 @@ def build_module_group_nrack(
     if module.acting is not H:
         if module.acting.cayley != H.cayley or module.acting.identity != H.identity:
             raise ConstructionError("module is not an H-module for the supplied H")
+    _check_table_budget(module.space.size * H.size, arity)
     check_antisymmetric_bracket(H, bracket, arity)
     V = module.space
     k, v = H.size, V.size

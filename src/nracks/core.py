@@ -11,7 +11,27 @@ are always {0,...,m-1}; named elements belong to I/O adapters.
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import product, repeat
+from operator import itemgetter
+
+
+def first_product_past(factors, limit: int) -> int | None:
+    """The first partial product of factors (the empty product 1 included)
+    that exceeds limit, or None: factors >= 1 are multiplied out only until
+    the product passes the limit."""
+    total = 1
+    for f in factors:
+        if total > limit:
+            break
+        total *= f
+    return total if total > limit else None
+
+
+def first_power_past(base: int, exponent: int, limit: int) -> int | None:
+    """first_product_past of exponent copies of base; an astronomically large
+    exponent costs nothing, as 1**k is 1 and a larger base passes any limit
+    within limit.bit_length() + 1 factors."""
+    return first_product_past(repeat(base, exponent if base > 1 else min(exponent, 1)), limit)
 
 
 @dataclass(frozen=True)
@@ -35,11 +55,15 @@ class FiniteNRack:
             raise ValueError(f"size must be >= 1, got {self.size}")
         if not isinstance(self.table, tuple):
             object.__setattr__(self, "table", tuple(self.table))
-        expected = self.size**self.arity
-        if len(self.table) != expected:
+        given = len(self.table)
+        if first_power_past(self.size, self.arity, given) is not None:
             raise ValueError(
-                f"table has {len(self.table)} entries, expected {expected}"
+                f"table has {given} entries, too few for "
+                f"size**arity = {self.size}**{self.arity}"
             )
+        expected = self.size**self.arity
+        if given != expected:
+            raise ValueError(f"table has {given} entries, expected {expected}")
         if any(not (0 <= v < self.size) for v in self.table):
             raise ValueError("table entries must lie in the carrier")
         if self.basepoint is not None and not (0 <= self.basepoint < self.size):
@@ -123,30 +147,39 @@ class InnerMap:
 
 
 def check_left_distributive(R: FiniteNRack):
-    """Exhaustive left-distributivity check.
+    """Left-distributivity check, one evaluation per distinct translation row.
 
-    Returns (True, None) or (False, witness) with witness the
-    lexicographically first violating ((x_1..x_{n-1}), (y_1..y_n)).
+    Distributivity at a prefix depends only on its row phi: phi([ys]) must
+    equal [phi(y_1),...,phi(y_n)] for all ys.  A row is evaluated by two
+    gathers over the whole table, compared at once; prefixes are scanned
+    in lex order and a row already seen has passed.  Returns (True, None)
+    or (False, witness) with witness the lexicographically first violating
+    ((x_1..x_{n-1}), (y_1..y_n)).
     """
     m, n = R.size, R.arity
     table = R.table
-    strides = R.strides
-    for p, xs in enumerate(product(range(m), repeat=n - 1)):
+    images = itemgetter(*table)
+    passed = set()
+    for p, xs in enumerate(R.prefixes()):
         phi = table[p * m : (p + 1) * m]
-        for yidx, ys in enumerate(product(range(m), repeat=n)):
-            lhs = phi[table[yidx]]
-            rhs = table[sum(phi[y] * s for y, s in zip(ys, strides))]
-            if lhs != rhs:
-                return False, (xs, ys)
+        if phi in passed:
+            continue
+        # idx[k]: the index of [phi(y_1),...,phi(y_n)] for the k-th ys.
+        idx = phi
+        for _ in range(n - 1):
+            idx = [a * m + b for a in idx for b in phi]
+        lhs, rhs = images(phi), itemgetter(*idx)(table)
+        if lhs != rhs:
+            k = next(k for k, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+            return False, (xs, tuple(k // s % m for s in R.strides))
+        passed.add(phi)
     return True, None
 
 
 def check_translation_bijective(R: FiniteNRack):
     """Returns (True, None) or (False, first prefix whose row is not a bijection)."""
-    m = R.size
-    for p, xs in enumerate(product(range(m), repeat=R.arity - 1)):
-        row = R.table[p * m : (p + 1) * m]
-        if len(set(row)) != m:
+    for xs in R.prefixes():
+        if len(set(R.translation(xs))) != R.size:
             return False, xs
     return True, None
 
@@ -157,10 +190,9 @@ def check_pointed(R: FiniteNRack) -> bool:
     if R.basepoint is None:
         raise ValueError("no basepoint declared")
     b = R.basepoint
-    row = R.translation((b,) * (R.arity - 1))
-    if any(row[y] != y for y in range(R.size)):
-        return False
-    return all(R.translation(xs)[b] == b for xs in R.prefixes())
+    return R.translation((b,) * (R.arity - 1)) == tuple(range(R.size)) and all(
+        R.translation(xs)[b] == b for xs in R.prefixes()
+    )
 
 
 def _check_weak_nquandle(R: FiniteNRack) -> bool:
@@ -169,20 +201,13 @@ def _check_weak_nquandle(R: FiniteNRack) -> bool:
 
 def _check_nquandle(R: FiniteNRack) -> bool:
     # [x_1,...,x_{n-1},y] = y whenever x_i = y for some i in 1..n-1.
-    for xs in R.prefixes():
-        row = R.translation(xs)
-        if any(row[y] != y for y in set(xs)):
-            return False
-    return True
+    return all(R.translation(xs)[y] == y for xs in R.prefixes() for y in set(xs))
 
 
 def _check_involutive(R: FiniteNRack) -> bool:
     # [x_1,...,x_{n-1},[x_1,...,x_{n-1},y]] = y for all prefixes and y.
-    for xs in R.prefixes():
-        row = R.translation(xs)
-        if any(row[row[y]] != y for y in range(R.size)):
-            return False
-    return True
+    rows = map(R.translation, R.prefixes())
+    return all(row[row[y]] == y for row in rows for y in range(R.size))
 
 
 def _classification(R: FiniteNRack, is_nrack: bool) -> Classification:

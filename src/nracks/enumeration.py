@@ -17,12 +17,19 @@ from dataclasses import dataclass
 from itertools import permutations, product, repeat
 from math import factorial
 
-from .core import FiniteNRack, classify
+from .core import FiniteNRack, classify, first_product_past
 from .errors import BudgetExceededError
 
 DEFAULT_CANDIDATE_BUDGET = 2_000_000
 
-FILTERS = ("nrack", "weak-n-quandle", "n-quandle", "n-kei")
+# The classification flag each filter keeps.
+FILTER_FLAGS = {
+    "nrack": "is_nrack",
+    "weak-n-quandle": "is_weak_nquandle",
+    "n-quandle": "is_nquandle",
+    "n-kei": "is_nkei",
+}
+FILTERS = tuple(FILTER_FLAGS)
 
 
 @dataclass(frozen=True)
@@ -35,27 +42,10 @@ class EnumerationReport:
     representatives: tuple[tuple[int, ...], ...]
 
 
-def _passes(flags, filter_name: str) -> bool:
-    if filter_name == "nrack":
-        return flags.is_nrack
-    if filter_name == "weak-n-quandle":
-        return flags.is_weak_nquandle
-    if filter_name == "n-quandle":
-        return flags.is_nquandle
-    if filter_name == "n-kei":
-        return flags.is_nkei
-    raise ValueError(f"unknown filter {filter_name!r}; choose from {FILTERS}")
-
-
 def _passes_budget(factors, budget: int) -> bool:
     """Whether the product of factors passes budget, multiplied out only
     until a partial product does."""
-    total = 1
-    for f in factors:
-        total *= f
-        if total > budget:
-            return True
-    return total > budget
+    return first_product_past(factors, budget) is not None
 
 
 def _budget_error(budget: int, reached: int) -> BudgetExceededError:
@@ -234,7 +224,7 @@ def enumerate_nracks(
             continue
         # A full table: every relabeling still tied fixes it.
         table = tuple(v for r in rows for v in r)
-        if _passes(classify(FiniteNRack(n, m, table)), filter_name):
+        if getattr(classify(FiniteNRack(n, m, table)), FILTER_FLAGS[filter_name]):
             count_total += factorial(m) // (1 + len(ties))
             representatives.append(table)
 

@@ -12,7 +12,8 @@ is checked on basis tuples, which suffices by multilinearity.
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from functools import cached_property
+from itertools import combinations, product
 
 
 def _as_fraction(x) -> Fraction:
@@ -58,11 +59,17 @@ class LeibnizNAlgebra:
             vec[out] += _as_fraction(value)
         return cls(dimension, arity, {a: tuple(v) for a, v in table.items()})
 
+    @cached_property
+    def support(self) -> dict:
+        """args -> ((i, coefficient), ...) over the nonzero coefficients of
+        [e_{i_1},...,e_{i_n}]; the sparse view the identity checks read."""
+        return {
+            args: tuple((i, c) for i, c in enumerate(vec) if c)
+            for args, vec in self.constants.items()
+        }
+
     def structure_vector(self, args) -> tuple[Fraction, ...]:
         return self.constants.get(tuple(args), (Fraction(0),) * self.dimension)
-
-    def zero_vector(self) -> tuple[Fraction, ...]:
-        return (Fraction(0),) * self.dimension
 
 
 @dataclass(frozen=True)
@@ -82,12 +89,6 @@ class LinearOperator:
     def dimension(self) -> int:
         return len(self.matrix)
 
-    def apply(self, v) -> tuple[Fraction, ...]:
-        v = [_as_fraction(x) for x in v]
-        if len(v) != self.dimension:
-            raise ValueError("vector dimension mismatch")
-        return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in self.matrix)
-
     @classmethod
     def zero(cls, dimension: int) -> "LinearOperator":
         return cls(tuple((Fraction(0),) * dimension for _ in range(dimension)))
@@ -97,22 +98,19 @@ def bracket(L: LeibnizNAlgebra, *vectors) -> tuple[Fraction, ...]:
     """Multilinear extension of the structure constants to coefficient vectors."""
     if len(vectors) != L.arity:
         raise ValueError(f"bracket takes {L.arity} vectors")
-    vs = []
-    for v in vectors:
-        v = tuple(_as_fraction(x) for x in v)
-        if len(v) != L.dimension:
-            raise ValueError("vector dimension mismatch")
-        vs.append(v)
+    vs = [tuple(_as_fraction(x) for x in v) for v in vectors]
+    if any(len(v) != L.dimension for v in vs):
+        raise ValueError("vector dimension mismatch")
     out = [Fraction(0)] * L.dimension
-    for args, vec in L.constants.items():
+    for args, terms in L.support.items():
         coeff = Fraction(1)
         for v, i in zip(vs, args):
             coeff *= v[i]
             if not coeff:
                 break
         if coeff:
-            for j in range(L.dimension):
-                out[j] += coeff * vec[j]
+            for j, c in terms:
+                out[j] += coeff * c
     return tuple(out)
 
 
@@ -120,69 +118,81 @@ def _basis(dimension: int, index: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(1 if j == index else 0) for j in range(dimension))
 
 
+def _first_derivation_failure(L: LeibnizNAlgebra, cols):
+    """The lex-first basis tuple ys with D([ys]) != sum_i [...,D(y_i),...],
+    as (ys, lhs, rhs) with each side a dict index -> coefficient, or None
+    when D is a derivation.  cols[y] lists D(e_y) as ((i, coefficient), ...)
+    over its nonzero entries.
+
+    A side is nonzero at ys only if ys is in the support, or if some ys
+    with one slot y swapped for an e_j of D(e_y) is; only those tuples are
+    visited, so the work follows the nonzero constants.
+    """
+    S = L.support
+    into: dict[int, list[int]] = {}  # j -> the y whose D(e_y) has an e_j term
+    for y, col in enumerate(cols):
+        for j, _ in col:
+            into.setdefault(j, []).append(y)
+    candidates = set(S)
+    for args in S:
+        for pos, j in enumerate(args):
+            candidates.update(args[:pos] + (y,) + args[pos + 1 :] for y in into.get(j, ()))
+    for ys in sorted(candidates):
+        lhs: dict[int, Fraction] = {}
+        rhs: dict[int, Fraction] = {}
+        for j, c in S.get(ys, ()):
+            for i, v in cols[j]:
+                lhs[i] = lhs.get(i, 0) + c * v
+        for pos, y in enumerate(ys):
+            for j, z in cols[y]:
+                for i, v in S.get(ys[:pos] + (j,) + ys[pos + 1 :], ()):
+                    rhs[i] = rhs.get(i, 0) + z * v
+        if {i: v for i, v in lhs.items() if v} != {i: v for i, v in rhs.items() if v}:
+            return ys, lhs, rhs
+    return None
+
+
 def check_fundamental_identity(L: LeibnizNAlgebra):
-    """Exhaustive basis check of the fundamental identity.
+    """Basis check of the fundamental identity: at each prefix xs, ad(xs)
+    must be a derivation of the bracket.  Prefixes whose adjoint is zero
+    satisfy it trivially and are skipped.
 
     Returns (True, None), or (False, (xs, ys, lhs, rhs)) with the
     lexicographically first violating prefix xs, arguments ys, and the two
     unequal sides as coefficient vectors.
     """
-    d, n = L.dimension, L.arity
-    for xs in product(range(d), repeat=n - 1):
-        # Columns of ad(xs): image vectors of each basis element.
-        ad = [L.structure_vector(xs + (j,)) for j in range(d)]
-        for ys in product(range(d), repeat=n):
-            inner = L.structure_vector(ys)
-            lhs = [sum(inner[j] * ad[j][i] for j in range(d)) for i in range(d)]
-            rhs = [Fraction(0)] * d
-            for pos in range(n):
-                z = ad[ys[pos]]
-                for j in range(d):
-                    if not z[j]:
-                        continue
-                    term = L.structure_vector(ys[:pos] + (j,) + ys[pos + 1 :])
-                    for i in range(d):
-                        rhs[i] += z[j] * term[i]
-            if lhs != rhs:
-                return False, (xs, ys, tuple(lhs), tuple(rhs))
+    S, d = L.support, L.dimension
+    for xs in sorted({args[:-1] for args in S}):
+        failure = _first_derivation_failure(L, [S.get(xs + (y,), ()) for y in range(d)])
+        if failure is not None:
+            ys, lhs, rhs = failure
+            dense = [tuple(side.get(i, Fraction(0)) for i in range(d)) for side in (lhs, rhs)]
+            return False, (xs, ys, *dense)
     return True, None
 
 
 def check_filippov(L: LeibnizNAlgebra) -> bool:
-    """Whether the bracket is antisymmetric in each pair of argument slots."""
-    d, n = L.dimension, L.arity
-    for args in product(range(d), repeat=n):
-        vec = L.structure_vector(args)
-        for p in range(n):
-            for q in range(p + 1, n):
-                swapped = list(args)
-                swapped[p], swapped[q] = swapped[q], swapped[p]
-                other = L.structure_vector(swapped)
-                if any(other[i] != -vec[i] for i in range(d)):
-                    return False
+    """Whether the bracket is antisymmetric in each pair of argument slots.
+
+    Only the nonzero constants are checked: a zero entry whose swap is
+    nonzero fails at that swap, since swapping back gives zero.
+    """
+    for args, vec in L.constants.items():
+        negated = tuple(-v for v in vec)
+        for p, q in combinations(range(L.arity), 2):
+            swapped = list(args)
+            swapped[p], swapped[q] = args[q], args[p]
+            if L.structure_vector(swapped) != negated:
+                return False
     return True
 
 
 def check_derivation(L: LeibnizNAlgebra, D: LinearOperator) -> bool:
     """D([x_1,...,x_n]) = sum_i [x_1,...,D(x_i),...,x_n] on all basis tuples."""
-    d, n = L.dimension, L.arity
-    if D.dimension != d:
+    if D.dimension != L.dimension:
         raise ValueError("operator dimension mismatch")
-    M = D.matrix
-    for ys in product(range(d), repeat=n):
-        lhs = D.apply(L.structure_vector(ys))
-        rhs = [Fraction(0)] * d
-        for pos in range(n):
-            for j in range(d):
-                coeff = M[j][ys[pos]]
-                if not coeff:
-                    continue
-                term = L.structure_vector(ys[:pos] + (j,) + ys[pos + 1 :])
-                for i in range(d):
-                    rhs[i] += coeff * term[i]
-        if list(lhs) != rhs:
-            return False
-    return True
+    cols = [tuple((i, v) for i, v in enumerate(col) if v) for col in zip(*D.matrix)]
+    return _first_derivation_failure(L, cols) is None
 
 
 def adjoint(L: LeibnizNAlgebra, *vectors) -> LinearOperator:

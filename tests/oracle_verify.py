@@ -1,0 +1,85 @@
+"""Exhaustive reference checks for the axiom and identity verifiers.
+
+These are the direct loops the package's checks are held to: left
+distributivity scanned prefix by prefix over every argument tuple, and the
+fundamental identity, the derivation equation and antisymmetry evaluated
+on dense coefficient vectors over every basis tuple.  They return the same values
+as the package functions they mirror, witnesses included.
+"""
+
+from fractions import Fraction
+from itertools import product
+
+
+def left_distributive(R):
+    """(True, None) or (False, the lex-first violating (xs, ys))."""
+    m, n = R.size, R.arity
+    table = R.table
+    strides = R.strides
+    for p, xs in enumerate(product(range(m), repeat=n - 1)):
+        phi = table[p * m : (p + 1) * m]
+        for yidx, ys in enumerate(product(range(m), repeat=n)):
+            lhs = phi[table[yidx]]
+            rhs = table[sum(phi[y] * s for y, s in zip(ys, strides))]
+            if lhs != rhs:
+                return False, (xs, ys)
+    return True, None
+
+
+def fundamental_identity(L):
+    """(True, None) or (False, (xs, ys, lhs, rhs)) at the lex-first
+    violating basis tuples, with both sides as dense vectors."""
+    d, n = L.dimension, L.arity
+    for xs in product(range(d), repeat=n - 1):
+        ad = [L.structure_vector(xs + (j,)) for j in range(d)]
+        for ys in product(range(d), repeat=n):
+            inner = L.structure_vector(ys)
+            lhs = [sum(inner[j] * ad[j][i] for j in range(d)) for i in range(d)]
+            rhs = [Fraction(0)] * d
+            for pos in range(n):
+                z = ad[ys[pos]]
+                for j in range(d):
+                    if not z[j]:
+                        continue
+                    term = L.structure_vector(ys[:pos] + (j,) + ys[pos + 1 :])
+                    for i in range(d):
+                        rhs[i] += z[j] * term[i]
+            if lhs != rhs:
+                return False, (xs, ys, tuple(lhs), tuple(rhs))
+    return True, None
+
+
+def derivation(L, D):
+    """Whether D([ys]) = sum_i [..., D(y_i), ...] on every basis tuple."""
+    d, n = L.dimension, L.arity
+    M = D.matrix
+    for ys in product(range(d), repeat=n):
+        inner = L.structure_vector(ys)
+        lhs = [sum(M[i][j] * inner[j] for j in range(d)) for i in range(d)]
+        rhs = [Fraction(0)] * d
+        for pos in range(n):
+            for j in range(d):
+                coeff = M[j][ys[pos]]
+                if not coeff:
+                    continue
+                term = L.structure_vector(ys[:pos] + (j,) + ys[pos + 1 :])
+                for i in range(d):
+                    rhs[i] += coeff * term[i]
+        if lhs != rhs:
+            return False
+    return True
+
+
+def filippov(L):
+    """Whether every swap of two argument slots negates every structure vector."""
+    d, n = L.dimension, L.arity
+    for args in product(range(d), repeat=n):
+        vec = L.structure_vector(args)
+        for p in range(n):
+            for q in range(p + 1, n):
+                swapped = list(args)
+                swapped[p], swapped[q] = swapped[q], swapped[p]
+                other = L.structure_vector(swapped)
+                if any(other[i] != -vec[i] for i in range(d)):
+                    return False
+    return True

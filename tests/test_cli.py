@@ -321,6 +321,28 @@ def test_leibniz_operator_file(workspace, tmp_path):
                    "--operator", str(bad)).returncode == 2
 
 
+def test_leibniz_levi_civita_d5(tmp_path):
+    # The 4-ary Levi-Civita bracket on R^5 is a Filippov bracket, and the
+    # antisymmetric matrices, so(5), act on it by derivations.
+    path = tmp_path / "lc5.json"
+    path.write_text(dump_document(tensor_to_json(levi_civita_nalgebra(5))))
+    op = tmp_path / "so5.json"
+    block = {(0, 1): 1, (0, 4): 2, (1, 3): -3, (2, 3): 1, (2, 4): 5}
+    matrix = [["0"] * 5 for _ in range(5)]
+    for (i, j), v in block.items():
+        matrix[i][j], matrix[j][i] = str(v), str(-v)
+    op.write_text(dump_document({"dimension": 5, "matrix": matrix}))
+    result = run_cli("leibniz", "--input", str(path), "--operator", str(op))
+    assert result.returncode == 0
+    doc = json.loads(result.stdout)
+    assert doc["fundamental_identity"] and doc["filippov"] and doc["self_derivation"]
+    assert doc["derivation"] is True and doc["witness"] is None
+    matrix[0][0] = "1"
+    op.write_text(dump_document({"dimension": 5, "matrix": matrix}))
+    result = run_cli("leibniz", "--input", str(path), "--operator", str(op))
+    assert json.loads(result.stdout)["derivation"] is False
+
+
 def test_leibniz_zero_tensor(tmp_path):
     path = tmp_path / "zero.json"
     path.write_text(dump_document({"dimension": 3, "arity": 3, "constants": []}))

@@ -5,8 +5,10 @@ from itertools import product
 
 import pytest
 
+import nracks.constructions
 from helpers import dihedral_nrack, one_element_nrack, trivial_nrack
 from nracks import (
+    BudgetExceededError,
     ConstructionError,
     FiniteGroup,
     FiniteNRack,
@@ -31,7 +33,13 @@ from nracks import (
     validate,
     validate_rack,
 )
-from nracks.constructions import check_antisymmetric_bracket, evaluate_word, free_reduce
+from nracks.cli import main
+from nracks.constructions import (
+    TABLE_BUDGET,
+    check_antisymmetric_bracket,
+    evaluate_word,
+    free_reduce,
+)
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "assoc_group.json")
 
@@ -480,3 +488,32 @@ def test_conjugation_arity_four():
 def test_lift_arity_four_validates():
     Q = FiniteRack.from_nrack(dihedral_nrack(3))
     assert validate(lift_rack_to_nrack(Q, 4)).is_nrack
+
+
+def test_oversized_tables_refused_before_anything_is_built(monkeypatch, capsys):
+    S3, C2 = symmetric_group(3), cyclic_group(2)
+    rack = FiniteRack(3, tuple((2 * x - y) % 3 for x in range(3) for y in range(3)))
+    module = GroupModule(space=cyclic_group(3), acting=C2, action=((0, 1, 2), (0, 2, 1)))
+    wide = trivial_nrack(12, 2)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the table was iterated")
+
+    monkeypatch.setattr(nracks.constructions, "product", refuse)
+    cases = [
+        (lambda: build_z4_module_nrack(40, 4), 4**11),
+        (lambda: build_gamma_module_nrack(40, 4, 1, 2), 4**11),
+        (lambda: build_conjugation_nrack(S3, 9), 6**9),
+        (lambda: lift_rack_to_nrack(rack, 14), 3**14),
+        # The bracket is never read: the budget is checked first.
+        (lambda: build_module_group_nrack(C2, (), module, 9), 6**9),
+        # 2^11 tuples, so the reduced rack would have 2^22 entries.
+        (lambda: reduce_nrack_to_rack(wide), 2**22),
+    ]
+    for build, reached in cases:
+        with pytest.raises(BudgetExceededError) as err:
+            build()
+        assert (err.value.limit, err.value.reached) == (TABLE_BUDGET, reached)
+    assert str(err.value) == "a table of 2048**2 entries exceeds the 2000000-entry budget"
+    assert main(["construct", "z4", "--n", "40", "--m", "4"]) == 3
+    assert "budget exceeded" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import subprocess
+import sys
 from itertools import product
 
 import pytest
@@ -40,6 +42,33 @@ def test_table_shape_validation():
         FiniteNRack(1, 2, (0, 1))
     with pytest.raises(ValueError):
         FiniteNRack(2, 2, (0, 1, 1, 0), basepoint=5)
+
+
+def test_table_size_checked_without_forming_the_power():
+    with pytest.raises(ValueError, match=r"table has 7 entries, too few for size\*\*arity = 2\*\*3"):
+        FiniteNRack(3, 2, (0,) * 7)
+    with pytest.raises(ValueError, match="table has 9 entries, expected 8"):
+        FiniteNRack(3, 2, (0,) * 9)
+    with pytest.raises(ValueError, match="table has 0 entries, too few"):
+        FiniteNRack(10**9, 1, ())
+    assert FiniteNRack(10**9, 1, (0,)).size == 1
+
+
+def test_astronomical_arity_rejected_at_once(tmp_path):
+    # 3**30000000 has over 14 million digits.  A child that forms it hangs,
+    # so it runs in a subprocess whose timeout fails this test instead.
+    path = tmp_path / "huge.json"
+    path.write_text('{"arity": 30000000, "size": 3, "table": []}')
+    result = subprocess.run(
+        [sys.executable, "-m", "nracks.cli", "check", "--input", str(path)],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert result.returncode == 2
+    assert result.stderr == (
+        "input error: table has 0 entries, too few for size**arity = 3**30000000\n"
+    )
 
 
 def test_z4_three_rack_left_distributive():
