@@ -2,7 +2,9 @@
 
 Subcommands: check, construct, reduce, homology, cohomology, assoc-group,
 leibniz, enumerate, inner.  All I/O uses the JSON formats of jsonio.
-Exit codes: 0 pass, 1 axiom failure, 2 input error, 3 budget exceeded.
+Exit codes: 0 pass, 1 axiom failure, 2 input error, 3 budget exceeded,
+4 internal error (a failed internal certificate, such as the invariant
+factors' rank check or d.d = 0).
 """
 
 import argparse
@@ -333,6 +335,9 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

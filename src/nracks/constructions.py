@@ -9,7 +9,7 @@ from math import gcd
 
 from .core import FiniteNRack, ValidationReport, first_power_past, is_homomorphism, validate
 from .errors import BudgetExceededError, ConstructionError
-from .snf import AbelianGroupInvariants, group_from_diagonal, invariant_factors
+from .snf import AbelianGroupInvariants, group_from_diagonal, sparse_invariant_factors
 
 
 # The most table entries a builder makes.  A larger table is refused before
@@ -438,14 +438,20 @@ def associated_group_presentation(R: FiniteNRack, paper_form: bool = False) -> G
 
 
 def abelianization(P: GroupPresentation) -> AbelianGroupInvariants:
-    """Smith normal form of the relator exponent-sum matrix."""
-    matrix = []
+    """Smith normal form of the relator exponent-sum matrix.
+
+    Each relator's exponent sums form one sparse row; the rows are handed to
+    the engine as the columns of the transpose, which has the same
+    invariant factors.
+    """
+    rows = []
     for word in P.relators:
-        row = [0] * P.generators
+        row: dict[int, int] = {}
         for letter in word:
-            row[abs(letter) - 1] += 1 if letter > 0 else -1
-        matrix.append(row)
-    return group_from_diagonal(invariant_factors(matrix), P.generators)
+            g = abs(letter) - 1
+            row[g] = row.get(g, 0) + (1 if letter > 0 else -1)
+        rows.append(row)
+    return group_from_diagonal(sparse_invariant_factors(rows), P.generators)
 
 
 def evaluate_word(G: FiniteGroup, word, images) -> int:

@@ -30,8 +30,8 @@ from .core import FiniteNRack, classify, validate
 from .errors import BudgetExceededError, SubcomplexError
 from .snf import (
     AbelianGroupInvariants,
-    invariant_factors,
     invariants_from_cyclic_orders,
+    sparse_invariant_factors,
 )
 
 DEFAULT_COLUMN_BUDGET = 20000
@@ -100,19 +100,8 @@ class ChainComplex:
     def factors(self, k: int) -> tuple[int, ...]:
         """Invariant factors of d_k as stored, factored once per complex."""
         if k not in self._factors:
-            self._factors[k] = invariant_factors(self.boundary_dense(k))
+            self._factors[k] = sparse_invariant_factors(self.cols[k])
         return self._factors[k]
-
-    def boundary_dense(self, k: int) -> list[list[int]]:
-        """d_k as a dense rows x cols list (rows = ranks[k-1], cols = ranks[k])."""
-        if not 1 <= k <= self.max_degree:
-            raise ValueError(f"no boundary matrix in degree {k}")
-        rows, cols = self.ranks[k - 1], self.ranks[k]
-        M = [[0] * cols for _ in range(rows)]
-        for j, col in enumerate(self.cols[k]):
-            for i, v in col.items():
-                M[i][j] = v
-        return M
 
     def boundary_triplets(self, k: int) -> str:
         """Plain text export: a "rows cols" header line, then one

@@ -32,6 +32,18 @@ def shift_nrack(m: int) -> FiniteNRack:
     return FiniteNRack(2, m, tuple((y + 1) % m for x in range(m) for y in range(m)))
 
 
+def boundary_dense(C, k: int) -> list[list[int]]:
+    """d_k of the complex C as a dense rows x cols list (rows = ranks[k-1],
+    cols = ranks[k]), for oracles that take dense matrices."""
+    if not 1 <= k <= C.max_degree:
+        raise ValueError(f"no boundary matrix in degree {k}")
+    M = [[0] * C.ranks[k] for _ in range(C.ranks[k - 1])]
+    for j, col in enumerate(C.cols[k]):
+        for i, v in col.items():
+            M[i][j] = v
+    return M
+
+
 def one_element_nrack(n: int = 2) -> FiniteNRack:
     return FiniteNRack(n, 1, (0,) * 1, basepoint=0)
 

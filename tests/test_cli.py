@@ -19,6 +19,7 @@ from nracks import (
     validate,
     validate_rack,
 )
+from nracks import snf
 from nracks.cli import main
 from nracks.jsonio import (
     dump_document,
@@ -139,7 +140,9 @@ def test_reduce_alias_matches_construct_reduce(workspace):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_construct_module_group(tmp_path):
+def _module_group_bundle(tmp_path):
+    # C4 acting on C5 by doubling, with an antisymmetric ternary bracket:
+    # a 20-element 3-rack.
     H = cyclic_group(4)
     V = cyclic_group(5)
     bundle = {
@@ -156,10 +159,27 @@ def test_construct_module_group(tmp_path):
     }
     path = tmp_path / "bundle.json"
     path.write_text(dump_document(bundle))
+    return path
+
+
+def test_construct_module_group(tmp_path):
+    path = _module_group_bundle(tmp_path)
     out = tmp_path / "mg.json"
     result = run_cli("construct", "module-group", "--input", str(path), "--output", str(out))
     assert result.returncode == 0
     assert run_cli("check", "--input", str(out)).returncode == 0
+
+
+def test_assoc_group_of_the_module_group_table(capsys, tmp_path):
+    # The relator matrix is 7980 x 20; its abelianization is free on the
+    # 12 orbits.
+    out = tmp_path / "mg.json"
+    argv = ["construct", "module-group", "--input", str(_module_group_bundle(tmp_path))]
+    assert main(argv + ["--output", str(out)]) == 0
+    assert main(["assoc-group", "--input", str(out)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["abelianization"] == {"free_rank": 12, "torsion": []}
+    assert len(doc["presentation"]["relators"]) == 7980
 
 
 def test_construct_module_group_failure_exit_1(tmp_path):
@@ -497,12 +517,31 @@ def test_degenerate_subcomplex_reads_the_reduced_rack_of_its_complex(monkeypatch
 
 @pytest.mark.parametrize("command", ["homology", "cohomology"])
 def test_each_boundary_map_is_factored_once(monkeypatch, capsys, workspace, command):
-    calls = _count_calls(monkeypatch, "nracks.homology", "invariant_factors")
+    calls = _count_calls(monkeypatch, "nracks.homology", "sparse_invariant_factors")
     argv = [command, "--input", str(workspace["dihedral"]), "--degrees", "1-3"]
     assert main(argv) == 0
     capsys.readouterr()
-    # --degrees 1-3 builds d_1 .. d_4; each is factored once, as stored.
-    assert sorted((len(M), len(M[0])) for (M,) in calls) == [(1, 3), (3, 9), (9, 27), (27, 81)]
+    # --degrees 1-3 builds d_1 .. d_4; each is factored once, on its stored
+    # sparse columns: d_k has 3^k columns with rows below 3^(k-1).
+    shapes = sorted(
+        (len(cols), max((i for col in cols for i in col), default=-1)) for (cols,) in calls
+    )
+    assert shapes == [(3, -1), (9, 2), (27, 8), (81, 26)]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["homology", "--input", "dihedral", "--degrees", "1-2"],
+     ["assoc-group", "--input", "dihedral"]],
+)
+def test_failed_certificate_exits_4_without_an_answer(monkeypatch, capsys, workspace, argv):
+    monkeypatch.setattr(snf, "_rank_mod_p", lambda columns, p=snf.CERTIFICATE_PRIME: -1)
+    argv = [str(workspace[a]) if a == "dihedral" else a for a in argv]
+    assert main(argv) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("internal error: rank certificate failed")
+    assert "Traceback" not in err
 
 
 def test_leibniz_self_derivation_is_the_fundamental_identity_verdict(

@@ -1,12 +1,27 @@
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import Matrix
 from sympy.matrices.normalforms import invariant_factors as sympy_invariant_factors
 
-from helpers import dihedral_nrack
-from nracks import AbelianGroupInvariants, invariant_factors, rack_chain_complex, smith_normal_form
+from helpers import boundary_dense, dihedral_nrack
+from nracks import (
+    AbelianGroupInvariants,
+    abelianization,
+    associated_group_presentation,
+    build_conjugation_nrack,
+    build_z4_module_nrack,
+    invariant_factors,
+    rack_chain_complex,
+    smith_normal_form,
+    sparse_invariant_factors,
+    symmetric_group,
+)
+from nracks import snf
 from nracks.snf import (
+    CERTIFICATE_PRIME,
     _assert_product,
     determinant,
     group_from_diagonal,
@@ -94,7 +109,7 @@ def test_snf_properties(M):
     "M",
     [
         [[2, 4, 6, 8, 1], [3, 0, -3, 5, 2], [1, 1, 1, 1, 1], [0, 6, 3, 9, 12]],
-        rack_chain_complex(dihedral_nrack(3), 3).boundary_dense(3),
+        boundary_dense(rack_chain_complex(dihedral_nrack(3), 3), 3),
     ],
     ids=["dense", "dihedral-d3"],
 )
@@ -107,6 +122,127 @@ def test_product_check_catches_any_changed_entry_of_S(M):
             changed[i][j] += 1
             with pytest.raises(AssertionError, match="verification failed"):
                 _assert_product(U, M, V, changed)
+
+
+def _columns(M):
+    return [{i: row[j] for i, row in enumerate(M) if row[j]} for j in range(len(M[0]))]
+
+
+def _sympy_factors(M):
+    return tuple(int(x) for x in sympy_invariant_factors(Matrix(M)) if x != 0)
+
+
+# Mostly +-1 and zero, as in boundary maps, with non-unit entries that can
+# leave a residual for the dense Smith form.
+_ENTRIES = st.sampled_from([0, 0, 0, 1, -1, 1, -1, 2, -2, 3, -4, 6])
+
+
+@st.composite
+def _sparse_matrices(draw):
+    """Tall, wide and square matrices with some rows and columns zeroed."""
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    zero_rows = draw(st.sets(st.integers(0, rows - 1), max_size=rows // 2))
+    zero_cols = draw(st.sets(st.integers(0, cols - 1), max_size=cols // 2))
+    return [
+        [0 if i in zero_rows or j in zero_cols else draw(_ENTRIES) for j in range(cols)]
+        for i in range(rows)
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sparse_matrices())
+def test_sparse_engine_matches_sympy(M):
+    want = _sympy_factors(M)
+    assert sparse_invariant_factors(_columns(M)) == want
+    assert invariant_factors(M) == want
+
+
+@st.composite
+def _wide_residual_matrices(draw):
+    """[A 0; 0 B] with rows and columns shuffled.  B is r x c with no +-1
+    entry and no zero column, and c > r + rows(A), so B is left untouched
+    and the residual has more columns than rows, whatever A leaves."""
+    a_rows, a_cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    A = [[draw(_ENTRIES) for _ in range(a_cols)] for _ in range(a_rows)]
+    r = draw(st.integers(1, 3))
+    c = draw(st.integers(r + a_rows + 1, r + a_rows + 3))
+    non_unit = st.sampled_from([2, -2, 3, -3, 4, 6, -9])
+    B = [
+        [draw(non_unit) if j % r == i else draw(st.sampled_from([0, 0, 2, -3, 5]))
+         for j in range(c)]
+        for i in range(r)
+    ]
+    M = [row + [0] * c for row in A] + [[0] * a_cols + row for row in B]
+    row_order = draw(st.permutations(range(len(M))))
+    col_order = draw(st.permutations(range(len(M[0]))))
+    return [[M[i][j] for j in col_order] for i in row_order]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_wide_residual_matrices(), st.booleans())
+def test_wide_residual_is_factored_transposed(M, transpose):
+    # Transposing the input makes the residual tall, so it is factored as is.
+    if transpose:
+        M = [list(r) for r in zip(*M)]
+    columns = _columns(M)
+    _, residual = snf._eliminate_unit_pivots(columns)
+    height = len({i for col in residual for i in col})
+    assert (len(residual) > height) != transpose
+    shapes = []
+    original = snf.smith_normal_form
+
+    def spy(R):
+        shapes.append((len(R), len(R[0])))
+        return original(R)
+
+    with mock.patch.object(snf, "smith_normal_form", spy):
+        got = sparse_invariant_factors(columns)
+    assert got == _sympy_factors(M)
+    assert shapes == [(max(len(residual), height), min(len(residual), height))]
+
+
+def test_unit_pivots_alone_factor_torsion_free_maps_and_relators():
+    # The z4 (n=3) boundary maps and every abelianized relator matrix,
+    # whose rows are e_[xs] - e_{x_n}, eliminate completely, so the dense
+    # Smith form never runs.
+    C = rack_chain_complex(build_z4_module_nrack(3, 4), 3)
+    with mock.patch.object(snf, "smith_normal_form", side_effect=AssertionError):
+        assert [len(C.factors(k)) for k in (1, 2, 3)] == [0, 8, 184]
+        for R in (dihedral_nrack(3), build_conjugation_nrack(symmetric_group(3), 3)):
+            for paper_form in (False, True):
+                abelianization(associated_group_presentation(R, paper_form=paper_form))
+
+
+@pytest.mark.parametrize(
+    "corrupt, M",
+    [
+        (lambda units, residual: (units - 1, residual),
+         boundary_dense(rack_chain_complex(dihedral_nrack(3), 3), 3)),
+        (lambda units, residual: (units, residual[1:]), [[2, 0], [0, 3]]),
+    ],
+    ids=["dropped-pivot", "dropped-residual-column"],
+)
+def test_corrupted_elimination_trips_the_rank_certificate(monkeypatch, corrupt, M):
+    eliminate = snf._eliminate_unit_pivots
+    monkeypatch.setattr(snf, "_eliminate_unit_pivots", lambda cols: corrupt(*eliminate(cols)))
+    with pytest.raises(AssertionError, match="rank certificate failed"):
+        invariant_factors(M)
+
+
+def test_rank_certificate_counts_factors_the_prime_does_not_divide():
+    # Modulo the certificate prime the rank of [[p, 0], [0, 1]] is 1.
+    assert invariant_factors([[CERTIFICATE_PRIME, 0], [0, 1]]) == (1, CERTIFICATE_PRIME)
+    assert invariant_factors([[0, 0], [0, 0]]) == ()
+    assert sparse_invariant_factors([]) == ()
+    assert sparse_invariant_factors([{}, {5: 0}]) == ()
+
+
+def test_sparse_engine_leaves_its_input_unchanged():
+    C = rack_chain_complex(dihedral_nrack(3), 4)
+    before = [[dict(col) for col in cols] for cols in C.cols]
+    for k in (1, 2, 3, 4):
+        sparse_invariant_factors(C.cols[k])
+    assert C.cols == before
 
 
 def test_determinant_known_values():

@@ -1,0 +1,87 @@
+"""Theory identities that hold on every finite n-rack, checked on the
+fixtures and on the enumerated census (n=2 with m <= 4, n=3 with m <= 3):
+
+- the free rank of H^R_k is |O|^k, O the orbits of the reduced rack
+  (Etingof & Grana, JPAA 177, 2003);
+- for n-quandles, the free rank of H^Q_k is |O| (|O| - 1)^(k-1)
+  (Litherland & Nelson, JPAA 178, 2003);
+- the abelianized associated group is free on the orbits of X, as every
+  relator abelianizes to e_[xs] - e_{x_n}, in both relator forms.
+"""
+
+import pytest
+
+from helpers import axiom_fixture_set, dihedral_nrack
+from nracks import (
+    FiniteNRack,
+    abelianization,
+    associated_group_presentation,
+    build_conjugation_nrack,
+    classify,
+    degenerate_subcomplex,
+    enumerate_nracks,
+    homology,
+    orbits,
+    quandle_quotient_complex,
+    rack_chain_complex,
+    symmetric_group,
+)
+
+# Degrees are checked while the top chain rank stays within this many
+# columns, and up to degree 3.
+CHAIN_RANK_CAP = 3000
+
+
+def tables():
+    named = list(axiom_fixture_set())
+    named += [(f"dihedral({m})", dihedral_nrack(m)) for m in (3, 4, 5, 6)]
+    named += [
+        (f"census(n={n},m={m})#{i}", FiniteNRack(n, m, table))
+        for n, top in ((2, 4), (3, 3))
+        for m in range(1, top + 1)
+        for i, table in enumerate(enumerate_nracks(n, m).representatives)
+    ]
+    return named
+
+
+TABLES = tables()
+IDS = [name for name, _ in TABLES]
+
+
+def top_degree(M: int) -> int:
+    """Highest degree k <= 3 whose homology needs chain ranks within the cap."""
+    k = 1
+    while k < 3 and M ** (k + 2) <= CHAIN_RANK_CAP:
+        k += 1
+    return k
+
+
+@pytest.mark.parametrize("R", [R for _, R in TABLES], ids=IDS)
+def test_rack_and_quandle_betti_numbers_are_set_by_the_orbits(R):
+    M = R.size ** (R.arity - 1)
+    top = top_degree(M)
+    C = rack_chain_complex(R, top + 1)
+    o = len(orbits(C.rack))
+    assert [homology(C, k).invariants.free_rank for k in range(1, top + 1)] == [
+        o**k for k in range(1, top + 1)
+    ]
+    if classify(R).is_nquandle:
+        Q = quandle_quotient_complex(C, degenerate_subcomplex(R, C))
+        assert [homology(Q, k).invariants.free_rank for k in range(1, top + 1)] == [
+            o * (o - 1) ** (k - 1) for k in range(1, top + 1)
+        ]
+
+
+@pytest.mark.parametrize("R", [R for _, R in TABLES], ids=IDS)
+@pytest.mark.parametrize("paper_form", [False, True])
+def test_abelianized_associated_group_is_free_on_the_orbits(R, paper_form):
+    inv = abelianization(associated_group_presentation(R, paper_form=paper_form))
+    assert (inv.free_rank, inv.torsion) == (len(orbits(R)), ())
+
+
+def test_conj_s3_quandle_betti_numbers_in_degrees_3_and_4():
+    # Three conjugacy classes: 3 * 2^2 and 3 * 2^3.
+    R = build_conjugation_nrack(symmetric_group(3), 2)
+    C = rack_chain_complex(R, 5)
+    Q = quandle_quotient_complex(C, degenerate_subcomplex(R, C))
+    assert [homology(Q, k).invariants.free_rank for k in (3, 4)] == [12, 24]
