@@ -56,9 +56,10 @@ def _load_table(path: str):
     return jsonio.nrack_from_json(jsonio.load_json(path))
 
 
-def _parse_degrees(spec: str) -> list[int]:
-    """Accepts "2", "1,2,3", and ranges "1-3" or "1..3"."""
-    degrees: set[int] = set()
+def _parse_degrees(spec: str) -> list[tuple[int, int]]:
+    """Accepts "2", "1,2,3", and ranges "1-3" or "1..3"; returns the
+    (lo, hi) range of each comma-separated part, unexpanded."""
+    ranges = []
     for part in spec.split(","):
         part = part.strip()
         if ".." in part:
@@ -73,10 +74,8 @@ def _parse_degrees(spec: str) -> list[int]:
             raise ValueError(f"cannot parse degree specification {spec!r}") from exc
         if lo > hi:
             raise ValueError(f"empty degree range {part!r}")
-        degrees.update(range(lo, hi + 1))
-    if not degrees:
-        raise ValueError("no degrees requested")
-    return sorted(degrees)
+        ranges.append((lo, hi))
+    return ranges
 
 
 def cmd_check(args) -> int:
@@ -156,11 +155,15 @@ def _cmd_homology_common(args, compute) -> int:
             file=sys.stderr,
         )
         return 1
-    degrees = _parse_degrees(args.degrees)
-    if degrees[0] < 1:
+    ranges = _parse_degrees(args.degrees)
+    if min(lo for lo, _ in ranges) < 1:
         raise ValueError("degrees must be >= 1")
     coeffs = CoefficientGroup.parse(args.coefficients)
-    complex_ = _build_variant_complex(R, args.variant, degrees[-1] + 1, args.budget)
+    top = max(hi for _, hi in ranges)
+    # Built before the ranges are expanded: the column budget refuses a
+    # huge top degree before a set of that many degrees exists.
+    complex_ = _build_variant_complex(R, args.variant, top + 1, args.budget)
+    degrees = sorted({k for lo, hi in ranges for k in range(lo, hi + 1)})
     lines = [
         jsonio.dump_line(jsonio.homology_result_to_json(compute(complex_, k, coeffs)))
         for k in degrees

@@ -23,7 +23,10 @@ mod-p Gaussian elimination on all fixtures.
 """
 
 from dataclasses import dataclass, field
+from itertools import product
 from math import gcd
+from operator import eq
+from typing import Sequence
 
 from .constructions import FiniteRack, reduce_nrack_to_rack
 from .core import FiniteNRack, classify, validate
@@ -75,18 +78,17 @@ class ChainComplex:
 
     rack is the reduced rack Y the complex lives on, of size M.  basis[k]
     lists, for each degree, the retained tuple indices within the full
-    tuple space {0..M-1}^k (encoded base M, first entry most significant);
-    the full rack complex retains everything.  cols[k][j] is column j of
-    d_k as a map from row position (index into basis[k-1]) to its integer
-    coefficient.  The invariant factors of each d_k are computed on first
-    use and kept with the complex; the boundary columns must not change
-    afterwards.
+    tuple space {0..M-1}^k (encoded base M, first entry most significant),
+    in increasing order; the full rack complex retains range(M**k).
+    cols[k][j] is column j of d_k as a map from row position (index into
+    basis[k-1]) to its integer coefficient.  ranks and max_degree are read
+    off the basis: ranks[k] = len(basis[k]) and max_degree = len(basis) - 1.
+    The invariant factors of each d_k are computed on first use and kept
+    with the complex; the boundary columns must not change afterwards.
     """
 
     rack: FiniteRack
-    max_degree: int
-    ranks: list[int]
-    basis: list[list[int]]
+    basis: list[Sequence[int]]
     cols: list[list[dict[int, int]]]
     variant: str = "R"
     _factors: dict[int, tuple[int, ...]] = field(
@@ -96,6 +98,14 @@ class ChainComplex:
     @property
     def carrier_size(self) -> int:
         return self.rack.size
+
+    @property
+    def max_degree(self) -> int:
+        return len(self.basis) - 1
+
+    @property
+    def ranks(self) -> list[int]:
+        return [len(b) for b in self.basis]
 
     def factors(self, k: int) -> tuple[int, ...]:
         """Invariant factors of d_k as stored, factored once per complex."""
@@ -123,13 +133,6 @@ class HomologyResult:
     invariants: AbelianGroupInvariants
     variant: str
     coefficients: CoefficientGroup
-
-
-def _decode(index: int, length: int, base: int) -> tuple[int, ...]:
-    digits = [0] * length
-    for pos in range(length - 1, -1, -1):
-        index, digits[pos] = divmod(index, base)
-    return tuple(digits)
 
 
 def _check_boundary_squared(C: ChainComplex) -> None:
@@ -169,7 +172,6 @@ def rack_chain_complex(
             f"bijectivity witness {report.bijectivity_witness}"
         )
     M = X.size ** (X.arity - 1)
-    ranks = []
     for k in range(max_degree + 1):
         r = M**k
         if r > budget:
@@ -178,17 +180,12 @@ def rack_chain_complex(
                 limit=budget,
                 reached=r,
             )
-        ranks.append(r)
     rack = reduce_nrack_to_rack(X)
     rows = [rack.row(a) for a in range(M)]
     cols: list[list[dict[int, int]]] = [[]]
     for k in range(1, max_degree + 1):
-        if k == 1:
-            cols.append([{} for _ in range(ranks[1])])
-            continue
         degree_cols = []
-        for j in range(ranks[k]):
-            t = _decode(j, k, M)
+        for t in product(range(M), repeat=k):
             col: dict[int, int] = {}
             for i in range(2, k + 1):
                 sign = 1 if i % 2 == 0 else -1
@@ -201,21 +198,52 @@ def rack_chain_complex(
                     col[idx] = col.get(idx, 0) + s
             degree_cols.append({i: v for i, v in col.items() if v != 0})
         cols.append(degree_cols)
-    complex_ = ChainComplex(
-        rack=rack,
-        max_degree=max_degree,
-        ranks=ranks,
-        basis=[list(range(r)) for r in ranks],
-        cols=cols,
-        variant="R",
-    )
+    basis = [range(M**k) for k in range(max_degree + 1)]
+    complex_ = ChainComplex(rack=rack, basis=basis, cols=cols, variant="R")
     _check_boundary_squared(complex_)
     return complex_
 
 
-def _is_degenerate(index: int, length: int, base: int) -> bool:
-    t = _decode(index, length, base)
-    return any(t[i] == t[i + 1] for i in range(length - 1))
+def _degenerate_split(C: ChainComplex) -> tuple[list[list[int]], list[list[int]]]:
+    """Indices of the degenerate tuples (two consecutive entries equal) and
+    of the non-degenerate ones in each degree of the full complex C."""
+    degenerate: list[list[int]] = []
+    nondegenerate: list[list[int]] = []
+    for k in range(C.max_degree + 1):
+        tuples = product(range(C.carrier_size), repeat=k)
+        flags = [any(map(eq, t, t[1:])) for t in tuples]
+        degenerate.append([j for j, f in enumerate(flags) if f])
+        nondegenerate.append([j for j, f in enumerate(flags) if not f])
+    return degenerate, nondegenerate
+
+
+def _restrict(
+    C: ChainComplex, basis: list[list[int]], variant: str, closed: bool
+) -> ChainComplex:
+    """The complex on a sub-basis of the full complex C, columns renumbered.
+
+    closed: a boundary row outside the sub-basis raises SubcomplexError,
+    as the sub-basis must span a subcomplex; otherwise such rows are
+    projected away, as in a quotient.
+    """
+    cols: list[list[dict[int, int]]] = [[]]
+    for k in range(1, C.max_degree + 1):
+        position = {full: pos for pos, full in enumerate(basis[k - 1])}
+        degree_cols = []
+        for full in basis[k]:
+            col = {}
+            for row, v in C.cols[k][full].items():
+                if row in position:
+                    col[position[row]] = v
+                elif closed:
+                    raise SubcomplexError(
+                        f"degenerate basis not closed under the boundary in degree {k}"
+                    )
+            degree_cols.append(col)
+        cols.append(degree_cols)
+    sub = ChainComplex(rack=C.rack, basis=basis, cols=cols, variant=variant)
+    _check_boundary_squared(sub)
+    return sub
 
 
 def degenerate_subcomplex(X: FiniteNRack, C: ChainComplex) -> ChainComplex:
@@ -234,36 +262,8 @@ def degenerate_subcomplex(X: FiniteNRack, C: ChainComplex) -> ChainComplex:
         raise ValueError("degenerate subcomplex requires an n-quandle")
     if any(C.rack.op(a, a) != a for a in range(C.carrier_size)):
         raise SubcomplexError("reduced rack of an n-quandle must be a quandle")
-    M = C.carrier_size
-    basis = [
-        [i for i in range(r) if _is_degenerate(i, k, M)]
-        for k, r in enumerate(C.ranks)
-    ]
-    position = [{full: pos for pos, full in enumerate(b)} for b in basis]
-    cols: list[list[dict[int, int]]] = [[]]
-    for k in range(1, C.max_degree + 1):
-        degree_cols = []
-        for full in basis[k]:
-            col = C.cols[k][full]
-            sub_col = {}
-            for row, v in col.items():
-                if row not in position[k - 1]:
-                    raise SubcomplexError(
-                        f"degenerate basis not closed under the boundary in degree {k}"
-                    )
-                sub_col[position[k - 1][row]] = v
-            degree_cols.append(sub_col)
-        cols.append(degree_cols)
-    sub = ChainComplex(
-        rack=C.rack,
-        max_degree=C.max_degree,
-        ranks=[len(b) for b in basis],
-        basis=basis,
-        cols=cols,
-        variant="D",
-    )
-    _check_boundary_squared(sub)
-    return sub
+    degenerate, _ = _degenerate_split(C)
+    return _restrict(C, degenerate, "D", closed=True)
 
 
 def quandle_quotient_complex(C: ChainComplex, D: ChainComplex) -> ChainComplex:
@@ -271,41 +271,12 @@ def quandle_quotient_complex(C: ChainComplex, D: ChainComplex) -> ChainComplex:
     the non-degenerate tuples, boundary is followed by projection."""
     if C.variant != "R" or D.variant != "D":
         raise SubcomplexError("quotient takes the rack complex and its degenerate subcomplex")
-    if D.carrier_size != C.carrier_size or D.max_degree != C.max_degree:
+    if D.rack != C.rack or D.max_degree != C.max_degree:
         raise SubcomplexError("subcomplex does not match the ambient complex")
-    degenerate = [set(b) for b in D.basis]
-    for k in range(C.max_degree + 1):
-        if not degenerate[k] <= set(C.basis[k]):
-            raise SubcomplexError("subcomplex basis is not contained in the ambient basis")
-        expected = {i for i in C.basis[k] if _is_degenerate(i, k, C.carrier_size)}
-        if degenerate[k] != expected:
-            raise SubcomplexError("subcomplex basis is not the degenerate sub-basis")
-    basis = [
-        [i for i in C.basis[k] if i not in degenerate[k]]
-        for k in range(C.max_degree + 1)
-    ]
-    position = [{full: pos for pos, full in enumerate(b)} for b in basis]
-    cols: list[list[dict[int, int]]] = [[]]
-    for k in range(1, C.max_degree + 1):
-        degree_cols = []
-        for full in basis[k]:
-            projected = {
-                position[k - 1][row]: v
-                for row, v in C.cols[k][full].items()
-                if row in position[k - 1]
-            }
-            degree_cols.append(projected)
-        cols.append(degree_cols)
-    quotient = ChainComplex(
-        rack=C.rack,
-        max_degree=C.max_degree,
-        ranks=[len(b) for b in basis],
-        basis=basis,
-        cols=cols,
-        variant="Q",
-    )
-    _check_boundary_squared(quotient)
-    return quotient
+    degenerate, nondegenerate = _degenerate_split(C)
+    if D.basis != degenerate:
+        raise SubcomplexError("subcomplex basis is not the degenerate sub-basis")
+    return _restrict(C, nondegenerate, "Q", closed=False)
 
 
 def _group_from_matrices(rank: int, out_factors, in_factors, A: CoefficientGroup):

@@ -2,6 +2,7 @@ import importlib
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -269,6 +270,20 @@ def test_homology_budget_exit_3(workspace, tmp_path):
     result = run_cli("homology", "--input", str(conj), "--degrees", "2")
     assert result.returncode == 3
     assert "budget" in result.stderr
+
+
+def test_huge_degree_range_is_refused_before_it_is_expanded(capsys, tmp_path):
+    z4 = tmp_path / "z4.json"
+    z4.write_text(dump_document(nrack_to_json(build_z4_module_nrack(3, 4))))
+    tracemalloc.start()
+    try:
+        code = main(["homology", "--input", str(z4), "--degrees", "1-1000000000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert capsys.readouterr().err.startswith("budget exceeded")
+    assert peak < 2**20
 
 
 def test_cohomology_command(workspace):
