@@ -1,13 +1,26 @@
 """Builders for n-racks: module brackets, conjugation, the rack <-> n-rack
 functors, module-over-group carriers, and the associated group presentation
 with its abelianization.
+
+The gamma, conjugation and lift tables are folds of row maps: from the
+last argument's values, each pass prepends one argument x and applies its
+map (v -> s*x + v, conjugation by x, the rack row of x).  The z4 table is
+the (t, s) = (1, 2) gamma table.  Row a of the reduced rack, and the
+bracket index of the module-over-group table, are core.entrywise maps.
 """
 
 from dataclasses import dataclass
 from itertools import permutations, product
 from math import gcd
 
-from .core import FiniteNRack, ValidationReport, first_power_past, is_homomorphism, validate
+from .core import (
+    FiniteNRack,
+    ValidationReport,
+    entrywise,
+    first_power_past,
+    is_homomorphism,
+    validate,
+)
 from .errors import BudgetExceededError, ConstructionError
 from .snf import AbelianGroupInvariants, group_from_diagonal, sparse_invariant_factors
 
@@ -23,6 +36,16 @@ def _check_table_budget(size: int, arity: int) -> None:
     if reached is not None:
         message = f"a table of {size}**{arity} entries exceeds the {TABLE_BUDGET}-entry budget"
         raise BudgetExceededError(message, limit=TABLE_BUDGET, reached=reached)
+
+
+def _fold(maps, last, arity: int) -> tuple[int, ...]:
+    """The arity-ary table whose entry for (x_1,...,x_n) is
+    maps[x_1](maps[x_2](...maps[x_{n-1}](last[x_n])...)), each map an
+    image sequence: every pass prepends one argument, most significant."""
+    table = last
+    for _ in range(arity - 1):
+        table = [f[v] for f in maps for v in table]
+    return tuple(table)
 
 
 class FiniteRack(FiniteNRack):
@@ -152,12 +175,7 @@ def build_z4_module_nrack(arity: int, modulus: int = 4) -> FiniteNRack:
             f"violated relation: 4 = 0 (mod {modulus}) fails, so Z/{modulus} "
             "is not a module over Z/4"
         )
-    _check_table_budget(modulus, arity)
-    m = modulus
-    table = tuple(
-        (2 * sum(xs[:-1]) + xs[-1]) % m for xs in product(range(m), repeat=arity)
-    )
-    return FiniteNRack(arity, m, table)
+    return build_gamma_module_nrack(arity, modulus, 1, 2)
 
 
 def build_gamma_module_nrack(arity: int, modulus: int, t: int, s: int) -> FiniteNRack:
@@ -191,10 +209,8 @@ def build_gamma_module_nrack(arity: int, modulus: int, t: int, s: int) -> Finite
             "the bracket is not left distributive for this arity"
         )
     _check_table_budget(m, arity)
-    table = tuple(
-        (s * sum(xs[:-1]) + t * xs[-1]) % m for xs in product(range(m), repeat=arity)
-    )
-    return FiniteNRack(arity, m, table)
+    shifts = [[(s * x + v) % m for v in range(m)] for x in range(m)]
+    return FiniteNRack(arity, m, _fold(shifts, [t * y % m for y in range(m)], arity))
 
 
 def build_conjugation_nrack(G: FiniteGroup, arity: int) -> FiniteNRack:
@@ -204,13 +220,8 @@ def build_conjugation_nrack(G: FiniteGroup, arity: int) -> FiniteNRack:
         raise ConstructionError(f"arity must be >= 2, got {arity}")
     k = G.size
     _check_table_budget(k, arity)
-    table = []
-    for xs in product(range(k), repeat=arity):
-        acc = xs[-1]
-        for x in reversed(xs[:-1]):
-            acc = G.mul(G.mul(x, acc), G.inv(x))
-        table.append(acc)
-    return FiniteNRack(arity, k, tuple(table), basepoint=G.identity)
+    conjugations = [[G.mul(G.mul(x, y), G.inv(x)) for y in range(k)] for x in range(k)]
+    return FiniteNRack(arity, k, _fold(conjugations, range(k), arity), basepoint=G.identity)
 
 
 def lift_rack_to_nrack(Q: FiniteRack, arity: int) -> FiniteNRack:
@@ -222,13 +233,8 @@ def lift_rack_to_nrack(Q: FiniteRack, arity: int) -> FiniteNRack:
     report = validate_rack(Q)
     if not report.is_nrack:
         raise ValueError("lift requires a valid rack")
-    table = []
-    for xs in product(range(Q.size), repeat=arity):
-        acc = xs[-1]
-        for x in reversed(xs[:-1]):
-            acc = Q.op(x, acc)
-        table.append(acc)
-    return FiniteNRack(arity, Q.size, tuple(table), basepoint=Q.basepoint)
+    rows = [Q.row(x) for x in range(Q.size)]
+    return FiniteNRack(arity, Q.size, _fold(rows, range(Q.size), arity), basepoint=Q.basepoint)
 
 
 def reduce_nrack_to_rack(R: FiniteNRack) -> FiniteRack:
@@ -249,21 +255,8 @@ def reduce_nrack_to_rack(R: FiniteNRack) -> FiniteRack:
     report = validate(R)
     if not report.is_nrack:
         raise ValueError("reduce requires a valid n-rack")
-    tuples = list(product(range(m), repeat=n - 1))
-    table = []
-    for a in range(M):
-        row = R.table[a * m : (a + 1) * m]
-        for b in range(M):
-            idx = 0
-            for digit in tuples[b]:
-                idx = idx * m + row[digit]
-            table.append(idx)
-    basepoint = None
-    if R.basepoint is not None:
-        idx = 0
-        for _ in range(n - 1):
-            idx = idx * m + R.basepoint
-        basepoint = idx
+    table = [v for a in range(M) for v in entrywise(R.table[a * m : (a + 1) * m], n - 1, m)]
+    basepoint = None if R.basepoint is None else R.index((R.basepoint,) * (n - 1))
     rack = FiniteRack(M, tuple(table), basepoint)
     out = validate_rack(rack)
     if not out.is_nrack:
@@ -354,20 +347,16 @@ def build_module_group_nrack(
     _check_table_budget(module.space.size * H.size, arity)
     check_antisymmetric_bracket(H, bracket, arity)
     V = module.space
-    k, v = H.size, V.size
-    size = v * k
-    strides = [k ** (arity - 1 - i) for i in range(arity)]
-    table = []
-    for cs in product(range(size), repeat=arity):
-        us = [c // k for c in cs]
-        As = [c % k for c in cs]
-        acc = As[-1]
-        for a in reversed(As[:-1]):
-            acc = H.mul(H.mul(a, acc), H.inv(a))
-        brack = bracket[sum(a * st for a, st in zip(As, strides))]
-        first = module.action[brack][us[-1]]
-        table.append(first * k + acc)
-    rack = FiniteNRack(arity, size, tuple(table), basepoint=V.identity * k + H.identity)
+    k = H.size
+    size = V.size * k
+    conj = build_conjugation_nrack(H, arity).table
+    # As[j]: the index in H^arity of the H parts of the j-th carrier tuple,
+    # whose last entry is j % size, with V part j % size // k.
+    As = entrywise([c % k for c in range(size)], arity, k)
+    table = tuple(
+        module.action[bracket[a]][j % size // k] * k + conj[a] for j, a in enumerate(As)
+    )
+    rack = FiniteNRack(arity, size, table, basepoint=V.identity * k + H.identity)
     return rack, validate(rack)
 
 

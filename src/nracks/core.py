@@ -7,6 +7,12 @@ distributive,
 
 and whose translations y -> [a_1,...,a_{n-1},y] are bijections.  Carriers
 are always {0,...,m-1}; named elements belong to I/O adapters.
+
+Tuples are indexed lexicographically, first entry most significant.
+entrywise(phi, length, base) maps every tuple index to the index of the
+tuple with phi applied to each entry; the distributivity check, the
+homomorphism check, the reduction to the tuple rack and the chain complex
+all read tuples through it instead of decoding them digit by digit.
 """
 
 from dataclasses import dataclass
@@ -32,6 +38,20 @@ def first_power_past(base: int, exponent: int, limit: int) -> int | None:
     exponent costs nothing, as 1**k is 1 and a larger base passes any limit
     within limit.bit_length() + 1 factors."""
     return first_product_past(repeat(base, exponent if base > 1 else min(exponent, 1)), limit)
+
+
+def entrywise(phi, length: int, base: int) -> list[int]:
+    """For every length-tuple over range(len(phi)), in index order, the
+    index in base `base` of the tuple with phi applied to each entry.
+
+    Tuples are indexed lexicographically, first entry most significant, so
+    entry i of the result is the index of (phi[t_1],...,phi[t_length]) where
+    (t_1,...,t_length) is the i-th tuple; length 0 gives [0], the empty tuple.
+    """
+    idx = [0]
+    for _ in range(length):
+        idx = [a * base + b for a in idx for b in phi]
+    return idx
 
 
 @dataclass(frozen=True)
@@ -151,7 +171,8 @@ def check_left_distributive(R: FiniteNRack):
 
     Distributivity at a prefix depends only on its row phi: phi([ys]) must
     equal [phi(y_1),...,phi(y_n)] for all ys.  A row is evaluated by two
-    gathers over the whole table, compared at once; prefixes are scanned
+    gathers over the whole table, the right-hand one at the indices
+    entrywise(phi, n, m), compared at once; prefixes are scanned
     in lex order and a row already seen has passed.  Returns (True, None)
     or (False, witness) with witness the lexicographically first violating
     ((x_1..x_{n-1}), (y_1..y_n)).
@@ -164,11 +185,7 @@ def check_left_distributive(R: FiniteNRack):
         phi = table[p * m : (p + 1) * m]
         if phi in passed:
             continue
-        # idx[k]: the index of [phi(y_1),...,phi(y_n)] for the k-th ys.
-        idx = phi
-        for _ in range(n - 1):
-            idx = [a * m + b for a in idx for b in phi]
-        lhs, rhs = images(phi), itemgetter(*idx)(table)
+        lhs, rhs = images(phi), itemgetter(*entrywise(phi, n, m))(table)
         if lhs != rhs:
             k = next(k for k, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
             return False, (xs, tuple(k // s % m for s in R.strides))
@@ -265,10 +282,8 @@ def is_homomorphism(f, R: FiniteNRack, S: FiniteNRack, pointed: bool = False) ->
             raise ValueError("pointed comparison requires basepoints on both sides")
         if f[R.basepoint] != S.basepoint:
             return False
-    for xs in product(range(R.size), repeat=R.arity):
-        if f[R.bracket(*xs)] != S.bracket(*(f[x] for x in xs)):
-            return False
-    return True
+    images = entrywise(f, R.arity, S.size)
+    return all(f[v] == S.table[i] for v, i in zip(R.table, images))
 
 
 def cycle_type(perm) -> tuple[int, ...]:

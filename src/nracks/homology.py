@@ -10,7 +10,10 @@ abelian on k-tuples over Y, ordered lexicographically.  The boundary is
 where a*b is the left action of a on b in Y.  This is the unique reading
 of the classical rack boundary for which d.d = 0 holds on left racks; the
 identity is asserted on every construction.  Degree 0 has rank 1 (the
-empty tuple) with d_1 = 0, so H_0 = A.
+empty tuple) with d_1 = 0, so H_0 = A.  Faces are found by index
+arithmetic: column j splits into the index of (x_1,...,x_{i-1}), x_i and
+the index of (x_{i+1},...,x_k), and x_i acting on the head is read from
+Y's entrywise table for that length.
 
 Homology with Z/d coefficients is computed from the integral Smith normal
 form data by universal-coefficient reduction:
@@ -18,8 +21,9 @@ form data by universal-coefficient reduction:
     H_k(X; Z/d) = (Z/d)^rho + sum_i Z/gcd(d, t_i) + sum_j Z/gcd(d, u_j)
 
 with rho the integral free rank, t_i the torsion of integral H_k, and u_j
-the torsion of integral H_{k-1}.  Tests cross-check this against direct
-mod-p Gaussian elimination on all fixtures.
+the torsion of integral H_{k-1}.  Every gcd divides d, so d itself is
+never factored.  Tests cross-check this against direct mod-p Gaussian
+elimination on all fixtures.
 """
 
 from dataclasses import dataclass, field
@@ -29,7 +33,7 @@ from operator import eq
 from typing import Sequence
 
 from .constructions import FiniteRack, reduce_nrack_to_rack
-from .core import FiniteNRack, classify, validate
+from .core import FiniteNRack, classify, entrywise, validate
 from .errors import BudgetExceededError, SubcomplexError
 from .snf import (
     AbelianGroupInvariants,
@@ -181,21 +185,24 @@ def rack_chain_complex(
                 reached=r,
             )
     rack = reduce_nrack_to_rack(X)
-    rows = [rack.row(a) for a in range(M)]
+    # acts[L][x][h]: the index of x acting on each entry of the h-th
+    # L-tuple; M**(L+1) <= M**max_degree entries, within the budget.
+    acts = [[entrywise(rack.row(x), L, M) for x in range(M)] for L in range(max_degree)]
     cols: list[list[dict[int, int]]] = [[]]
     for k in range(1, max_degree + 1):
         degree_cols = []
-        for t in product(range(M), repeat=k):
+        for j in range(M**k):
             col: dict[int, int] = {}
             for i in range(2, k + 1):
                 sign = 1 if i % 2 == 0 else -1
-                kept = t[: i - 1] + t[i:]
-                acted = tuple(rows[t[i - 1]][x] for x in t[: i - 1]) + t[i:]
-                for target, s in ((kept, sign), (acted, -sign)):
-                    idx = 0
-                    for digit in target:
-                        idx = idx * M + digit
-                    col[idx] = col.get(idx, 0) + s
+                # j = (head * M + x) * scale + tail, x the i-th entry.
+                scale = M ** (k - i)
+                rest, tail = divmod(j, scale)
+                head, x = divmod(rest, M)
+                kept = head * scale + tail
+                acted = acts[i - 1][x][head] * scale + tail
+                col[kept] = col.get(kept, 0) + sign
+                col[acted] = col.get(acted, 0) - sign
             degree_cols.append({i: v for i, v in col.items() if v != 0})
         cols.append(degree_cols)
     basis = [range(M**k) for k in range(max_degree + 1)]
@@ -292,12 +299,12 @@ def _group_from_matrices(rank: int, out_factors, in_factors, A: CoefficientGroup
         torsion = tuple(d for d in in_factors if d > 1)
         return AbelianGroupInvariants(free_rank=free, torsion=torsion)
     d = A.modulus
-    orders = [d] * free
-    orders += [gcd(d, t) for t in in_factors if t > 1]
-    orders += [gcd(d, u) for u in out_factors if u > 1]
-    return AbelianGroupInvariants(
-        free_rank=0, torsion=invariants_from_cyclic_orders(orders)
-    )
+    # Every part divides d, so the free summands Z/d close the chain
+    # without factoring d.
+    parts = [gcd(d, t) for t in in_factors if t > 1]
+    parts += [gcd(d, u) for u in out_factors if u > 1]
+    torsion = invariants_from_cyclic_orders(parts) + (d,) * free
+    return AbelianGroupInvariants(free_rank=0, torsion=torsion)
 
 
 def _derived_group(

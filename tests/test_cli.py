@@ -31,11 +31,12 @@ from nracks.jsonio import (
 )
 
 
-def run_cli(*args):
+def run_cli(*args, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "nracks.cli", *args],
         capture_output=True,
         text=True,
+        timeout=timeout,
     )
 
 
@@ -225,14 +226,19 @@ def test_check_one_element_table(tmp_path):
     assert all(flags.values())
 
 
-def test_homology_one_element_all_degrees(tmp_path):
+@pytest.mark.parametrize("degrees, top", [("1-3", 3), ("1-800", 800)])
+def test_homology_one_element_all_degrees(tmp_path, degrees, top):
+    # Every chain rank is 1, so the column budget never trips: the build
+    # must stay cheap in the top degree on its own.
     path = tmp_path / "one.json"
     path.write_text(
         dump_document({"arity": 2, "size": 1, "basepoint": None, "table": [0]})
     )
-    result = run_cli("homology", "--input", str(path), "--degrees", "1-3")
+    result = run_cli("homology", "--input", str(path), "--degrees", degrees, timeout=10)
     assert result.returncode == 0
-    for line in result.stdout.strip().split("\n"):
+    lines = result.stdout.strip().split("\n")
+    assert len(lines) == top
+    for line in lines:
         doc = json.loads(line)
         assert doc["free_rank"] == 1 and doc["torsion"] == []
 
@@ -253,6 +259,17 @@ def test_homology_degree_range_syntax(workspace):
                      "--degrees", "1-3", "--coefficients", "Z/3")
     assert result.returncode == 0
     assert len(result.stdout.strip().split("\n")) == 3
+
+
+def test_homology_with_a_large_prime_modulus_does_not_factor_it(workspace):
+    # 2^61 - 1 is prime: trial division of the modulus would run for minutes.
+    d = 2**61 - 1
+    result = run_cli("homology", "--input", str(workspace["dihedral"]),
+                     "--degrees", "1-2", "--coefficients", f"Z/{d}", timeout=10)
+    assert result.returncode == 0
+    for line in result.stdout.strip().split("\n"):
+        doc = json.loads(line)
+        assert doc["free_rank"] == 0 and doc["torsion"] == [d]
 
 
 def test_homology_variant_gate_exit_1(tmp_path):
