@@ -8,6 +8,7 @@ factors' rank check or d.d = 0).
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -256,7 +257,10 @@ def cmd_inner(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, so every main() call in one process reuses it."""
     parser = argparse.ArgumentParser(
         prog="nracks",
         description="Finite n-rack toolkit: validation, constructions, "

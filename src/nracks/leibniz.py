@@ -1,6 +1,10 @@
 """Leibniz n-algebra verification on structure-constant tensors.
 
-All coefficients are exact rationals; every comparison is exact.  The
+Coefficients enter and leave as exact rationals (`Fraction`), but the
+checks run over the integers: the constants are scaled by one common
+denominator, each input vector or operator by the lcm of its own
+denominators, and the two sides of an equation, which carry the same
+nonzero factor, are compared as integers.  Every comparison is exact.  The
 fundamental identity
 
     [x_1,...,x_{n-1},[y_1,...,y_n]]
@@ -14,10 +18,18 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
+from math import lcm, prod
 
 
 def _as_fraction(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _cleared(values) -> tuple[int, list[int]]:
+    """(s, ints) with values[i] = ints[i] / s, s the lcm of the denominators."""
+    fs = [_as_fraction(x) for x in values]
+    s = lcm(*(x.denominator for x in fs))
+    return s, [x.numerator * (s // x.denominator) for x in fs]
 
 
 @dataclass(frozen=True)
@@ -60,11 +72,14 @@ class LeibnizNAlgebra:
         return cls(dimension, arity, {a: tuple(v) for a, v in table.items()})
 
     @cached_property
-    def support(self) -> dict:
-        """args -> ((i, coefficient), ...) over the nonzero coefficients of
-        [e_{i_1},...,e_{i_n}]; the sparse view the identity checks read."""
-        return {
-            args: tuple((i, c) for i, c in enumerate(vec) if c)
+    def support(self) -> tuple[int, dict]:
+        """(den, args -> ((i, den * coefficient), ...)): the integer sparse
+        view the checks read.  den is the lcm of every constant's
+        denominator, and the terms list the nonzero coefficients of
+        [e_{i_1},...,e_{i_n}] scaled by it."""
+        den = lcm(*(c.denominator for vec in self.constants.values() for c in vec))
+        return den, {
+            args: tuple((i, c.numerator * (den // c.denominator)) for i, c in enumerate(vec) if c)
             for args, vec in self.constants.items()
         }
 
@@ -95,15 +110,21 @@ class LinearOperator:
 
 
 def bracket(L: LeibnizNAlgebra, *vectors) -> tuple[Fraction, ...]:
-    """Multilinear extension of the structure constants to coefficient vectors."""
+    """Multilinear extension of the structure constants to coefficient vectors.
+
+    Each vector is scaled by the lcm of its own denominators, the sums run
+    over integers, and each coordinate leaves as
+    Fraction(total, den * the product of the scales).
+    """
     if len(vectors) != L.arity:
         raise ValueError(f"bracket takes {L.arity} vectors")
-    vs = [tuple(_as_fraction(x) for x in v) for v in vectors]
+    scales, vs = zip(*(_cleared(v) for v in vectors))
     if any(len(v) != L.dimension for v in vs):
         raise ValueError("vector dimension mismatch")
-    out = [Fraction(0)] * L.dimension
-    for args, terms in L.support.items():
-        coeff = Fraction(1)
+    den, S = L.support
+    out = [0] * L.dimension
+    for args, terms in S.items():
+        coeff = 1
         for v, i in zip(vs, args):
             coeff *= v[i]
             if not coeff:
@@ -111,24 +132,26 @@ def bracket(L: LeibnizNAlgebra, *vectors) -> tuple[Fraction, ...]:
         if coeff:
             for j, c in terms:
                 out[j] += coeff * c
-    return tuple(out)
+    return tuple(Fraction(x, den * prod(scales)) for x in out)
 
 
 def _basis(dimension: int, index: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(1 if j == index else 0) for j in range(dimension))
 
 
-def _first_derivation_failure(L: LeibnizNAlgebra, cols):
+def _first_derivation_failure(S: dict, cols):
     """The lex-first basis tuple ys with D([ys]) != sum_i [...,D(y_i),...],
     as (ys, lhs, rhs) with each side a dict index -> coefficient, or None
-    when D is a derivation.  cols[y] lists D(e_y) as ((i, coefficient), ...)
-    over its nonzero entries.
+    when D is a derivation.  S is the integer table of L.support, and
+    cols[y] lists D(e_y) as ((i, coefficient), ...) over its nonzero
+    entries, as integers scaled by one common factor: both sides then
+    carry the same factor, so they are compared, and returned, as scaled
+    integers.
 
     A side is nonzero at ys only if ys is in the support, or if some ys
     with one slot y swapped for an e_j of D(e_y) is; only those tuples are
     visited, so the work follows the nonzero constants.
     """
-    S = L.support
     into: dict[int, list[int]] = {}  # j -> the y whose D(e_y) has an e_j term
     for y, col in enumerate(cols):
         for j, _ in col:
@@ -138,8 +161,8 @@ def _first_derivation_failure(L: LeibnizNAlgebra, cols):
         for pos, j in enumerate(args):
             candidates.update(args[:pos] + (y,) + args[pos + 1 :] for y in into.get(j, ()))
     for ys in sorted(candidates):
-        lhs: dict[int, Fraction] = {}
-        rhs: dict[int, Fraction] = {}
+        lhs: dict[int, int] = {}
+        rhs: dict[int, int] = {}
         for j, c in S.get(ys, ()):
             for i, v in cols[j]:
                 lhs[i] = lhs.get(i, 0) + c * v
@@ -159,14 +182,16 @@ def check_fundamental_identity(L: LeibnizNAlgebra):
 
     Returns (True, None), or (False, (xs, ys, lhs, rhs)) with the
     lexicographically first violating prefix xs, arguments ys, and the two
-    unequal sides as coefficient vectors.
+    unequal sides as coefficient vectors.  Both sides are sums of products
+    of two scaled constants, so they are compared as integers carrying the
+    factor den^2; only a witness is divided back into Fractions.
     """
-    S, d = L.support, L.dimension
+    (den, S), d = L.support, L.dimension
     for xs in sorted({args[:-1] for args in S}):
-        failure = _first_derivation_failure(L, [S.get(xs + (y,), ()) for y in range(d)])
+        failure = _first_derivation_failure(S, [S.get(xs + (y,), ()) for y in range(d)])
         if failure is not None:
             ys, lhs, rhs = failure
-            dense = [tuple(side.get(i, Fraction(0)) for i in range(d)) for side in (lhs, rhs)]
+            dense = [tuple(Fraction(s.get(i, 0), den**2) for i in range(d)) for s in (lhs, rhs)]
             return False, (xs, ys, *dense)
     return True, None
 
@@ -177,12 +202,12 @@ def check_filippov(L: LeibnizNAlgebra) -> bool:
     Only the nonzero constants are checked: a zero entry whose swap is
     nonzero fails at that swap, since swapping back gives zero.
     """
-    for args, vec in L.constants.items():
-        negated = tuple(-v for v in vec)
+    S = L.support[1]
+    for args, terms in S.items():
+        negated = tuple((i, -c) for i, c in terms)
         for p, q in combinations(range(L.arity), 2):
-            swapped = list(args)
-            swapped[p], swapped[q] = args[q], args[p]
-            if L.structure_vector(swapped) != negated:
+            swapped = args[:p] + (args[q],) + args[p + 1 : q] + (args[p],) + args[q + 1 :]
+            if S.get(swapped) != negated:
                 return False
     return True
 
@@ -191,8 +216,12 @@ def check_derivation(L: LeibnizNAlgebra, D: LinearOperator) -> bool:
     """D([x_1,...,x_n]) = sum_i [x_1,...,D(x_i),...,x_n] on all basis tuples."""
     if D.dimension != L.dimension:
         raise ValueError("operator dimension mismatch")
-    cols = [tuple((i, v) for i, v in enumerate(col) if v) for col in zip(*D.matrix)]
-    return _first_derivation_failure(L, cols) is None
+    # D scaled by the lcm of its entries' denominators: both sides then
+    # carry the factor den * that lcm.
+    _, flat = _cleared(v for row in D.matrix for v in row)
+    d = D.dimension
+    cols = [tuple((i, v) for i, v in enumerate(flat[j::d]) if v) for j in range(d)]
+    return _first_derivation_failure(L.support[1], cols) is None
 
 
 def adjoint(L: LeibnizNAlgebra, *vectors) -> LinearOperator:
@@ -225,7 +254,9 @@ def check_multilinearity_sample(L: LeibnizNAlgebra, trials: int = 20, seed: int 
     """Spot check of linearity in each slot on seeded random rational vectors.
 
     True by construction of the multilinear extension; exposed as a
-    regression probe.
+    regression probe of bracket, whose integer sums it calls.  The draws
+    are Fractions taken from random.Random(seed) in a fixed order, so each
+    seed gives the same vectors, and the same answer, on every run.
     """
     rng = random.Random(seed)
 

@@ -294,10 +294,12 @@ def _rank_mod_p(columns, p: int = CERTIFICATE_PRIME) -> int:
 
     Independent of the unit-pivot elimination: each column is reduced
     against the kept ones by its lowest row until it vanishes or its lowest
-    row is new, when it is normalized and kept.
+    row is new, when it is normalized and kept.  The shortest columns go
+    first, so the kept pivots stay sparse and later reductions cost less;
+    the rank does not depend on the order.
     """
     kept = {}
-    for col in columns:
+    for col in sorted(columns, key=len):
         v = {i: x % p for i, x in col.items() if x % p}
         while v:
             low = min(v)

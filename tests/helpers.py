@@ -1,5 +1,9 @@
 """Shared fixture builders for the test suite."""
 
+from fractions import Fraction
+
+from hypothesis import strategies as st
+
 from nracks import (
     FiniteNRack,
     FiniteRack,
@@ -10,6 +14,14 @@ from nracks import (
     dihedral_group,
     lift_rack_to_nrack,
     symmetric_group,
+)
+
+# Rational coefficients for Leibniz tensors, vectors and operators: zero, or
+# a signed numerator over a denominator 1..7, so common denominators range
+# over products of small primes.
+RATIONALS = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 7)),
 )
 
 

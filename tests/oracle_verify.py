@@ -3,10 +3,13 @@
 These are the direct loops the package's checks are held to: left
 distributivity scanned prefix by prefix over every argument tuple, and the
 fundamental identity, the derivation equation and antisymmetry evaluated
-on dense coefficient vectors over every basis tuple.  They return the same values
-as the package functions they mirror, witnesses included.
+on dense coefficient vectors over every basis tuple.  The bracket, the
+adjoint and the multilinearity probe are computed in Fraction arithmetic
+throughout, with no common denominator.  They return the same values as
+the package functions they mirror, witnesses included.
 """
 
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -82,4 +85,51 @@ def filippov(L):
                 other = L.structure_vector(swapped)
                 if any(other[i] != -vec[i] for i in range(d)):
                     return False
+    return True
+
+
+def bracket(L, *vectors):
+    """The multilinear extension of the structure constants, one Fraction
+    product per stored argument tuple."""
+    vs = [tuple(Fraction(x) for x in v) for v in vectors]
+    out = [Fraction(0)] * L.dimension
+    for args, vec in L.constants.items():
+        coeff = Fraction(1)
+        for v, i in zip(vs, args):
+            coeff *= v[i]
+        for j, c in enumerate(vec):
+            out[j] += coeff * c
+    return tuple(out)
+
+
+def adjoint(L, *vectors):
+    """The matrix of Y -> [vectors..., Y], rows indexed by output."""
+    d = L.dimension
+    basis = [tuple(Fraction(int(i == j)) for i in range(d)) for j in range(d)]
+    cols = [bracket(L, *vectors, e) for e in basis]
+    return tuple(tuple(cols[j][i] for j in range(d)) for i in range(d))
+
+
+def multilinearity_sample(L, trials=20, seed=0):
+    """The seeded linearity probe, drawing its vectors and scalars in the
+    same order as the package's, on the Fraction bracket above."""
+    rng = random.Random(seed)
+
+    def rand_vector():
+        return tuple(
+            Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(L.dimension)
+        )
+
+    for _ in range(trials):
+        pos = rng.randrange(L.arity)
+        fixed = [rand_vector() for _ in range(L.arity)]
+        u, w = rand_vector(), rand_vector()
+        a = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+        b = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+        combo = tuple(a * x + b * y for x, y in zip(u, w))
+        left = bracket(L, *(fixed[:pos] + [combo] + fixed[pos + 1 :]))
+        right_u = bracket(L, *(fixed[:pos] + [u] + fixed[pos + 1 :]))
+        right_w = bracket(L, *(fixed[:pos] + [w] + fixed[pos + 1 :]))
+        if left != tuple(a * x + b * y for x, y in zip(right_u, right_w)):
+            return False
     return True

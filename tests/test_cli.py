@@ -395,6 +395,26 @@ def test_leibniz_levi_civita_d5(tmp_path):
     assert json.loads(result.stdout)["derivation"] is False
 
 
+def test_leibniz_levi_civita_d5_output_is_pinned(tmp_path):
+    # The same run as the console-script step of CI; the whole stdout is
+    # pinned, and the subprocess must finish in 10 s.
+    path = tmp_path / "lc5.json"
+    path.write_text(dump_document(tensor_to_json(levi_civita_nalgebra(5))))
+    result = run_cli("leibniz", "--input", str(path), timeout=10)
+    assert result.returncode == 0
+    assert result.stdout == (
+        "{\n"
+        '  "derivation": null,\n'
+        '  "filippov": true,\n'
+        '  "fundamental_identity": true,\n'
+        '  "multilinearity_probe": true,\n'
+        '  "seed": 0,\n'
+        '  "self_derivation": true,\n'
+        '  "witness": null\n'
+        "}\n"
+    )
+
+
 def test_leibniz_zero_tensor(tmp_path):
     path = tmp_path / "zero.json"
     path.write_text(dump_document({"dimension": 3, "arity": 3, "constants": []}))
@@ -440,6 +460,45 @@ def test_repeated_runs_byte_identical(workspace):
         second = run_cli(*args)
         assert first.stdout == second.stdout
         assert first.returncode == second.returncode
+
+
+def _main_in_process(argv, capsys):
+    """(exit code, stdout) of one main() call; an argparse error exits 2."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().out
+
+
+def test_one_process_runs_many_commands_like_separate_processes(workspace, tmp_path, capsys):
+    # main() reuses one parser per process: commands that share options
+    # (the reduce alias's default kind, --seed, --input) and argparse errors
+    # in between must leave no trace on the next parse.
+    d, nambu = str(workspace["dihedral"]), str(workspace["nambu"])
+    z4 = tmp_path / "z4.json"
+    z4.write_text(dump_document(nrack_to_json(build_z4_module_nrack(3, 4))))
+    commands = [
+        ("check", "--input", d),
+        ("reduce", "--input", str(z4)),
+        ("construct", "z4", "--n", "3", "--m", "4"),
+        ("leibniz", "--input", nambu, "--seed", "5"),
+        ("homology", "--input", d, "--variant", "Q", "--degrees", "1-2"),
+        ("homology", "--input", d),  # --degrees missing: exit 2
+        ("leibniz", "--input", nambu),
+        ("enumerate", "--n", "2", "--m", "3", "--filter", "n-quandle"),
+        ("leibniz", "--input", nambu, "--seed", "x"),  # not an int: exit 2
+        ("inner", "--input", d),
+        ("construct", "reduce", "--input", str(z4)),
+    ]
+    expected = {}
+    for argv in commands:
+        result = run_cli(*argv)
+        expected[argv] = (result.returncode, result.stdout)
+    assert sum(code == 2 for code, _ in expected.values()) == 2
+    for order in (commands, commands[::-1]):
+        for argv in order:
+            assert _main_in_process(argv, capsys) == expected[argv], argv
 
 
 def test_seed_is_echoed(workspace):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import RATIONALS
 from nracks import (
     LeibnizNAlgebra,
     LinearOperator,
@@ -214,8 +215,7 @@ def test_sl2_is_lie_algebra():
         assert all(v == 0 for v in total)
 
 
-def _random_tensors():
-    values = st.integers(-2, 2)
+def _random_tensors(values=st.integers(-2, 2)):
     return st.lists(
         st.tuples(
             st.tuples(st.integers(0, 1), st.integers(0, 1)),
@@ -227,7 +227,7 @@ def _random_tensors():
 
 
 @settings(max_examples=200, deadline=None)
-@given(_random_tensors())
+@given(st.one_of(_random_tensors(), _random_tensors(RATIONALS)))
 def test_self_derivation_equals_fundamental_identity(L):
     assert check_self_derivation(L) == check_fundamental_identity(L)[0]
 

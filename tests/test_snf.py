@@ -3,8 +3,9 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import Matrix
+from sympy import GF, ZZ, Matrix
 from sympy.matrices.normalforms import invariant_factors as sympy_invariant_factors
+from sympy.polys.matrices import DomainMatrix
 
 from helpers import boundary_dense, dihedral_nrack
 from nracks import (
@@ -235,6 +236,16 @@ def test_rank_certificate_counts_factors_the_prime_does_not_divide():
     assert invariant_factors([[0, 0], [0, 0]]) == ()
     assert sparse_invariant_factors([]) == ()
     assert sparse_invariant_factors([{}, {5: 0}]) == ()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sparse_matrices(), st.sampled_from([2, 3, 5, CERTIFICATE_PRIME]))
+def test_rank_mod_p_matches_sympy(M, p):
+    # The certificate reduces the shortest columns first; the rank must be
+    # sympy's over GF(p) whatever the order.  Small primes divide some
+    # entries, so the rank modulo p can fall below the rank over Q.
+    want = DomainMatrix.from_list(M, ZZ).convert_to(GF(p)).rank()
+    assert snf._rank_mod_p(_columns(M), p) == want
 
 
 def test_sparse_engine_leaves_its_input_unchanged():

@@ -4,19 +4,26 @@ and the same first witness on every input."""
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle_verify
-from helpers import axiom_fixture_set, dihedral_nrack, one_element_nrack, trivial_nrack
+from helpers import (
+    RATIONALS,
+    axiom_fixture_set,
+    dihedral_nrack,
+    one_element_nrack,
+    trivial_nrack,
+)
 from nracks import (
     FiniteNRack,
     LeibnizNAlgebra,
     LinearOperator,
     adjoint,
+    bracket,
     build_conjugation_nrack,
     build_z4_module_nrack,
     check_derivation,
@@ -28,6 +35,7 @@ from nracks import (
     levi_civita_nalgebra,
     symmetric_group,
 )
+from nracks.leibniz import check_multilinearity_sample
 
 
 def golden_tables():
@@ -160,30 +168,91 @@ def test_fundamental_identity_matches_oracle_on_levi_civita(d):
     assert failing > 0
 
 
-def _random_tensors(d, n):
-    values = st.integers(-2, 2)
+def _random_tensors(d, n, values=st.integers(-2, 2)):
     entries = st.tuples(
         st.tuples(*[st.integers(0, d - 1)] * n), st.integers(0, d - 1), values)
     return st.lists(entries, max_size=8).map(
         lambda e: LeibnizNAlgebra.from_entries(d, n, e))
 
 
-def _random_operators(d):
-    return st.lists(st.lists(st.integers(-1, 1), min_size=d, max_size=d),
+def _random_operators(d, values=st.integers(-1, 1)):
+    return st.lists(st.lists(values, min_size=d, max_size=d),
                     min_size=d, max_size=d).map(LinearOperator)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.one_of(_random_tensors(2, 2), _random_tensors(3, 2), _random_tensors(2, 3)))
+RATIONAL_SHAPES = ((2, 2), (3, 2), (2, 3), (3, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of([
+    st.tuples(_random_tensors(d, n, RATIONALS),
+              st.lists(st.tuples(*[RATIONALS] * d), min_size=n, max_size=n))
+    for d, n in RATIONAL_SHAPES
+]))
+def test_bracket_and_adjoint_match_the_fraction_oracle_on_rational_values(pair):
+    L, vectors = pair
+    assert bracket(L, *vectors) == oracle_verify.bracket(L, *vectors)
+    assert adjoint(L, *vectors[:-1]).matrix == oracle_verify.adjoint(L, *vectors[:-1])
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.one_of([_random_tensors(d, n, RATIONALS) for d, n in RATIONAL_SHAPES]))
+def test_multilinearity_probe_matches_oracle_on_rational_tensors(L):
+    for seed in range(21):
+        assert check_multilinearity_sample(L, seed=seed) == \
+            oracle_verify.multilinearity_sample(L, seed=seed)
+
+
+def test_rational_multiples_keep_their_derivations():
+    # c * [.,...] satisfies the fundamental identity again, so its adjoints
+    # at rational vectors are derivations; for sl2 they are not
+    # antisymmetric, so each entry's own denominator matters.  so(4) acts
+    # on c * Levi-Civita by derivations, and a nonzero diagonal entry
+    # breaks the derivation equation.
+    rng = random.Random(13)
+
+    def rational():
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 7))
+
+    sl2 = [((0, 1), 2, 1), ((1, 0), 2, -1), ((2, 0), 0, 2), ((0, 2), 0, -2),
+           ((2, 1), 1, -2), ((1, 2), 1, 2)]
+    lc4 = [(args, i, v) for args, vec in levi_civita_nalgebra(4).constants.items()
+           for i, v in enumerate(vec) if v]
+    for c in (Fraction(1, 3), Fraction(-5, 7), Fraction(6, 35)):
+        for d, n, entries in ((3, 2, sl2), (4, 3, lc4)):
+            L = LeibnizNAlgebra.from_entries(d, n, [(a, i, c * v) for a, i, v in entries])
+            assert check_fundamental_identity(L) == (True, None)
+            for _ in range(3):
+                D = adjoint(L, *([rational() for _ in range(d)] for _ in range(n - 1)))
+                assert check_derivation(L, D) is oracle_verify.derivation(L, D) is True
+        matrix = [[Fraction(0)] * 4 for _ in range(4)]
+        for i, j in combinations(range(4), 2):
+            v = rational()
+            matrix[i][j], matrix[j][i] = v, -v
+        D = LinearOperator(matrix)
+        assert check_derivation(L, D) is oracle_verify.derivation(L, D) is True
+        matrix[2][2] = Fraction(1, rng.randint(2, 7))
+        D = LinearOperator(matrix)
+        assert check_derivation(L, D) is oracle_verify.derivation(L, D) is False
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(
+    [_random_tensors(2, 2), _random_tensors(3, 2), _random_tensors(2, 3)]
+    + [_random_tensors(d, n, RATIONALS) for d, n in RATIONAL_SHAPES]
+))
 def test_fundamental_identity_matches_oracle_on_random_tensors(L):
+    # The whole result: verdict, witness tuples and both sides as Fractions.
     assert check_fundamental_identity(L) == oracle_verify.fundamental_identity(L)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=500, deadline=None)
 @given(st.one_of(
-    st.tuples(_random_tensors(2, 2), _random_operators(2)),
-    st.tuples(_random_tensors(3, 2), _random_operators(3)),
-    st.tuples(_random_tensors(2, 3), _random_operators(2)),
+    [st.tuples(_random_tensors(2, 2), _random_operators(2)),
+     st.tuples(_random_tensors(3, 2), _random_operators(3)),
+     st.tuples(_random_tensors(2, 3), _random_operators(2))]
+    + [st.tuples(_random_tensors(d, n, RATIONALS), _random_operators(d, RATIONALS))
+       for d, n in RATIONAL_SHAPES]
 ))
 def test_derivation_matches_oracle_on_random_operators(pair):
     L, D = pair
@@ -200,10 +269,11 @@ def _antisymmetrized(L):
     return LeibnizNAlgebra.from_entries(L.dimension, L.arity, entries)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(st.one_of(
     _random_tensors(2, 2), _random_tensors(3, 2), _random_tensors(2, 3),
     _random_tensors(3, 2).map(_antisymmetrized), _random_tensors(2, 3).map(_antisymmetrized),
+    _random_tensors(3, 3, RATIONALS), _random_tensors(3, 3, RATIONALS).map(_antisymmetrized),
 ))
 def test_filippov_matches_oracle_on_random_tensors(L):
     assert check_filippov(L) == oracle_verify.filippov(L)
