@@ -4,7 +4,8 @@ Subcommands: check, construct, reduce, homology, cohomology, assoc-group,
 leibniz, enumerate, inner.  All I/O uses the JSON formats of jsonio.
 Exit codes: 0 pass, 1 axiom failure, 2 input error, 3 budget exceeded,
 4 internal error (a failed internal certificate, such as the invariant
-factors' rank check or d.d = 0).
+factors' rank check or d.d = 0, a D/Q subcomplex failing its own
+verification, or running out of memory or recursion depth).
 """
 
 import argparse
@@ -27,7 +28,7 @@ from .constructions import (
 )
 from .core import classify, inner_map, orbits, validate
 from .enumeration import DEFAULT_CANDIDATE_BUDGET, FILTERS, enumerate_nracks
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, SubcomplexError
 from .homology import (
     DEFAULT_COLUMN_BUDGET,
     CoefficientGroup,
@@ -339,12 +340,14 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
+    # Before ValueError: past the n-quandle gate, a SubcomplexError can only
+    # come from our own D/Q construction, not from the input.
+    except (AssertionError, RecursionError, MemoryError, SubcomplexError) as exc:
+        print(f"internal error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        return 4
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except AssertionError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 4
 
 
 if __name__ == "__main__":

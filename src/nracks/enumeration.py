@@ -3,21 +3,32 @@
 The search is orderly (Read, "Every one a winner", 1978): it assigns one
 translation row per argument prefix, in lexicographic prefix order, and
 keeps a partial table only while no relabeling of the carrier can make
-it lexicographically smaller.  Rows are drawn from the permutations of
-the carrier in lexicographic order (translation bijectivity row by row),
-every left distributivity instance is checked as soon as all rows it
-touches are assigned, and the requested filter is applied row by row.
-Every complete table the search accepts is therefore the least member of
-its isomorphism class, tables come out in lexicographic order, and no two
-are isomorphic.  The labeled tables of a class number m!/|Aut T|, where
-the automorphisms of T are the relabelings that leave it unchanged.
+it lexicographically smaller.  Every complete table the search accepts
+is therefore the least member of its isomorphism class, tables come out
+in lexicographic order, and no two are isomorphic.  The labeled tables
+of a class number m!/|Aut T|, where the automorphisms of T are the
+relabelings that leave it unchanged.
+
+Rows are permutations of the carrier (translation bijectivity row by
+row), and each prefix tries only the rows its constraints allow, in
+lexicographic order.  Left distributivity instances whose other rows are
+all placed either pin the row down or make it commute with an earlier
+row.  A pinned row is the only candidate (there is none when two pins
+disagree) and still has to pass the filter.  Otherwise the candidates are
+the filter's rows (the permutations fixing the elements the filter
+names, involutions for n-keis) that lie in the centralizer of every such
+earlier row; each centralizer is computed once per call.  The remaining
+instances are checked as soon as all rows they touch are assigned.
+Entering a prefix counts m! placements, one for each row a scan over
+every permutation would try, so the budget is passed exactly where that
+scan passes it.
 """
 
 from dataclasses import dataclass
-from itertools import permutations, product, repeat
+from itertools import chain, permutations, product, repeat
 from math import factorial
 
-from .core import FiniteNRack, classify, first_product_past
+from .core import FiniteNRack, classify, entrywise, first_product_past
 from .errors import BudgetExceededError
 
 DEFAULT_CANDIDATE_BUDGET = 2_000_000
@@ -76,47 +87,53 @@ def enumerate_nracks(
     """Orderly enumeration of the tables satisfying the axioms plus the
     requested filter: one lex-least representative per isomorphism class,
     in lexicographic order, and count_total summed over the classes by
-    orbit-stabilizer.  Every row tried at every prefix counts as one
-    placement, whether or not it is kept; BudgetExceededError is raised
-    once the placements pass the budget (no partial results)."""
+    orbit-stabilizer.  Every prefix entered counts m! placements, however
+    few rows its constraints leave; BudgetExceededError is raised once the
+    placements pass the budget (no partial results)."""
     if filter_name not in FILTERS:
         raise ValueError(f"unknown filter {filter_name!r}; choose from {FILTERS}")
     m, n = size, arity
     if n < 2 or m < 1:
         raise ValueError("need arity >= 2 and size >= 1")
-    # Prefix 0 tries all m! rows, and the first path places the identity
-    # row at each of the m^(n-1) prefixes: if either count passes the
-    # budget, so does the search, at the first placement past it.
-    if _passes_budget(range(2, m + 1), budget) or (
-        m > 1 and _passes_budget(repeat(m, n - 1), budget)
-    ):
+    # Every search reaches the all-identity table, so it enters each of the
+    # m^(n-1) prefixes at least once, and each entry counts m! placements:
+    # if m! * m^(n-1) passes the budget, so does the search.
+    if _passes_budget(chain(range(2, m + 1), repeat(m, n - 1 if m > 1 else 0)), budget):
         raise _budget_error(budget, max(budget, 0) + 1)
     prefix_count = m ** (n - 1)
-    prefix_digits = list(product(range(m), repeat=n - 1))
     all_rows = [list(p) for p in permutations(range(m))]
-    inverses = [sorted(range(m), key=row.__getitem__) for row in all_rows]
-    fixed = [_fixed_points(p, filter_name) for p in prefix_digits]
+    fixed = [_fixed_points(p, filter_name) for p in product(range(m), repeat=n - 1)]
     involutive = filter_name == "n-kei"
 
-    # rows[t] is all_rows[cursor[t] - 1] while the search stands below t.
-    rows: list[list[int] | None] = [None] * prefix_count
-    cursor = [0] * prefix_count
-    visited = 0
+    def inverse_of(row):
+        return sorted(range(m), key=row.__getitem__)
+
+    def commutes(a, b) -> bool:
+        return [a[y] for y in b] == [b[y] for y in a]
+
+    def admissible(fix, row) -> bool:
+        if any(row[x] != x for x in fix):
+            return False
+        return not involutive or all(row[row[y]] == y for y in range(m))
+
+    # The filter's rows for each distinct fixed-point set, and the
+    # centralizer of each row some row must commute with, as indices into
+    # all_rows in lexicographic order.
+    filter_rows = {f: [i for i, r in enumerate(all_rows) if admissible(f, r)] for f in set(fixed)}
+    centralizers: dict[tuple[int, ...], set[int]] = {}
+
+    # Per prefix t on the search path: the row placed there, its inverse,
+    # and the index of phi.p for every prefix p, phi the row or its inverse.
+    rows, inverses, acts, inverse_acts = ([None] * prefix_count for _ in range(4))
+    placements = 0
     count_total = 0
     representatives: list[tuple[int, ...]] = []
-
-    def acted(phi, p: int) -> int:
-        """The index of the prefix phi.p, phi applied digit by digit."""
-        q = 0
-        for d in prefix_digits[p]:
-            q = q * m + phi[d]
-        return q
 
     # A distributivity instance has an outer prefix px, an inner prefix py
     # and the acted prefix pz = phi.py, phi the row at px: it says
     # phi . row_py = row_pz . phi.  Those whose latest row is t are
     #   px = t, py and pz up to t: checked by distributive_at;
-    #   px < t, py = pz = t: row t commutes with phi (distributive_at);
+    #   px < t, py = pz = t: row t commutes with phi (candidates);
     #   px < t, py = t, pz < t: row t is phi^-1 . row_pz . phi;
     #   px < t, py < t, pz = t: row t is phi . row_py . phi^-1.
     # The last two depend on the rows before t only, and pin row t down.
@@ -124,18 +141,17 @@ def enumerate_nracks(
     def constraints(t: int):
         """(forced, commuting) at prefix t, given the rows before t: the row
         the pinning instances force ([] if two force different rows, None
-        if none applies), and the rows row t must commute with."""
-        forced, commuting = None, []
+        if none applies), and the rows row t must commute with, by value."""
+        forced, commuting = None, {}
         for px in range(t):
-            phi = rows[px]
-            inverse = inverses[cursor[px] - 1]
+            phi, inverse = rows[px], inverses[px]
             pins = []
-            pz = acted(phi, t)
+            pz = acts[px][t]
             if pz == t:
-                commuting.append(phi)
+                commuting[tuple(phi)] = phi
             elif pz < t:
                 pins.append([inverse[rows[pz][phi[y]]] for y in range(m)])
-            py = acted(inverse, t)
+            py = inverse_acts[px][t]
             if py < t:
                 pins.append([phi[rows[py][inverse[z]]] for z in range(m)])
             for pin in pins:
@@ -145,82 +161,97 @@ def enumerate_nracks(
                     return [], commuting
         return forced, commuting
 
-    def admissible(t: int, row) -> bool:
-        if forced[t] is not None and row != forced[t]:
-            return False
-        if any(row[x] != x for x in fixed[t]):
-            return False
-        return not involutive or all(row[row[y]] == y for y in range(m))
+    def candidates(t: int) -> list[list[int]]:
+        """The rows prefix t may take, in lexicographic order: the forced
+        row alone, or the filter's rows that commute with every row in
+        commuting.  Entering a prefix counts the m! placements of a scan
+        over every row."""
+        nonlocal placements
+        placements += len(all_rows)
+        if placements > budget:
+            raise _budget_error(budget, max(budget, 0) + 1)
+        forced, commuting = constraints(t)
+        if forced is not None:
+            ok = forced and admissible(fixed[t], forced)
+            return [forced] if ok and all(commutes(forced, r) for r in commuting.values()) else []
+        pool = filter_rows[fixed[t]]
+        for key, phi in commuting.items():
+            if key not in centralizers:
+                centralizers[key] = {i for i, r in enumerate(all_rows) if commutes(phi, r)}
+            pool = [i for i in pool if i in centralizers[key]]
+        return [all_rows[i] for i in pool]
 
     def distributive_at(t: int) -> bool:
-        # The instances with latest row t that admissible leaves unchecked.
-        phi = rows[t]
-        for other in commuting[t]:
-            if any(other[phi[y]] != phi[other[y]] for y in range(m)):
-                return False
+        # The instances with outer prefix t: the others are in candidates.
+        phi, act = rows[t], acts[t]
         for py in range(t + 1):
-            pz = acted(phi, py)
+            pz = act[py]
             if pz <= t:
                 row_y, row_z = rows[py], rows[pz]
-                if any(phi[row_y[y]] != row_z[phi[y]] for y in range(m)):
+                if [phi[y] for y in row_y] != [row_z[y] for y in phi]:
                     return False
         return True
 
+    # Relabeling s as (s, s^-1, the index of s^-1.p for every prefix p, and
+    # prefix_count past the last, where a relabeling tied on every row waits).
+    relabelings = [
+        (sigma, inverse := inverse_of(sigma), entrywise(inverse, n - 1, m) + [prefix_count])
+        for sigma in all_rows[1:]
+    ]
+
     def still_tied(t: int, tied):
-        """Compare T with each relabeling T^s in tied, an (s, q) list whose
+        """Compare T with each relabeling T^s in tied, a (s, q, w) list whose
         rows before q agree, on the rows of both now assigned; row q of T^s
-        is s . row[s^-1 q] . s^-1.  None if some T^s is smaller; else the
-        (s, q) still equal so far.  Both sides' earlier rows are fixed, so
+        is s . row[s^-1 q] . s^-1, so it can be compared once prefix
+        w = max(q, s^-1 q) is placed.  None if some T^s is smaller; else the
+        (s, q, w) still equal so far.  Both sides' earlier rows are fixed, so
         a smaller T^s stays smaller in every completion, and a larger one
         can be dropped."""
         out = []
-        for s, q in tied:
-            sigma, inverse = all_rows[s], inverses[s]
-            while q <= t and (source := acted(inverse, q)) <= t:
-                row = rows[source]
+        for entry in tied:
+            if entry[2] > t:
+                out.append(entry)
+                continue
+            relabeling, q, _ = entry
+            sigma, inverse, acted = relabeling
+            while True:
+                row = rows[acted[q]]
                 image = [sigma[row[y]] for y in inverse]
                 if image != rows[q]:
+                    if image < rows[q]:
+                        return None
                     break
                 q += 1
-            else:
-                out.append((s, q))
-                continue
-            if image < rows[q]:
-                return None
+                if (wait := max(q, acted[q])) > t:
+                    out.append((relabeling, q, wait))
+                    break
         return out
 
-    # Per prefix t: the relabelings (all but the identity, all_rows[0])
-    # that agree with the table on every row compared before row t was
-    # placed, and the constraints of the rows before t on row t.
+    # Per prefix t: the relabelings (all but the identity) that agree with
+    # the table on every row compared before row t was placed, and the rows
+    # prefix t has still to try.
     tied: list[list | None] = [None] * prefix_count
-    forced: list[list[int] | None] = [None] * prefix_count
-    commuting: list[list | None] = [None] * prefix_count
-    tied[0] = [(s, 0) for s in range(1, len(all_rows))]
-    commuting[0] = []
+    options: list = [None] * prefix_count
+    tied[0] = [(relabeling, 0, relabeling[2][0]) for relabeling in relabelings]
+    options[0] = iter(candidates(0))
     t = 0
     while t >= 0:
-        c = cursor[t]
-        if c == len(all_rows):
-            cursor[t] = 0
+        row = rows[t] = next(options[t], None)
+        if row is None:
             t -= 1
             continue
-        cursor[t] = c + 1
-        visited += 1
-        if visited > budget:
-            raise _budget_error(budget, visited)
-        row = all_rows[c]
-        if not admissible(t, row):
-            continue
-        rows[t] = row
+        acts[t] = entrywise(row, n - 1, m)
         if not distributive_at(t):
             continue
         ties = still_tied(t, tied[t])
         if ties is None:
             continue
         if t + 1 < prefix_count:
+            inverses[t] = inverse_of(row)
+            inverse_acts[t] = entrywise(inverses[t], n - 1, m)
             t += 1
             tied[t] = ties
-            forced[t], commuting[t] = constraints(t)
+            options[t] = iter(candidates(t))
             continue
         # A full table: every relabeling still tied fixes it.
         table = tuple(v for r in rows for v in r)

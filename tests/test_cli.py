@@ -20,8 +20,9 @@ from nracks import (
     validate,
     validate_rack,
 )
-from nracks import snf
+from nracks import cli, snf
 from nracks.cli import main
+from nracks.errors import SubcomplexError
 from nracks.jsonio import (
     dump_document,
     group_to_json,
@@ -633,6 +634,34 @@ def test_failed_certificate_exits_4_without_an_answer(monkeypatch, capsys, works
     assert out == ""
     assert err.startswith("internal error: rank certificate failed")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "target, error",
+    [
+        ("enumerate_nracks", RecursionError("maximum recursion depth exceeded")),
+        ("enumerate_nracks", MemoryError()),
+        ("degenerate_subcomplex", SubcomplexError("subcomplex basis is not the degenerate sub-basis")),
+    ],
+    ids=["recursion", "memory", "subcomplex"],
+)
+def test_internal_failures_exit_4_without_a_traceback(
+    monkeypatch, capsys, workspace, target, error
+):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, target, fail)
+    if target == "enumerate_nracks":
+        argv = ["enumerate", "--n", "2", "--m", "3"]
+    else:
+        # dihedral(3) passes the n-quandle gate, so the subcomplex is ours.
+        argv = ["homology", "--input", str(workspace["dihedral"]), "--variant", "Q",
+                "--degrees", "1"]
+    assert main(argv) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"internal error: {str(error) or type(error).__name__}\n"
 
 
 def test_leibniz_self_derivation_is_the_fundamental_identity_verdict(

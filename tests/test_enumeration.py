@@ -7,10 +7,17 @@ from math import factorial
 
 import pytest
 
-from oracle_enumeration import _relabel, brute_force_enumerate, canonical_form
+import oracle_enumeration
+from oracle_enumeration import (
+    _relabel,
+    brute_force_enumerate,
+    canonical_form,
+    row_scan_enumerate,
+)
 import nracks.enumeration
 from nracks import (
     BudgetExceededError,
+    EnumerationReport,
     FiniteNRack,
     classify,
     enumerate_nracks,
@@ -113,6 +120,52 @@ def test_count_total_is_the_sum_of_orbit_sizes(arity, size, filter_name):
     assert report.count_total == labeled
 
 
+ROW_SCAN_CASES = [
+    (n, m, f)
+    for n, sizes in ((2, range(1, 6)), (3, range(1, 4)), (4, (2,)), (5, (2,)))
+    for m in sizes
+    for f in FILTER_NAMES
+] + [(2, 6, "n-quandle"), (2, 6, "n-kei")]
+
+
+@pytest.mark.parametrize(
+    "arity, size, filter_name", ROW_SCAN_CASES, ids=["-".join(map(str, c)) for c in ROW_SCAN_CASES]
+)
+def test_search_matches_the_row_scan_and_its_budget(arity, size, filter_name):
+    # The row scan tries all m! rows at every prefix it enters; the search
+    # tries only the rows its constraints allow, yet must accept the same
+    # rows in the same order and count the same placements.
+    count_total, representatives, placements = row_scan_enumerate(arity, size, filter_name)
+    want = EnumerationReport(arity, size, filter_name, count_total, len(representatives),
+                             representatives)
+    assert enumerate_nracks(arity, size, filter_name, budget=placements) == want
+    with pytest.raises(BudgetExceededError) as err:
+        enumerate_nracks(arity, size, filter_name, budget=placements - 1)
+    assert (err.value.limit, err.value.reached) == (placements - 1, placements)
+
+
+def _fix_even_first_entry(prefix, filter_name):
+    return prefix[:1] if prefix[0] % 2 == 0 else ()
+
+
+@pytest.mark.parametrize(
+    "arity, size, filter_name", [(2, 4, "nrack"), (2, 5, "nrack"), (3, 3, "nrack"), (2, 5, "n-kei")]
+)
+def test_a_pinned_row_passes_the_row_filter_like_any_other(
+    monkeypatch, arity, size, filter_name
+):
+    # A pinned row is a conjugate of the row at the prefix that phi or its
+    # inverse moves this one to, and the filters' fixed points move with the
+    # prefix, so a pinned row always passes them.  A rule that does not move
+    # with the prefix (fix x at (x, ...) for even x) can reject a pinned
+    # row, and the search must then drop it as the row scan does.
+    monkeypatch.setattr(nracks.enumeration, "_fixed_points", _fix_even_first_entry)
+    monkeypatch.setattr(oracle_enumeration, "_fixed_points", _fix_even_first_entry)
+    count_total, representatives, placements = row_scan_enumerate(arity, size, filter_name)
+    report = enumerate_nracks(arity, size, filter_name, budget=placements)
+    assert (report.count_total, report.representatives) == (count_total, representatives)
+
+
 def test_budget_exceeded_raises_without_partial_results():
     with pytest.raises(BudgetExceededError):
         enumerate_nracks(2, 3, budget=10)
@@ -124,7 +177,8 @@ def test_oversized_search_refused_before_anything_is_built(monkeypatch, capsys):
 
     monkeypatch.setattr(nracks.enumeration, "permutations", refuse)
     monkeypatch.setattr(nracks.enumeration, "product", refuse)
-    for arity, size in ((2, 8), (25, 2)):
+    # (3, 5): m! = 120 and m^(n-1) = 25 fit, but 120 * 25 placements do not.
+    for arity, size in ((2, 8), (25, 2), (3, 5)):
         with pytest.raises(BudgetExceededError) as err:
             enumerate_nracks(arity, size, budget=1000)
         assert (err.value.limit, err.value.reached) == (1000, 1001)
@@ -136,6 +190,7 @@ def test_oversized_search_refused_before_anything_is_built(monkeypatch, capsys):
 EARLY_REFUSALS = [
     (2, 4, 20, "nrack"), (2, 4, 0, "nrack"), (2, 3, -1, "nrack"), (4, 2, 5, "nrack"),
     (2, 1, 0, "nrack"), (2, 4, 20, "n-quandle"), (4, 2, 5, "n-kei"),
+    (2, 4, 95, "nrack"), (3, 3, 53, "n-quandle"),
 ]
 
 
