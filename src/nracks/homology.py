@@ -10,10 +10,17 @@ abelian on k-tuples over Y, ordered lexicographically.  The boundary is
 where a*b is the left action of a on b in Y.  This is the unique reading
 of the classical rack boundary for which d.d = 0 holds on left racks; the
 identity is asserted on every construction.  Degree 0 has rank 1 (the
-empty tuple) with d_1 = 0, so H_0 = A.  Faces are found by index
-arithmetic: column j splits into the index of (x_1,...,x_{i-1}), x_i and
-the index of (x_{i+1},...,x_k), and x_i acting on the head is read from
-Y's entrywise table for that length.
+empty tuple) with d_1 = 0, so H_0 = A.  Each boundary map is built from
+the one below it.  Splitting off the last entry x of a k-tuple (t, x),
+
+    d_k(t, x) = (d_{k-1}(t), x) + (-1)^k [ t - x.t ],
+
+where (c, x) appends x to every tuple of the chain c and x.t is x acting
+on each entry of t.  So column t*M + x of d_k is column t of d_{k-1} with
+each row r moved to r*M + x, plus the rows t and x.t, which may cancel.
+The index of x.t is read from a table of x acting entrywise on
+(k-1)-tuples, extended by one entry per degree, so the build is linear in
+the entries it writes.
 
 Homology with Z/d coefficients is computed from the integral Smith normal
 form data by universal-coefficient reduction:
@@ -33,7 +40,7 @@ from operator import eq
 from typing import Sequence
 
 from .constructions import FiniteRack, reduce_nrack_to_rack
-from .core import FiniteNRack, classify, entrywise, validate
+from .core import FiniteNRack, classify, validate
 from .errors import BudgetExceededError, SubcomplexError
 from .snf import (
     AbelianGroupInvariants,
@@ -85,8 +92,9 @@ class ChainComplex:
     tuple space {0..M-1}^k (encoded base M, first entry most significant),
     in increasing order; the full rack complex retains range(M**k).
     cols[k][j] is column j of d_k as a map from row position (index into
-    basis[k-1]) to its integer coefficient.  ranks and max_degree are read
-    off the basis: ranks[k] = len(basis[k]) and max_degree = len(basis) - 1.
+    basis[k-1]) to its integer coefficient.  Ranks and max_degree are read
+    off the basis: rank(k) = len(basis[k]), ranks lists every rank, and
+    max_degree = len(basis) - 1.
     The invariant factors of each d_k are computed on first use and kept
     with the complex; the boundary columns must not change afterwards.
     """
@@ -107,6 +115,9 @@ class ChainComplex:
     def max_degree(self) -> int:
         return len(self.basis) - 1
 
+    def rank(self, k: int) -> int:
+        return len(self.basis[k])
+
     @property
     def ranks(self) -> list[int]:
         return [len(b) for b in self.basis]
@@ -120,7 +131,7 @@ class ChainComplex:
     def boundary_triplets(self, k: int) -> str:
         """Plain text export: a "rows cols" header line, then one
         "row col value" line per nonzero entry (0-based), sorted."""
-        rows, cols = self.ranks[k - 1], self.ranks[k]
+        rows, cols = self.rank(k - 1), self.rank(k)
         lines = [f"{rows} {cols}"]
         entries = []
         for j, col in enumerate(self.cols[k]):
@@ -147,7 +158,7 @@ def _check_boundary_squared(C: ChainComplex) -> None:
             for r, coeff in col.items():
                 for i, v in lower[r].items():
                     acc[i] = acc.get(i, 0) + coeff * v
-            if any(v != 0 for v in acc.values()):
+            if any(acc.values()):
                 raise AssertionError("boundary does not square to zero")
 
 
@@ -185,25 +196,30 @@ def rack_chain_complex(
                 reached=r,
             )
     rack = reduce_nrack_to_rack(X)
-    # acts[L][x][h]: the index of x acting on each entry of the h-th
-    # L-tuple; M**(L+1) <= M**max_degree entries, within the budget.
-    acts = [[entrywise(rack.row(x), L, M) for x in range(M)] for L in range(max_degree)]
-    cols: list[list[dict[int, int]]] = [[]]
-    for k in range(1, max_degree + 1):
+    rows = [rack.row(x) for x in range(M)]
+    # acts[x][t]: the index of x acting on each entry of the t-th
+    # (k-1)-tuple, from the empty tuple on; M**k entries in degree k,
+    # within the budget.
+    acts = [[0]] * M
+    # d_0 has no stored columns; d_1 = 0, one empty column per element.
+    cols: list[list[dict[int, int]]] = [[], [{} for _ in range(M)]][: max_degree + 1]
+    for k in range(2, max_degree + 1):
+        acts = [[a * M + b for a in act for b in row] for act, row in zip(acts, rows)]
+        sign = 1 if k % 2 == 0 else -1
         degree_cols = []
-        for j in range(M**k):
-            col: dict[int, int] = {}
-            for i in range(2, k + 1):
-                sign = 1 if i % 2 == 0 else -1
-                # j = (head * M + x) * scale + tail, x the i-th entry.
-                scale = M ** (k - i)
-                rest, tail = divmod(j, scale)
-                head, x = divmod(rest, M)
-                kept = head * scale + tail
-                acted = acts[i - 1][x][head] * scale + tail
-                col[kept] = col.get(kept, 0) + sign
-                col[acted] = col.get(acted, 0) - sign
-            degree_cols.append({i: v for i, v in col.items() if v != 0})
+        for t, below in enumerate(cols[k - 1]):
+            shifted = [(r * M, v) for r, v in below.items()]
+            for x, act in enumerate(acts):
+                col = {r + x: v for r, v in shifted}
+                u = act[t]
+                if u != t:
+                    for target, s in ((t, sign), (u, -sign)):
+                        s += col.get(target, 0)
+                        if s:
+                            col[target] = s
+                        else:
+                            del col[target]
+                degree_cols.append(col)
         cols.append(degree_cols)
     basis = [range(M**k) for k in range(max_degree + 1)]
     complex_ = ChainComplex(rack=rack, basis=basis, cols=cols, variant="R")
@@ -317,7 +333,7 @@ def _derived_group(
             f"degree {k} out of range; need 1 <= k < {C.max_degree} "
             "so that both boundary maps exist"
         )
-    invariants = _group_from_matrices(C.ranks[k], C.factors(out_map), C.factors(in_map), A)
+    invariants = _group_from_matrices(C.rank(k), C.factors(out_map), C.factors(in_map), A)
     return HomologyResult(degree=k, invariants=invariants, variant=C.variant, coefficients=A)
 
 

@@ -9,8 +9,10 @@ factor 1, and hands only what is left to the dense smith_normal_form (after
 Dumas, Saunders & Villard, J. Symb. Comp. 32, 2001).  Every answer is
 certified before it is returned: the unit-pivot steps are unimodular by
 construction, the residual's S = U*R*V is checked exactly, and the rank of
-the whole input modulo CERTIFICATE_PRIME, found by a separate elimination,
-must match the factors.
+the whole input modulo CERTIFICATE_PRIME must match the factors.  That rank
+comes from a separate elimination (_rank_mod_p) in another order and
+another arithmetic: columns shortest first, each reduced by its highest
+row, with residues held in the symmetric range [-p/2, p/2].
 """
 
 from dataclasses import dataclass
@@ -293,28 +295,45 @@ def _rank_mod_p(columns, p: int = CERTIFICATE_PRIME) -> int:
     """Rank over F_p of the matrix with the given sparse columns.
 
     Independent of the unit-pivot elimination: each column is reduced
-    against the kept ones by its lowest row until it vanishes or its lowest
-    row is new, when it is normalized and kept.  The shortest columns go
-    first, so the kept pivots stay sparse and later reductions cost less;
-    the rank does not depend on the order.
+    against the kept ones by its highest row until it vanishes or its
+    highest row is new, when it is normalized and kept.  The shortest
+    columns go first, so the kept pivots stay sparse and later reductions
+    cost less; the rank does not depend on the order.  Residues are held
+    in the symmetric range [-p/2, p/2], where 0 is the only multiple of p,
+    so +-1 entries stay small ints; an entry is reduced modulo p only when
+    it leaves that range.
     """
+    half = p // 2
     kept = {}
     for col in sorted(columns, key=len):
-        v = {i: x % p for i, x in col.items() if x % p}
+        v = {}
+        for i, x in col.items():
+            if not -half <= x <= half:
+                x = (x + half) % p - half
+            if x:
+                v[i] = x
         while v:
-            low = min(v)
-            pivot = kept.get(low)
+            high = max(v)
+            pivot = kept.get(high)
             if pivot is None:
-                inverse = pow(v[low], -1, p)
-                kept[low] = {i: x * inverse % p for i, x in v.items()}
+                inverse = pow(v[high], -1, p)
+                if inverse > half:
+                    inverse -= p
+                for i, x in v.items():
+                    x *= inverse
+                    v[i] = x if -half <= x <= half else (x + half) % p - half
+                kept[high] = v
                 break
-            q = v[low]
+            q = v[high]
             for i, b in pivot.items():
-                w = (v.get(i, 0) - q * b) % p
+                w = v.get(i, 0) - q * b
+                if not -half <= w <= half:
+                    w = (w + half) % p - half
                 if w:
                     v[i] = w
                 else:
-                    v.pop(i, None)
+                    # -q*b is a unit, so w vanishes only where v has an entry.
+                    del v[i]
     return len(kept)
 
 

@@ -4,11 +4,15 @@ complex and the homomorphism check.
 Each function walks every argument tuple in lexicographic order and
 evaluates the defining formula on it, encoding tuples digit by digit; the
 package builds the same tables from row maps and entrywise index maps.
-Builders return (table, basepoint).
+Builders return (table, basepoint).  rack_boundary_faces is the chain
+complex's earlier face-by-face builder, which finds each face by index
+arithmetic; the package now builds d_k from d_{k-1}.
 """
 
 from itertools import product
 from math import gcd
+
+from nracks.core import entrywise
 
 
 def _index(digits, base):
@@ -111,6 +115,33 @@ def rack_boundary_columns(rack, max_degree):
                 for target, s in ((kept, sign), (acted, -sign)):
                     idx = _index(target, M)
                     col[idx] = col.get(idx, 0) + s
+            degree_cols.append({i: v for i, v in col.items() if v != 0})
+        cols.append(degree_cols)
+    return cols
+
+
+def rack_boundary_faces(rack, max_degree):
+    """cols[k][j] of the rack complex on the binary rack, face by face: j
+    splits by divmod into the index of (x_1,...,x_{i-1}), x_i and the
+    index of (x_{i+1},...,x_k), and x_i acting on the head is read from
+    the entrywise table for that length."""
+    M = rack.size
+    acts = [[entrywise(rack.row(x), L, M) for x in range(M)] for L in range(max_degree)]
+    cols = [[]]
+    for k in range(1, max_degree + 1):
+        degree_cols = []
+        for j in range(M**k):
+            col = {}
+            for i in range(2, k + 1):
+                sign = 1 if i % 2 == 0 else -1
+                # j = (head * M + x) * scale + tail, x the i-th entry.
+                scale = M ** (k - i)
+                rest, tail = divmod(j, scale)
+                head, x = divmod(rest, M)
+                kept = head * scale + tail
+                acted = acts[i - 1][x][head] * scale + tail
+                col[kept] = col.get(kept, 0) + sign
+                col[acted] = col.get(acted, 0) - sign
             degree_cols.append({i: v for i, v in col.items() if v != 0})
         cols.append(degree_cols)
     return cols

@@ -227,10 +227,11 @@ def test_check_one_element_table(tmp_path):
     assert all(flags.values())
 
 
-@pytest.mark.parametrize("degrees, top", [("1-3", 3), ("1-800", 800)])
+@pytest.mark.parametrize("degrees, top", [("1-3", 3), ("1-800", 800), ("1-40000", 40000)])
 def test_homology_one_element_all_degrees(tmp_path, degrees, top):
     # Every chain rank is 1, so the column budget never trips: the build
-    # must stay cheap in the top degree on its own.
+    # and each degree's group must stay cheap in the top degree on its own,
+    # with no pass over all the degrees for each one.
     path = tmp_path / "one.json"
     path.write_text(
         dump_document({"arity": 2, "size": 1, "basepoint": None, "table": [0]})

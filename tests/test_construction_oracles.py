@@ -30,6 +30,7 @@ from nracks import (
     symmetric_group,
 )
 from nracks.core import entrywise
+from nracks.homology import DEFAULT_COLUMN_BUDGET
 
 ARITIES = (2, 3, 4)
 
@@ -145,22 +146,31 @@ def test_reduce_matches_oracle(name, R):
     assert _built(reduce_nrack_to_rack(R)) == oracle.reduce(R)
 
 
-@pytest.mark.parametrize(
-    "X, max_degree",
-    [
-        (one_element_nrack(2), 6),
-        (dihedral_nrack(3), 4),
-        (trivial_nrack(2, 2), 4),
-        (trivial_nrack(3, 2), 3),
-        (build_z4_module_nrack(2, 4), 4),
-        (build_z4_module_nrack(3, 4), 2),
-        (build_conjugation_nrack(symmetric_group(3), 2), 3),
-        (FiniteNRack(2, 4, tuple((y + 1) % 4 for x in range(4) for y in range(4))), 4),
-    ],
+RACKS4 = [FiniteNRack(2, 4, t) for t in enumerate_nracks(2, 4).representatives]
+BUILD_FIXTURES = (
+    REDUCE_FIXTURES
+    + [(f"rack4-{i:02d}", R) for i, R in enumerate(RACKS4)]
+    + [("one(2) to degree 6", one_element_nrack(2))]
 )
-def test_rack_complex_columns_match_oracle(X, max_degree):
-    C = rack_chain_complex(X, max_degree)
-    assert C.cols == oracle.rack_boundary_columns(C.rack, max_degree)
+
+
+def test_order_four_racks_are_the_nineteen_classes():
+    assert len(RACKS4) == 19
+
+
+@pytest.mark.parametrize("name, X", BUILD_FIXTURES, ids=[name for name, _ in BUILD_FIXTURES])
+def test_rack_complex_columns_match_oracle(name, X):
+    # Up to degree 4, or the highest degree within the default column
+    # budget; degrees 0 and 1 as well.
+    M = X.size ** (X.arity - 1)
+    top = 6 if M == 1 else max(k for k in range(5) if M**k <= DEFAULT_COLUMN_BUDGET)
+    for max_degree in sorted({0, 1, top}):
+        C = rack_chain_complex(X, max_degree)
+        assert C.ranks == [M**k for k in range(max_degree + 1)]
+        want = oracle.rack_boundary_faces(C.rack, max_degree)
+        for k in range(max_degree + 1):
+            assert C.cols[k] == want[k], k
+    assert C.cols == oracle.rack_boundary_columns(C.rack, top)
 
 
 def test_is_homomorphism_matches_oracle():

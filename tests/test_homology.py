@@ -64,6 +64,7 @@ def test_one_element_complex_all_boundaries_vanish():
 def test_trivial_rack_boundaries_vanish():
     C = rack_chain_complex(trivial_nrack(2, 2), 3)
     assert C.ranks == [1, 2, 4, 8]
+    assert [C.rank(k) for k in range(4)] == C.ranks
     for k in range(1, 4):
         assert all(col == {} for col in C.cols[k])
 

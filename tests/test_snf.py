@@ -139,13 +139,13 @@ _ENTRIES = st.sampled_from([0, 0, 0, 1, -1, 1, -1, 2, -2, 3, -4, 6])
 
 
 @st.composite
-def _sparse_matrices(draw):
+def _sparse_matrices(draw, entries=_ENTRIES):
     """Tall, wide and square matrices with some rows and columns zeroed."""
     rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
     zero_rows = draw(st.sets(st.integers(0, rows - 1), max_size=rows // 2))
     zero_cols = draw(st.sets(st.integers(0, cols - 1), max_size=cols // 2))
     return [
-        [0 if i in zero_rows or j in zero_cols else draw(_ENTRIES) for j in range(cols)]
+        [0 if i in zero_rows or j in zero_cols else draw(entries) for j in range(cols)]
         for i in range(rows)
     ]
 
@@ -238,14 +238,50 @@ def test_rank_certificate_counts_factors_the_prime_does_not_divide():
     assert sparse_invariant_factors([{}, {5: 0}]) == ()
 
 
-@settings(max_examples=300, deadline=None)
-@given(_sparse_matrices(), st.sampled_from([2, 3, 5, CERTIFICATE_PRIME]))
-def test_rank_mod_p_matches_sympy(M, p):
-    # The certificate reduces the shortest columns first; the rank must be
-    # sympy's over GF(p) whatever the order.  Small primes divide some
-    # entries, so the rank modulo p can fall below the rank over Q.
+def _rank_mod_p_lowest_row(columns, p):
+    """The earlier certificate: residues in [0, p), each column reduced by
+    its lowest row, shortest columns first."""
+    kept = {}
+    for col in sorted(columns, key=len):
+        v = {i: x % p for i, x in col.items() if x % p}
+        while v:
+            low = min(v)
+            pivot = kept.get(low)
+            if pivot is None:
+                inverse = pow(v[low], -1, p)
+                kept[low] = {i: x * inverse % p for i, x in v.items()}
+                break
+            q = v[low]
+            for i, b in pivot.items():
+                w = (v.get(i, 0) - q * b) % p
+                if w:
+                    v[i] = w
+                else:
+                    v.pop(i, None)
+    return len(kept)
+
+
+def _matrices_mod_p(p):
+    """Sparse matrices with entries up to +-3p: multiples of p, the ends of
+    the symmetric range [-p/2, p/2] and one past them, at every multiple."""
+    half = p // 2
+    edges = [s * (m * p + e) for s in (1, -1) for m in (0, 1, 2) for e in (0, half, half + 1)]
+    edges += [3 * p, -3 * p]
+    entries = _ENTRIES | st.sampled_from(edges) | st.integers(-3 * p, 3 * p)
+    return st.tuples(st.just(p), _sparse_matrices(entries))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from([2, 3, 5, CERTIFICATE_PRIME]).flatmap(_matrices_mod_p))
+def test_rank_mod_p_matches_sympy(case):
+    # The certificate reduces the shortest columns first by their highest
+    # row; the rank must be sympy's over GF(p) and the lowest-row
+    # reduction's.  Small primes divide some entries, so the rank modulo p
+    # can fall below the rank over Q.
+    p, M = case
     want = DomainMatrix.from_list(M, ZZ).convert_to(GF(p)).rank()
     assert snf._rank_mod_p(_columns(M), p) == want
+    assert _rank_mod_p_lowest_row(_columns(M), p) == want
 
 
 def test_sparse_engine_leaves_its_input_unchanged():
