@@ -246,22 +246,18 @@ def reduce_nrack_to_rack(R: FiniteNRack) -> FiniteRack:
     Tuples are indexed lexicographically, first coordinate most
     significant.  Pointed at the all-basepoint tuple when R is pointed.
     R's own axiom scan is the one kept on R by validate, so reducing an
-    already validated table does not scan it again.  The output is
-    re-validated once per reduction; an n-rack always reduces to a rack.
+    already validated table does not scan it again.  The output is not
+    scanned: an n-rack always reduces to a rack, and to a quandle exactly
+    when it is an n-quandle.
     """
     m, n = R.size, R.arity
     M = m ** (n - 1)
     _check_table_budget(M, 2)
-    report = validate(R)
-    if not report.is_nrack:
+    if not validate(R).is_nrack:
         raise ValueError("reduce requires a valid n-rack")
     table = [v for a in range(M) for v in entrywise(R.table[a * m : (a + 1) * m], n - 1, m)]
     basepoint = None if R.basepoint is None else R.index((R.basepoint,) * (n - 1))
-    rack = FiniteRack(M, tuple(table), basepoint)
-    out = validate_rack(rack)
-    if not out.is_nrack:
-        raise AssertionError("reduction of a valid n-rack failed the rack axioms")
-    return rack
+    return FiniteRack(M, tuple(table), basepoint)
 
 
 @dataclass(frozen=True)

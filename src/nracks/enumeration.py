@@ -18,7 +18,9 @@ disagree) and still has to pass the filter.  Otherwise the candidates are
 the filter's rows (the permutations fixing the elements the filter
 names, involutions for n-keis) that lie in the centralizer of every such
 earlier row; each centralizer is computed once per call.  The remaining
-instances are checked as soon as all rows they touch are assigned.
+instances are checked as soon as all rows they touch are assigned.  So
+a complete table the search accepts has passed every distributivity
+instance and, row by row, the filter, and it is emitted as it stands.
 Entering a prefix counts m! placements, one for each row a scan over
 every permutation would try, so the budget is passed exactly where that
 scan passes it.
@@ -28,19 +30,12 @@ from dataclasses import dataclass
 from itertools import chain, permutations, product, repeat
 from math import factorial
 
-from .core import FiniteNRack, classify, entrywise, first_product_past
+from .core import entrywise, first_product_past
 from .errors import BudgetExceededError
 
 DEFAULT_CANDIDATE_BUDGET = 2_000_000
 
-# The classification flag each filter keeps.
-FILTER_FLAGS = {
-    "nrack": "is_nrack",
-    "weak-n-quandle": "is_weak_nquandle",
-    "n-quandle": "is_nquandle",
-    "n-kei": "is_nkei",
-}
-FILTERS = tuple(FILTER_FLAGS)
+FILTERS = ("nrack", "weak-n-quandle", "n-quandle", "n-kei")
 
 
 @dataclass(frozen=True)
@@ -254,10 +249,8 @@ def enumerate_nracks(
             options[t] = iter(candidates(t))
             continue
         # A full table: every relabeling still tied fixes it.
-        table = tuple(v for r in rows for v in r)
-        if getattr(classify(FiniteNRack(n, m, table)), FILTER_FLAGS[filter_name]):
-            count_total += factorial(m) // (1 + len(ties))
-            representatives.append(table)
+        count_total += factorial(m) // (1 + len(ties))
+        representatives.append(tuple(v for r in rows for v in r))
 
     return EnumerationReport(
         arity=n,

@@ -28,8 +28,9 @@ form data by universal-coefficient reduction:
     H_k(X; Z/d) = (Z/d)^rho + sum_i Z/gcd(d, t_i) + sum_j Z/gcd(d, u_j)
 
 with rho the integral free rank, t_i the torsion of integral H_k, and u_j
-the torsion of integral H_{k-1}.  Every gcd divides d, so d itself is
-never factored.  Tests cross-check this against direct mod-p Gaussian
+the torsion of integral H_{k-1}.  Every gcd divides d, and the gcds are
+put in a divisibility chain by gcd and lcm steps, so no number is ever
+factored.  Tests cross-check this against direct mod-p Gaussian
 elimination on all fixtures.
 """
 
@@ -315,8 +316,8 @@ def _group_from_matrices(rank: int, out_factors, in_factors, A: CoefficientGroup
         torsion = tuple(d for d in in_factors if d > 1)
         return AbelianGroupInvariants(free_rank=free, torsion=torsion)
     d = A.modulus
-    # Every part divides d, so the free summands Z/d close the chain
-    # without factoring d.
+    # Every part divides d, so the free summands Z/d close the chain; the
+    # parts are chained by gcd and lcm, and nothing is factored.
     parts = [gcd(d, t) for t in in_factors if t > 1]
     parts += [gcd(d, u) for u in out_factors if u > 1]
     torsion = invariants_from_cyclic_orders(parts) + (d,) * free

@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import lcm, prod
 
 
@@ -286,9 +286,7 @@ def levi_civita_nalgebra(dimension: int) -> LeibnizNAlgebra:
     if dimension < 3:
         raise ValueError("need dimension >= 3 for a (d-1)-ary bracket")
     entries = []
-    for perm in product(range(dimension), repeat=dimension):
-        if len(set(perm)) != dimension:
-            continue
+    for perm in permutations(range(dimension)):
         sign = 1
         for i in range(dimension):
             for j in range(i + 1, dimension):

@@ -17,6 +17,7 @@ row, with residues held in the symmetric range [-p/2, p/2].
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 
 # 2^61 - 1, a Mersenne prime: the rank of a matrix over F_p is the number
 # of its invariant factors that p does not divide.
@@ -375,39 +376,19 @@ def group_from_diagonal(diagonal, ambient_rank: int) -> AbelianGroupInvariants:
     )
 
 
-def _factorize(d: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    p = 2
-    while p * p <= d:
-        while d % p == 0:
-            out[p] = out.get(p, 0) + 1
-            d //= p
-        p += 1
-    if d > 1:
-        out[d] = out.get(d, 0) + 1
-    return out
-
-
 def invariants_from_cyclic_orders(orders) -> tuple[int, ...]:
     """Canonical divisibility chain of a direct sum of cyclic groups Z/o.
 
     Orders equal to 1 are dropped; the result d_1 | d_2 | ... is unique.
+    No order is factored: each is folded into the chain from the bottom by
+    Z/d + Z/o = Z/gcd(d, o) + Z/lcm(d, o), the gcd taking d's place and the
+    lcm moving up.
     """
-    primes: dict[int, list[int]] = {}
+    chain: list[int] = []
     for o in orders:
-        if o == 1:
-            continue
         if o < 1:
             raise ValueError(f"cyclic order must be positive, got {o}")
-        for p, e in _factorize(o).items():
-            primes.setdefault(p, []).append(e)
-    if not primes:
-        return ()
-    width = max(len(v) for v in primes.values())
-    chain = [1] * width
-    for p, exps in primes.items():
-        exps = sorted(exps)
-        pad = [0] * (width - len(exps)) + exps
-        for i, e in enumerate(pad):
-            chain[i] *= p**e
+        for i, d in enumerate(chain):
+            chain[i], o = gcd(d, o), lcm(d, o)
+        chain.append(o)
     return tuple(d for d in chain if d > 1)

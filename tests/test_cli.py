@@ -562,12 +562,13 @@ def _small_module_group_bundle(tmp_path):
         (["inner", "--input", "dihedral"], 0, 1),
         (["assoc-group", "--input", "dihedral"], 0, 1),
         (["construct", "module-group", "--input", "bundle"], 0, 1),
-        # The input, then the reduced rack once: the degenerate subcomplex
-        # reads the reduced rack its complex keeps.
-        (["homology", "--input", "dihedral", "--variant", "R", "--degrees", "1-2"], 0, 2),
-        (["homology", "--input", "dihedral", "--variant", "Q", "--degrees", "1-2"], 0, 2),
+        # The input alone: the reduced rack is a rack by theorem, and the
+        # degenerate subcomplex reads the reduced rack its complex keeps.
+        (["homology", "--input", "dihedral", "--variant", "R", "--degrees", "1-2"], 0, 1),
+        (["homology", "--input", "dihedral", "--variant", "Q", "--degrees", "1-2"], 0, 1),
         (["homology", "--input", "mod2", "--degrees", "1-2"], 1, 1),
-        # The input, then the reduced rack, whose report the CLI reuses.
+        # The input, then the reduced rack, which the CLI validates before
+        # printing it.
         (["construct", "reduce", "--input", "z4"], 0, 2),
         (["reduce", "--input", "z4"], 0, 2),
     ],
@@ -693,13 +694,16 @@ def test_leibniz_self_derivation_is_the_fundamental_identity_verdict(
     + [["enumerate", "--n", "3", "--m", "3"]],
 )
 def test_enumeration_classifies_each_representative_once(monkeypatch, capsys, argv):
-    # The orderly search emits only lex-least tables, so no isomorphism
-    # test is needed, and classify runs once per class, not per table.
-    iso, cycle_types, classified = (
+    # The only classification of a representative is the search itself: it
+    # emits only lex-least tables, so no isomorphism test is needed, and
+    # every table it accepts has passed the axioms and the filter row by
+    # row, so none is classified, validated or scanned again.
+    counted = [
         _count_calls(monkeypatch, "nracks.core", attr)
-        for attr in ("find_isomorphism", "translation_cycle_types", "classify")
-    )
+        for attr in ("find_isomorphism", "translation_cycle_types", "classify", "validate",
+                     "check_left_distributive")
+    ]
     assert main(argv) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert (len(iso), len(cycle_types)) == (0, 0)
-    assert len(classified) == doc["count_up_to_iso"] == len(doc["representatives"])
+    assert doc["count_up_to_iso"] == len(doc["representatives"]) > 0
+    assert counted == [[], [], [], [], []]

@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 
 import nracks.constructions
-from helpers import dihedral_nrack, one_element_nrack, trivial_nrack
+from helpers import axiom_fixture_set, dihedral_nrack, one_element_nrack, trivial_nrack
 from nracks import (
     BudgetExceededError,
     ConstructionError,
@@ -25,6 +25,7 @@ from nracks import (
     classify,
     cyclic_group,
     dihedral_group,
+    enumerate_nracks,
     find_isomorphism,
     is_homomorphism,
     lift_rack_to_nrack,
@@ -241,6 +242,38 @@ def test_reduce_after_lift_is_valid_rack():
         rack = reduce_nrack_to_rack(lift_rack_to_nrack(Q, n))
         assert validate_rack(rack).is_nrack
     assert lift_rack_to_nrack(Q, 2).table == Q.table
+
+
+def _reduction_tables():
+    # The census tables are pointed at their last element, so that the
+    # basepoint's image is checked off the zero index.
+    named = list(axiom_fixture_set())
+    named += [
+        (f"census(n={n},m={m})#{i}", FiniteNRack(n, m, table, basepoint=m - 1))
+        for n, sizes in ((2, range(1, 6)), (3, range(1, 4)), (4, (2,)), (5, (2,)))
+        for m in sizes
+        for i, table in enumerate(enumerate_nracks(n, m).representatives)
+    ]
+    return named
+
+
+REDUCTION_TABLES = _reduction_tables()
+
+
+@pytest.mark.parametrize(
+    "R", [R for _, R in REDUCTION_TABLES], ids=[name for name, _ in REDUCTION_TABLES]
+)
+def test_an_nrack_reduces_to_a_rack_that_is_a_quandle_exactly_for_an_nquandle(R):
+    # reduce_nrack_to_rack does not validate its output; these are the
+    # theorems that let it skip the scan.
+    rack = reduce_nrack_to_rack(R)
+    assert validate(rack).is_nrack
+    assert classify(rack).is_nquandle == classify(R).is_nquandle
+    m, n = R.size, R.arity
+    if R.basepoint is None:
+        assert rack.basepoint is None
+    else:
+        assert rack.basepoint == sum(R.basepoint * m**i for i in range(n - 1))
 
 
 def test_module_group_trivial_collapse():

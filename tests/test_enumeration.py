@@ -81,6 +81,30 @@ def test_representatives_satisfy_filter_and_are_nonisomorphic():
                 assert find_isomorphism(A, B) is None
 
 
+FILTER_FLAGS = {
+    "nrack": "is_nrack",
+    "weak-n-quandle": "is_weak_nquandle",
+    "n-quandle": "is_nquandle",
+    "n-kei": "is_nkei",
+}
+FLAG_CASES = [
+    (n, m, f) for n, top in ((2, 6), (3, 3)) for m in range(1, top + 1) for f in FILTER_NAMES
+] + [(3, 4, "n-quandle")]
+
+
+@pytest.mark.parametrize(
+    "arity, size, filter_name", FLAG_CASES, ids=["-".join(map(str, c)) for c in FLAG_CASES]
+)
+def test_every_representative_classifies_with_its_filter_flag(arity, size, filter_name):
+    # The search emits the tables it accepts without classifying them: a
+    # complete table has passed every distributivity instance and, row by
+    # row, the filter.
+    flag = FILTER_FLAGS[filter_name]
+    for t in enumerate_nracks(arity, size, filter_name).representatives:
+        flags = classify(FiniteNRack(arity, size, t))
+        assert flags.is_nrack and getattr(flags, flag), t
+
+
 def test_representative_is_least_in_class():
     for arity, size in ((2, 3), (2, 4), (3, 3)):
         for f in FILTER_NAMES:

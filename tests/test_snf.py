@@ -8,6 +8,7 @@ from sympy.matrices.normalforms import invariant_factors as sympy_invariant_fact
 from sympy.polys.matrices import DomainMatrix
 
 from helpers import boundary_dense, dihedral_nrack
+from oracle_snf import invariants_by_factoring
 from nracks import (
     AbelianGroupInvariants,
     abelianization,
@@ -308,6 +309,22 @@ def test_invariants_from_cyclic_orders():
     assert invariants_from_cyclic_orders([1, 1]) == ()
     assert invariants_from_cyclic_orders([]) == ()
     assert invariants_from_cyclic_orders([12, 18, 2]) == (2, 6, 36)
+    for orders in ([0], [3, -2]):
+        with pytest.raises(ValueError, match="must be positive"):
+            invariants_from_cyclic_orders(orders)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.integers(1, 200), max_size=10))
+def test_invariants_from_cyclic_orders_match_the_factoring_oracle(orders):
+    assert invariants_from_cyclic_orders(orders) == invariants_by_factoring(orders)
+
+
+def test_invariants_from_cyclic_orders_never_factor_an_order():
+    # Trial division would run to about 1.5e9 on this prime.
+    p = 2**61 - 1
+    assert invariants_from_cyclic_orders([p]) == (p,)
+    assert invariants_from_cyclic_orders([4 * p, 6, p]) == (2 * p, 12 * p)
 
 
 def test_group_from_diagonal():
