@@ -170,7 +170,8 @@ def _cmd_homology_common(args, compute) -> int:
         jsonio.dump_line(jsonio.homology_result_to_json(compute(complex_, k, coeffs)))
         for k in degrees
     ]
-    _write("\n".join(lines) + "\n", args.output)
+    # The matrices go before the answer: a dump that cannot be written is
+    # an input error with no answer on stdout or in the output file.
     if args.dump_matrices:
         os.makedirs(args.dump_matrices, exist_ok=True)
         for k in range(1, complex_.max_degree + 1):
@@ -179,6 +180,7 @@ def _cmd_homology_common(args, compute) -> int:
             )
             with open(path, "w", encoding="utf-8") as handle:
                 handle.write(complex_.boundary_triplets(k))
+    _write("\n".join(lines) + "\n", args.output)
     return 0
 
 

@@ -96,8 +96,9 @@ class ChainComplex:
     basis[k-1]) to its integer coefficient.  Ranks and max_degree are read
     off the basis: rank(k) = len(basis[k]), ranks lists every rank, and
     max_degree = len(basis) - 1.
-    The invariant factors of each d_k are computed on first use and kept
-    with the complex; the boundary columns must not change afterwards.
+    The invariant factors of each d_k are computed on first use, from its
+    rows (see factors), and kept with the complex; the boundary columns
+    must not change afterwards.
     """
 
     rack: FiniteRack
@@ -124,9 +125,19 @@ class ChainComplex:
         return [len(b) for b in self.basis]
 
     def factors(self, k: int) -> tuple[int, ...]:
-        """Invariant factors of d_k as stored, factored once per complex."""
+        """Invariant factors of d_k, factored once per complex.
+
+        The factors are those of the coboundary d_k^T: its columns are the
+        nonzero rows of d_k, indexed by column position.  d_k is at least
+        as wide as it is tall, and most of its columns lie in the kernel;
+        eliminating by rows leaves only the dependent rows to reduce.
+        """
         if k not in self._factors:
-            self._factors[k] = sparse_invariant_factors(self.cols[k])
+            rows: list[dict[int, int]] = [{} for _ in range(self.rank(k - 1))]
+            for j, col in enumerate(self.cols[k]):
+                for i, v in col.items():
+                    rows[i][j] = v
+            self._factors[k] = sparse_invariant_factors([row for row in rows if row])
         return self._factors[k]
 
     def boundary_triplets(self, k: int) -> str:
@@ -351,7 +362,7 @@ def cohomology(C: ChainComplex, k: int, A: CoefficientGroup = CoefficientGroup()
     """H^k over A: homology of the dual complex, ker d_{k+1}^T / im d_k^T.
 
     A matrix and its transpose have the same invariant factors, so H^k is
-    derived from the factors of d_k and d_{k+1} as stored, the same ones
-    homology uses, with the roles of the two maps swapped.
+    derived from the factors of d_k and d_{k+1} (see ChainComplex.factors),
+    the same ones homology uses, with the roles of the two maps swapped.
     """
     return _derived_group(C, k, A, k + 1, k)

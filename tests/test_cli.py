@@ -323,6 +323,30 @@ def test_dump_matrices(workspace, tmp_path):
     assert (outdir / "boundary_R_3.txt").exists()
 
 
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output"])
+@pytest.mark.parametrize("blocked", ["directory", "matrix"])
+def test_unwritable_dump_exits_2_without_an_answer(capsys, workspace, tmp_path, to_file, blocked):
+    if blocked == "directory":
+        # A regular file where a parent of the dump directory should be.
+        (tmp_path / "blocker").write_text("not a directory")
+        mats = tmp_path / "blocker" / "mats"
+    else:
+        # A directory where the last matrix file should be.
+        mats = tmp_path / "mats"
+        (mats / "boundary_R_3.txt").mkdir(parents=True)
+    output = tmp_path / "groups.jsonl"
+    argv = ["homology", "--input", str(workspace["dihedral"]), "--degrees", "1-2",
+            "--dump-matrices", str(mats)]
+    if to_file:
+        argv += ["--output", str(output)]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert not output.exists()
+    assert err.startswith("input error")
+    assert "Traceback" not in err
+
+
 def test_assoc_group_command(tmp_path):
     z4 = tmp_path / "z4.json"
     assert run_cli("construct", "z4", "--n", "3", "--output", str(z4)).returncode == 0
@@ -615,12 +639,13 @@ def test_each_boundary_map_is_factored_once(monkeypatch, capsys, workspace, comm
     argv = [command, "--input", str(workspace["dihedral"]), "--degrees", "1-3"]
     assert main(argv) == 0
     capsys.readouterr()
-    # --degrees 1-3 builds d_1 .. d_4; each is factored once, on its stored
-    # sparse columns: d_k has 3^k columns with rows below 3^(k-1).
+    # --degrees 1-3 builds d_1 .. d_4; each is factored once, on its nonzero
+    # rows, the columns of the coboundary: d_k has at most 3^(k-1) of them,
+    # over column indices below 3^k, and d_1 = 0 has none.
     shapes = sorted(
         (len(cols), max((i for col in cols for i in col), default=-1)) for (cols,) in calls
     )
-    assert shapes == [(3, -1), (9, 2), (27, 8), (81, 26)]
+    assert shapes == [(0, -1), (3, 7), (9, 25), (27, 79)]
 
 
 @pytest.mark.parametrize(

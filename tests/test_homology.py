@@ -17,13 +17,14 @@ from nracks import (
     classify,
     cohomology,
     degenerate_subcomplex,
+    enumerate_nracks,
     homology,
     quandle_quotient_complex,
     rack_chain_complex,
     symmetric_group,
 )
 from nracks.homology import CoefficientGroup, reduced_rack_table
-from nracks.snf import invariant_factors
+from nracks.snf import invariant_factors, sparse_invariant_factors
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "homology_tables.json")
 
@@ -251,7 +252,7 @@ def _transposed_sympy_factors(CX, k):
 
 
 def test_cohomology_matches_sympy_on_transposed_maps():
-    # cohomology factors d_k and d_{k+1} as stored; the oracle transposes
+    # cohomology reuses the factors of d_k and d_{k+1}; the oracle transposes
     # them first, as the dual complex has it, and factors them with sympy:
     # H^k = ker d_{k+1}^T / im d_k^T.  Degree 4 is included because the
     # first torsion in H^k of dihedral_z3 (Z/3, variants R and Q) is there.
@@ -270,6 +271,47 @@ def test_cohomology_matches_sympy_on_transposed_maps():
                     tuple(f for f in arriving if f > 1))
             got = cohomology(CX, k, Z).invariants
             assert (got.free_rank, got.torsion) == want, (name, variant, k)
+
+
+def _complexes_for_the_row_side(case):
+    """(label, complex) pairs whose boundary maps the orientation test factors."""
+    if case == "order4-R":
+        racks = enumerate_nracks(2, 4).representatives
+        assert len(racks) == 19
+        return [(f"R{i}", rack_chain_complex(FiniteNRack(2, 4, t), 4))
+                for i, t in enumerate(racks)]
+    if case == "order4-DQ":
+        quandles = [FiniteNRack(2, 4, t) for t in enumerate_nracks(2, 4).representatives]
+        quandles = [R for R in quandles if classify(R).is_nquandle]
+        assert len(quandles) == 7
+        out = []
+        for i, R in enumerate(quandles):
+            C = rack_chain_complex(R, 4)
+            D = degenerate_subcomplex(R, C)
+            out += [(f"D{i}", D), (f"Q{i}", quandle_quotient_complex(C, D))]
+        return out
+    if case == "dihedral-R6":
+        return [("dihedral", rack_chain_complex(dihedral_nrack(3), 6))]
+    if case == "z4n3-R3":
+        return [("z4", rack_chain_complex(build_z4_module_nrack(3, 4), 3))]
+    return [("one", rack_chain_complex(one_element_nrack(2), 4))]
+
+
+@pytest.mark.parametrize(
+    "case", ["order4-R", "order4-DQ", "dihedral-R6", "z4n3-R3", "one-element"]
+)
+def test_factors_by_rows_match_the_stored_columns_and_sympy(case):
+    # ChainComplex.factors eliminates the rows of d_k (the columns of the
+    # coboundary); the oracle factors the stored columns of d_k as given,
+    # and sympy factors the dense map where it has at most 81 columns.
+    for label, C in _complexes_for_the_row_side(case):
+        for k in range(1, C.max_degree + 1):
+            got = C.factors(k)
+            assert got == sparse_invariant_factors(C.cols[k]), (label, k)
+            if C.rank(k) <= 81:
+                dense = Matrix(C.rank(k - 1), C.rank(k), lambda i, j: C.cols[k][j].get(i, 0))
+                want = tuple(int(f) for f in sympy_invariant_factors(dense) if f != 0)
+                assert got == want, (label, k)
 
 
 def test_mod_p_agrees_with_direct_gaussian_elimination():
@@ -334,7 +376,7 @@ def test_rank_bookkeeping_against_sympy():
         ("z4(n=3)", "R", {1: (8, ()), 2: (64, ())}),
         ("z4(n=2)", "R", {4: (16, ())}),
         ("dihedral_z3", "R", {5: (1, (3, 3, 3, 3))}),
-        ("conj(S3,n=2)", "Q", {3: (12, (3, 3, 3, 3, 9))}),
+        ("conj(S3,n=2)", "Q", {3: (12, (3, 3, 3, 3, 9)), 4: (24, (3,) * 12 + (9,) * 5)}),
     ],
 )
 def test_large_cases(table, variant, expected):
