@@ -45,8 +45,9 @@ from .core import FiniteNRack, classify, validate
 from .errors import BudgetExceededError, SubcomplexError
 from .snf import (
     AbelianGroupInvariants,
+    Factorization,
+    certified_factors,
     invariants_from_cyclic_orders,
-    sparse_invariant_factors,
 )
 
 DEFAULT_COLUMN_BUDGET = 20000
@@ -72,13 +73,13 @@ class CoefficientGroup:
 
     @classmethod
     def parse(cls, text: str) -> "CoefficientGroup":
-        """Accepts "Z" or "Z/d"."""
-        text = text.strip()
+        """Accepts "Z", or "Z/" followed by the ASCII digits of some d >= 2."""
         if text == "Z":
             return cls.integers()
-        if text.startswith("Z/"):
-            return cls.cyclic(int(text[2:]))
-        raise ValueError(f"cannot parse coefficient group {text!r}")
+        digits = text[2:]
+        if text.startswith("Z/") and digits.isascii() and digits.isdigit() and int(digits) >= 2:
+            return cls.cyclic(int(digits))
+        raise ValueError(f"cannot parse coefficient group {text!r}: expected Z or Z/d, d >= 2")
 
     def __str__(self) -> str:
         return "Z" if self.modulus == 0 else f"Z/{self.modulus}"
@@ -96,18 +97,30 @@ class ChainComplex:
     basis[k-1]) to its integer coefficient.  Ranks and max_degree are read
     off the basis: rank(k) = len(basis[k]), ranks lists every rank, and
     max_degree = len(basis) - 1.
-    The invariant factors of each d_k are computed on first use, from its
-    rows (see factors), and kept with the complex; the boundary columns
-    must not change afterwards.
+    Every instance has d_{k-1} d_k = 0, checked exactly on construction;
+    factors relies on it.  The invariant factors of each d_k are computed
+    on first use (see factors) and kept with the complex, with the row keys
+    they pivoted on; the boundary columns must not change afterwards.
     """
 
     rack: FiniteRack
     basis: list[Sequence[int]]
     cols: list[list[dict[int, int]]]
     variant: str = "R"
-    _factors: dict[int, tuple[int, ...]] = field(
+    _factors: dict[int, Factorization] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+
+    def __post_init__(self):
+        for k in range(2, self.max_degree + 1):
+            lower = self.cols[k - 1]
+            for col in self.cols[k]:
+                acc: dict[int, int] = {}
+                for r, coeff in col.items():
+                    for i, v in lower[r].items():
+                        acc[i] = acc.get(i, 0) + coeff * v
+                if any(acc.values()):
+                    raise AssertionError("boundary does not square to zero")
 
     @property
     def carrier_size(self) -> int:
@@ -125,19 +138,41 @@ class ChainComplex:
         return [len(b) for b in self.basis]
 
     def factors(self, k: int) -> tuple[int, ...]:
-        """Invariant factors of d_k, factored once per complex.
+        """Invariant factors of d_k, factored once per complex."""
+        return self._factorization(k).factors
+
+    def _factorization(self, k: int) -> Factorization:
+        """Certified factors of d_k, from the rows of d_k that d_{k-1}
+        leaves independent.
 
         The factors are those of the coboundary d_k^T: its columns are the
         nonzero rows of d_k, indexed by column position.  d_k is at least
         as wide as it is tall, and most of its columns lie in the kernel;
         eliminating by rows leaves only the dependent rows to reduce.
+
+        Fewer rows still suffice.  If d_{k-1}[A, B] is invertible, then
+        d_{k-1}[A, :] d_k = 0 puts rows B of d_k in the span of the others,
+        B': d_k[B, :] = -d_{k-1}[A, B]^-1 d_{k-1}[A, B'] d_k[B', :].  So d_{k-1}
+        is factored first, and each side of the engine drops the rows its
+        own pivots on d_{k-1} name: the elimination the keys of its +-1
+        pivots, a unimodular block, so the invariant factors do not change;
+        the certificate the highest rows of its kept vectors, a block that
+        is nonsingular modulo its prime, so the rank there does not change.
+        The certificate's input thus has the rank of the whole of d_k, and
+        its keys never come from the elimination.
         """
         if k not in self._factors:
             rows: list[dict[int, int]] = [{} for _ in range(self.rank(k - 1))]
             for j, col in enumerate(self.cols[k]):
                 for i, v in col.items():
                     rows[i][j] = v
-            self._factors[k] = sparse_invariant_factors([row for row in rows if row])
+            units = rank = ()
+            if k > 1:
+                _, units, rank = self._factorization(k - 1)
+            self._factors[k] = certified_factors(
+                [row for i, row in enumerate(rows) if row and i not in units],
+                [row for i, row in enumerate(rows) if row and i not in rank],
+            )
         return self._factors[k]
 
     def boundary_triplets(self, k: int) -> str:
@@ -160,18 +195,6 @@ class HomologyResult:
     invariants: AbelianGroupInvariants
     variant: str
     coefficients: CoefficientGroup
-
-
-def _check_boundary_squared(C: ChainComplex) -> None:
-    for k in range(2, C.max_degree + 1):
-        lower = C.cols[k - 1]
-        for col in C.cols[k]:
-            acc: dict[int, int] = {}
-            for r, coeff in col.items():
-                for i, v in lower[r].items():
-                    acc[i] = acc.get(i, 0) + coeff * v
-            if any(acc.values()):
-                raise AssertionError("boundary does not square to zero")
 
 
 def reduced_rack_table(X: FiniteNRack) -> list[list[int]]:
@@ -234,9 +257,7 @@ def rack_chain_complex(
                 degree_cols.append(col)
         cols.append(degree_cols)
     basis = [range(M**k) for k in range(max_degree + 1)]
-    complex_ = ChainComplex(rack=rack, basis=basis, cols=cols, variant="R")
-    _check_boundary_squared(complex_)
-    return complex_
+    return ChainComplex(rack=rack, basis=basis, cols=cols, variant="R")
 
 
 def _degenerate_split(C: ChainComplex) -> tuple[list[list[int]], list[list[int]]]:
@@ -276,9 +297,7 @@ def _restrict(
                     )
             degree_cols.append(col)
         cols.append(degree_cols)
-    sub = ChainComplex(rack=C.rack, basis=basis, cols=cols, variant=variant)
-    _check_boundary_squared(sub)
-    return sub
+    return ChainComplex(rack=C.rack, basis=basis, cols=cols, variant=variant)
 
 
 def degenerate_subcomplex(X: FiniteNRack, C: ChainComplex) -> ChainComplex:

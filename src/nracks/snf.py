@@ -9,15 +9,24 @@ factor 1, and hands only what is left to the dense smith_normal_form (after
 Dumas, Saunders & Villard, J. Symb. Comp. 32, 2001).  Every answer is
 certified before it is returned: the unit-pivot steps are unimodular by
 construction, the residual's S = U*R*V is checked exactly, and the rank of
-the whole input modulo CERTIFICATE_PRIME must match the factors.  That rank
+the input modulo CERTIFICATE_PRIME must match the factors.  That rank
 comes from a separate elimination (_rank_mod_p) in another order and
 another arithmetic: columns shortest first, each reduced by its highest
 row, with residues held in the symmetric range [-p/2, p/2].
+
+certified_factors is the same engine with the certificate given its own
+input, and it returns the keys each side pivoted on.  A chain complex uses
+it to factor d_k from fewer columns than d_k^T has (see
+homology.ChainComplex.factors): the elimination and the certificate each
+leave out the columns that their own pivots on d_{k-1} make dependent.
+Both inputs have the rank of the whole map, so the certificate still
+certifies the whole map, and it never reads what the elimination found.
 """
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
+from typing import NamedTuple
 
 # 2^61 - 1, a Mersenne prime: the rank of a matrix over F_p is the number
 # of its invariant factors that p does not divide.
@@ -201,15 +210,44 @@ def sparse_invariant_factors(columns) -> tuple[int, ...]:
     modified.  Raises AssertionError, and returns nothing, when the
     residual's product check or the rank certificate fails.
     """
-    units, residual = _eliminate_unit_pivots(columns)
-    factors = (1,) * units + _residual_factors(residual)
-    rank = _rank_mod_p(columns)
-    if rank != sum(1 for d in factors if d % CERTIFICATE_PRIME):
+    return certified_factors(columns, columns).factors
+
+
+class Factorization(NamedTuple):
+    """Certified invariant factors, with the row keys each side pivoted on.
+
+    unit_keys: the rows of the +-1 pivots.  With the pivot columns they
+    index a square submatrix that is unimodular: column operations among
+    the pivot columns make it triangular with +-1 on the diagonal.
+    rank_keys: the highest rows of the vectors the certificate kept.  With
+    the columns those vectors came from they index a square submatrix that
+    is nonsingular modulo CERTIFICATE_PRIME, by the same argument.
+    """
+
+    factors: tuple[int, ...]
+    unit_keys: set
+    rank_keys: set
+
+
+def certified_factors(columns, certificate_columns) -> Factorization:
+    """Invariant factors of the matrix with the given columns, certified by
+    the rank modulo CERTIFICATE_PRIME of the matrix with certificate_columns.
+
+    The certificate holds only when the two matrices have the same rank
+    modulo the prime: pass the same columns, or columns that a lemma
+    proves to have it (see homology.ChainComplex.factors).  Raises
+    AssertionError, and returns nothing, when the residual's product check
+    or the rank certificate fails.
+    """
+    unit_keys, residual = _eliminate_unit_pivots(columns)
+    factors = (1,) * len(unit_keys) + _residual_factors(residual)
+    rank_keys = _rank_mod_p(certificate_columns)
+    if len(rank_keys) != sum(1 for d in factors if d % CERTIFICATE_PRIME):
         raise AssertionError(
-            f"rank certificate failed: rank {rank} modulo {CERTIFICATE_PRIME} "
+            f"rank certificate failed: rank {len(rank_keys)} modulo {CERTIFICATE_PRIME} "
             f"against {len(factors)} invariant factors"
         )
-    return factors
+    return Factorization(factors, unit_keys, rank_keys)
 
 
 def _eliminate_unit_pivots(columns):
@@ -222,8 +260,9 @@ def _eliminate_unit_pivots(columns):
     justify, as the pivot row is zero outside the pivot.  Each step is
     unimodular and splits off the invariant factor 1.
 
-    Returns (number of pivots, residual columns), the residual holding the
-    nonzero columns that are left, none of them with a +-1 entry.
+    Returns (the rows of the pivots, residual columns), the residual
+    holding the nonzero columns that are left, none of them with a +-1
+    entry.
     """
     cols = {}
     for j, col in enumerate(columns):
@@ -239,7 +278,7 @@ def _eliminate_unit_pivots(columns):
     # until it changes again.
     heap = [(len(col), j) for j, col in cols.items()]
     heapify(heap)
-    units = 0
+    pivots = set()
     while heap:
         length, j = heappop(heap)
         col = cols.get(j)
@@ -271,8 +310,8 @@ def _eliminate_unit_pivots(columns):
         for i in col:
             rows[i].discard(j)
         del cols[j], rows[best]
-        units += 1
-    return units, list(cols.values())
+        pivots.add(best)
+    return pivots, list(cols.values())
 
 
 def _residual_factors(residual) -> tuple[int, ...]:
@@ -292,8 +331,9 @@ def _residual_factors(residual) -> tuple[int, ...]:
     return tuple(S[t][t] for t in range(len(S[0])) if S[t][t])
 
 
-def _rank_mod_p(columns, p: int = CERTIFICATE_PRIME) -> int:
-    """Rank over F_p of the matrix with the given sparse columns.
+def _rank_mod_p(columns, p: int = CERTIFICATE_PRIME) -> set:
+    """Rank over F_p of the matrix with the given sparse columns, as the
+    highest rows of the vectors it keeps: as many as the rank.
 
     Independent of the unit-pivot elimination: each column is reduced
     against the kept ones by its highest row until it vanishes or its
@@ -335,7 +375,7 @@ def _rank_mod_p(columns, p: int = CERTIFICATE_PRIME) -> int:
                 else:
                     # -q*b is a unit, so w vanishes only where v has an entry.
                     del v[i]
-    return len(kept)
+    return set(kept)
 
 
 def determinant(M) -> int:

@@ -1,0 +1,204 @@
+"""Boundary maps factored along the chain.
+
+ChainComplex.factors hands the engine only the rows of d_k that the pivots
+of d_{k-1} leave independent: the elimination drops the keys of its +-1
+pivots on d_{k-1}, the certificate the highest rows of the vectors it kept.
+Checked here against the per-map factors of the whole of each d_k, against
+sympy on random integer complexes with torsion, and the certificate's rank
+on its reduced input against the rank of the whole map.
+"""
+
+import importlib
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import Matrix
+from sympy.matrices.normalforms import invariant_factors as sympy_invariant_factors
+
+from helpers import dihedral_nrack
+from nracks import (
+    FiniteNRack,
+    FiniteRack,
+    build_conjugation_nrack,
+    build_z4_module_nrack,
+    degenerate_subcomplex,
+    enumerate_nracks,
+    quandle_quotient_complex,
+    rack_chain_complex,
+    symmetric_group,
+)
+from nracks import snf
+from nracks.homology import ChainComplex
+from nracks.snf import sparse_invariant_factors
+
+homology_module = importlib.import_module("nracks.homology")
+
+
+def _rows(C, k):
+    """Every row of d_k, the columns of the coboundary: row i as {j: entry}."""
+    rows = [{} for _ in range(C.rank(k - 1))]
+    for j, col in enumerate(C.cols[k]):
+        for i, v in col.items():
+            rows[i][j] = v
+    return rows
+
+
+def per_map_factors(C, k):
+    """The invariant factors of d_k from all of its nonzero rows, each map
+    on its own: how every map was factored before the chain was used."""
+    return sparse_invariant_factors([row for row in _rows(C, k) if row])
+
+
+def _certified_inputs(C, monkeypatch):
+    """Factor every map of the fresh complex C through the top one and
+    return the engine's inputs, (columns, certificate columns) of d_k at
+    index k - 1: factors(k) factors d_{k-1} before it calls the engine."""
+    inputs = []
+    engine = homology_module.certified_factors
+
+    def record(columns, certificate_columns):
+        inputs.append((columns, certificate_columns))
+        return engine(columns, certificate_columns)
+
+    monkeypatch.setattr(homology_module, "certified_factors", record)
+    C.factors(C.max_degree)
+    monkeypatch.undo()
+    assert len(inputs) == C.max_degree
+    return inputs
+
+
+def _check_along_the_chain(C, monkeypatch):
+    inputs = _certified_inputs(C, monkeypatch)
+    for k, (columns, certificate_columns) in enumerate(inputs, start=1):
+        rows = _rows(C, k)
+        # Each side drops exactly the rows its own keys on d_{k-1} name.
+        units, rank = C._factorization(k - 1)[1:] if k > 1 else ((), ())
+        assert columns == [row for i, row in enumerate(rows) if row and i not in units]
+        assert certificate_columns == [row for i, row in enumerate(rows) if row and i not in rank]
+        assert C.factors(k) == per_map_factors(C, k)
+        assert len(snf._rank_mod_p(certificate_columns)) == len(snf._rank_mod_p(rows))
+        if k > 1:
+            # The lemma's blocks: the columns of d_{k-1} at the unit keys
+            # split off unit factors only, and those at the rank keys are
+            # independent modulo the certificate prime.
+            below = C.cols[k - 1]
+            assert sparse_invariant_factors([below[j] for j in units]) == (1,) * len(units)
+            assert len(snf._rank_mod_p([below[j] for j in rank])) == len(rank)
+
+
+def _variants(R, top):
+    C = rack_chain_complex(R, top)
+    if any(C.rack.op(a, a) != a for a in range(C.carrier_size)):
+        return [("R", C)]
+    D = degenerate_subcomplex(R, C)
+    return [("R", C), ("D", D), ("Q", quandle_quotient_complex(C, D))]
+
+
+RACK_CENSUS = [FiniteNRack(2, 4, table) for table in enumerate_nracks(2, 4).representatives]
+
+
+@pytest.mark.parametrize("index", range(len(RACK_CENSUS)))
+def test_census_racks_factor_along_the_chain(monkeypatch, index):
+    # The order-4 rack census to degree 4, with D and Q for the quandles.
+    for _, C in _variants(RACK_CENSUS[index], 4):
+        _check_along_the_chain(C, monkeypatch)
+
+
+@pytest.mark.parametrize(
+    "name, R, top, variant",
+    [
+        ("dihedral3 R", dihedral_nrack(3), 6, "R"),
+        ("z4(n=3) R", build_z4_module_nrack(3, 4), 3, "R"),
+        ("conj(S3) Q", build_conjugation_nrack(symmetric_group(3), 2), 5, "Q"),
+    ],
+    ids=lambda x: x if isinstance(x, str) else "",
+)
+def test_larger_complexes_factor_along_the_chain(monkeypatch, name, R, top, variant):
+    C = dict(_variants(R, top))[variant]
+    _check_along_the_chain(C, monkeypatch)
+
+
+def test_torsion_beside_dropped_rows():
+    # Every nonzero entry of a census map is +-1, but conj(S3) Q factors
+    # d_4 without the 20 rows that the unit pivots of d_3 name, beside
+    # torsion that the dense residual keeps.
+    C = dict(_variants(build_conjugation_nrack(symmetric_group(3), 2), 4))["Q"]
+    assert [d for d in C.factors(4) if d > 1] == [3, 3, 3, 3, 9]
+    assert len(C._factorization(3).unit_keys) == 20
+
+
+def test_a_boundary_that_does_not_square_to_zero_is_refused():
+    # d_1 d_2 = 1 on Z <- Z <- Z: no instance is built.
+    trivial = FiniteRack(1, (0,))
+    basis = [range(1)] * 3
+    with pytest.raises(AssertionError, match="boundary does not square to zero"):
+        ChainComplex(rack=trivial, basis=basis, cols=[[], [{0: 1}], [{0: 1}]])
+    assert ChainComplex(rack=trivial, basis=basis, cols=[[], [{0: 2}], [{}]]).factors(1) == (2,)
+
+
+# -------------------------------------------------- random integer complexes
+
+_MULTIPLIERS = st.sampled_from([0, 1, -1, 1, 2, -2, 3, 4, -6, 9])
+
+
+def _unimodular(draw, n):
+    """A random unimodular n x n matrix P with its inverse, as a product of
+    elementary row additions."""
+    P = [[int(i == j) for j in range(n)] for i in range(n)]
+    inverse = [list(row) for row in P]
+    if n < 2:
+        return P, inverse
+    for _ in range(draw(st.integers(0, 3 * n))):
+        i, j = draw(st.permutations(range(n)))[:2]
+        c = draw(st.sampled_from([1, -1, 2, -3]))
+        # P <- E P and inverse <- inverse E^-1, E = I + c e_i e_j^T.
+        P[i] = [a + c * b for a, b in zip(P[i], P[j])]
+        for row in inverse:
+            row[j] -= c * row[i]
+    return P, inverse
+
+
+def _product(A, B):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
+
+
+@st.composite
+def _integer_complexes(draw):
+    """Dense d_1 .. d_top of a complex over Z: a direct sum of free summands
+    and elementary pieces Z --a--> Z from degree k to k - 1, the multiplier
+    a leaving Z/|a| in degree k - 1, mixed in each degree by a unimodular
+    change of basis P_k, so that d_k becomes P_{k-1} d_k P_k^-1."""
+    top = draw(st.integers(2, 4))
+    ranks = [draw(st.integers(0, 1)) for _ in range(top + 1)]
+    pieces = []
+    for k, a in draw(st.lists(st.tuples(st.integers(1, top), _MULTIPLIERS), max_size=9)):
+        pieces.append((k, ranks[k], ranks[k - 1], a))
+        ranks[k] += 1
+        ranks[k - 1] += 1
+    maps = [None] + [[[0] * ranks[k] for _ in range(ranks[k - 1])] for k in range(1, top + 1)]
+    for k, j, i, a in pieces:
+        maps[k][i][j] = a
+    bases = [_unimodular(draw, r) for r in ranks]
+    for k in range(1, top + 1):
+        if ranks[k - 1] and ranks[k]:
+            maps[k] = _product(_product(bases[k - 1][0], maps[k]), bases[k][1])
+    return ranks, maps
+
+
+@settings(max_examples=250, deadline=None)
+@given(_integer_complexes())
+def test_random_complexes_with_torsion_factor_along_the_chain(complex_):
+    ranks, maps = complex_
+    cols = [[]] + [
+        [{i: row[j] for i, row in enumerate(M) if row[j]} for j in range(ranks[k])]
+        for k, M in enumerate(maps[1:], start=1)
+    ]
+    C = ChainComplex(rack=FiniteRack(1, (0,)), basis=[range(r) for r in ranks], cols=cols)
+    for k in range(len(ranks) - 1, 0, -1):
+        want = per_map_factors(C, k)
+        assert C.factors(k) == want
+        if ranks[k - 1] and ranks[k]:
+            assert want == tuple(
+                int(x) for x in sympy_invariant_factors(Matrix(maps[k])) if x != 0
+            )

@@ -635,17 +635,24 @@ def test_degenerate_subcomplex_reads_the_reduced_rack_of_its_complex(monkeypatch
 
 @pytest.mark.parametrize("command", ["homology", "cohomology"])
 def test_each_boundary_map_is_factored_once(monkeypatch, capsys, workspace, command):
-    calls = _count_calls(monkeypatch, "nracks.homology", "sparse_invariant_factors")
+    calls = _count_calls(monkeypatch, "nracks.homology", "certified_factors")
     argv = [command, "--input", str(workspace["dihedral"]), "--degrees", "1-3"]
     assert main(argv) == 0
     capsys.readouterr()
     # --degrees 1-3 builds d_1 .. d_4; each is factored once, on its nonzero
-    # rows, the columns of the coboundary: d_k has at most 3^(k-1) of them,
-    # over column indices below 3^k, and d_1 = 0 has none.
+    # rows, the columns of the coboundary, over column indices below 3^k
+    # (the last, the constant k-tuple, is a zero column of d_k).  d_k has
+    # 3^(k-1) rows, none of them zero for k >= 2, and d_1 = 0 has none.
+    # Both the elimination and the certificate leave out one row per pivot
+    # of d_{k-1}: ranks 0, 2 and 6 for k = 2, 3, 4, as H_1 = H_2 = Z with
+    # no torsion.  So each gets 3 - 0, 9 - 2 and 27 - 6 rows.
     shapes = sorted(
-        (len(cols), max((i for col in cols for i in col), default=-1)) for (cols,) in calls
+        tuple((len(cols), max((i for col in cols for i in col), default=-1)) for cols in args)
+        for args in calls
     )
-    assert shapes == [(0, -1), (3, 7), (9, 25), (27, 79)]
+    assert shapes == [
+        ((0, -1), (0, -1)), ((3, 7), (3, 7)), ((7, 25), (7, 25)), ((21, 79), (21, 79))
+    ]
 
 
 @pytest.mark.parametrize(
@@ -654,13 +661,53 @@ def test_each_boundary_map_is_factored_once(monkeypatch, capsys, workspace, comm
      ["assoc-group", "--input", "dihedral"]],
 )
 def test_failed_certificate_exits_4_without_an_answer(monkeypatch, capsys, workspace, argv):
-    monkeypatch.setattr(snf, "_rank_mod_p", lambda columns, p=snf.CERTIFICATE_PRIME: -1)
+    # More kept rows than columns: a rank no matrix has.
+    monkeypatch.setattr(
+        snf, "_rank_mod_p", lambda columns, p=snf.CERTIFICATE_PRIME: range(len(columns) + 1)
+    )
     argv = [str(workspace[a]) if a == "dihedral" else a for a in argv]
     assert main(argv) == 4
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("internal error: rank certificate failed")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "spelling", ["Z/0", "Z/1", "Z/+4", "Z/ 4", "Z/\u0664", "Z/", "Z/-2", " Z", "Z/4 ", "z/4", "Q"]
+)
+def test_malformed_coefficients_exit_2_without_an_answer(capsys, workspace, spelling):
+    argv = ["homology", "--input", str(workspace["dihedral"]), "--degrees", "1-2",
+            "--coefficients", spelling]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"input error: cannot parse coefficient group {spelling!r}")
+
+
+@pytest.mark.parametrize("d", [2, 4, 6])
+def test_cyclic_coefficients_are_read_as_given(capsys, workspace, d):
+    argv = ["homology", "--input", str(workspace["dihedral"]), "--degrees", "1-2",
+            "--coefficients", f"Z/{d}"]
+    assert main(argv) == 0
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert lines == [
+        {"coefficients": f"Z/{d}", "degree": k, "free_rank": 0, "torsion": [d], "variant": "R"}
+        for k in (1, 2)
+    ]
+
+
+def test_a_boundary_that_does_not_square_to_zero_exits_4(monkeypatch, capsys, workspace):
+    # x o y = x + y mod 3 permutes each row but is not left distributive,
+    # so the complex built on it fails its d.d = 0 check.
+    not_a_rack = FiniteRack(3, tuple((x + y) % 3 for x in range(3) for y in range(3)))
+    monkeypatch.setattr(
+        importlib.import_module("nracks.homology"), "reduce_nrack_to_rack", lambda X: not_a_rack
+    )
+    assert main(["homology", "--input", str(workspace["dihedral"]), "--degrees", "1-2"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "internal error: boundary does not square to zero\n"
 
 
 @pytest.mark.parametrize(

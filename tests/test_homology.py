@@ -51,6 +51,9 @@ def test_coefficient_group_parse():
     assert str(CoefficientGroup.cyclic(3)) == "Z/3"
     with pytest.raises(ValueError):
         CoefficientGroup.parse("Q")
+    for text in ("Z/0", "Z/1", "Z/+4", "Z/ 4", "Z/\u0664", " Z"):
+        with pytest.raises(ValueError, match="cannot parse coefficient group"):
+            CoefficientGroup.parse(text)
     with pytest.raises(ValueError):
         CoefficientGroup.cyclic(1)
 

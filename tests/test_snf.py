@@ -25,6 +25,7 @@ from nracks import snf
 from nracks.snf import (
     CERTIFICATE_PRIME,
     _assert_product,
+    certified_factors,
     determinant,
     group_from_diagonal,
     invariants_from_cyclic_orders,
@@ -159,6 +160,24 @@ def test_sparse_engine_matches_sympy(M):
     assert invariant_factors(M) == want
 
 
+def _rank_gf(rows, p):
+    return DomainMatrix.from_list(rows, ZZ).convert_to(GF(p)).rank() if rows else 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sparse_matrices())
+def test_pivot_keys_name_blocks_the_chain_can_drop(M):
+    # The rows at the unit keys split off unit factors only, and those at
+    # the rank keys are independent modulo the certificate prime.
+    factorization = certified_factors(_columns(M), _columns(M))
+    assert factorization.factors == _sympy_factors(M)
+    unit_rows = [M[i] for i in factorization.unit_keys]
+    assert (_sympy_factors(unit_rows) if unit_rows else ()) == (1,) * len(unit_rows)
+    rank_rows = [M[i] for i in factorization.rank_keys]
+    rank = _rank_gf(rank_rows, CERTIFICATE_PRIME)
+    assert rank == len(rank_rows) == sum(1 for d in factorization.factors if d % CERTIFICATE_PRIME)
+
+
 @st.composite
 def _wide_residual_matrices(draw):
     """[A 0; 0 B] with rows and columns shuffled.  B is r x c with no +-1
@@ -218,7 +237,7 @@ def test_unit_pivots_alone_factor_torsion_free_maps_and_relators():
 @pytest.mark.parametrize(
     "corrupt, M",
     [
-        (lambda units, residual: (units - 1, residual),
+        (lambda units, residual: (set(sorted(units)[1:]), residual),
          boundary_dense(rack_chain_complex(dihedral_nrack(3), 3), 3)),
         (lambda units, residual: (units, residual[1:]), [[2, 0], [0, 3]]),
     ],
@@ -281,8 +300,11 @@ def test_rank_mod_p_matches_sympy(case):
     # can fall below the rank over Q.
     p, M = case
     want = DomainMatrix.from_list(M, ZZ).convert_to(GF(p)).rank()
-    assert snf._rank_mod_p(_columns(M), p) == want
+    kept = snf._rank_mod_p(_columns(M), p)
+    assert len(kept) == want
     assert _rank_mod_p_lowest_row(_columns(M), p) == want
+    # The kept highest rows are independent: the certificate's block.
+    assert _rank_gf([M[i] for i in kept], p) == want
 
 
 def test_sparse_engine_leaves_its_input_unchanged():
