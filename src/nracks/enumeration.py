@@ -7,7 +7,10 @@ it lexicographically smaller.  Every complete table the search accepts
 is therefore the least member of its isomorphism class, tables come out
 in lexicographic order, and no two are isomorphic.  The labeled tables
 of a class number m!/|Aut T|, where the automorphisms of T are the
-relabelings that leave it unchanged.
+relabelings that leave it unchanged.  A relabeled row is compared with
+the table's on its first two entries before it is built, since most
+relabelings differ there, and each distinct row's action on the prefixes,
+its inverse and the inverse's action are computed once per call.
 
 Rows are permutations of the carrier (translation bijectivity row by
 row), and each prefix tries only the rows its constraints allow, in
@@ -95,9 +98,12 @@ def enumerate_nracks(
     # if m! * m^(n-1) passes the budget, so does the search.
     if _passes_budget(chain(range(2, m + 1), repeat(m, n - 1 if m > 1 else 0)), budget):
         raise _budget_error(budget, max(budget, 0) + 1)
-    prefix_count = m ** (n - 1)
-    all_rows = [list(p) for p in permutations(range(m))]
-    fixed = [_fixed_points(p, filter_name) for p in product(range(m), repeat=n - 1)]
+    # On one element the only prefix is (0,...,0); the prefix (0,) has the
+    # same entries, fixed points and index, and costs nothing in n.
+    length = n - 1 if m > 1 else 1
+    prefix_count = m**length
+    all_rows = list(permutations(range(m)))
+    fixed = [_fixed_points(p, filter_name) for p in product(range(m), repeat=length)]
     involutive = filter_name == "n-kei"
 
     def inverse_of(row):
@@ -117,9 +123,11 @@ def enumerate_nracks(
     filter_rows = {f: [i for i, r in enumerate(all_rows) if admissible(f, r)] for f in set(fixed)}
     centralizers: dict[tuple[int, ...], set[int]] = {}
 
-    # Per prefix t on the search path: the row placed there, its inverse,
-    # and the index of phi.p for every prefix p, phi the row or its inverse.
-    rows, inverses, acts, inverse_acts = ([None] * prefix_count for _ in range(4))
+    # Per prefix t on the search path: the row placed there, and its entry
+    # in actions: (the index of phi.p for every prefix p, phi^-1, the index
+    # of phi^-1.p), computed once per distinct row.
+    rows, placed = [None] * prefix_count, [None] * prefix_count
+    actions = {}
     placements = 0
     count_total = 0
     representatives: list[tuple[int, ...]] = []
@@ -135,28 +143,29 @@ def enumerate_nracks(
 
     def constraints(t: int):
         """(forced, commuting) at prefix t, given the rows before t: the row
-        the pinning instances force ([] if two force different rows, None
-        if none applies), and the rows row t must commute with, by value."""
-        forced, commuting = None, {}
+        the pinning instances force (() if two force different rows, None
+        if none applies), and the set of rows row t must commute with."""
+        forced, commuting = None, set()
         for px in range(t):
-            phi, inverse = rows[px], inverses[px]
+            phi = rows[px]
+            act, inverse, inverse_act = placed[px]
             pins = []
-            pz = acts[px][t]
+            pz = act[t]
             if pz == t:
-                commuting[tuple(phi)] = phi
+                commuting.add(phi)
             elif pz < t:
-                pins.append([inverse[rows[pz][phi[y]]] for y in range(m)])
-            py = inverse_acts[px][t]
+                pins.append(tuple([inverse[rows[pz][phi[y]]] for y in range(m)]))
+            py = inverse_act[t]
             if py < t:
-                pins.append([phi[rows[py][inverse[z]]] for z in range(m)])
+                pins.append(tuple([phi[rows[py][inverse[z]]] for z in range(m)]))
             for pin in pins:
                 if forced is None:
                     forced = pin
                 elif pin != forced:
-                    return [], commuting
+                    return (), commuting
         return forced, commuting
 
-    def candidates(t: int) -> list[list[int]]:
+    def candidates(t: int) -> list[tuple[int, ...]]:
         """The rows prefix t may take, in lexicographic order: the forced
         row alone, or the filter's rows that commute with every row in
         commuting.  Entering a prefix counts the m! placements of a scan
@@ -168,21 +177,23 @@ def enumerate_nracks(
         forced, commuting = constraints(t)
         if forced is not None:
             ok = forced and admissible(fixed[t], forced)
-            return [forced] if ok and all(commutes(forced, r) for r in commuting.values()) else []
+            return [forced] if ok and all(commutes(forced, r) for r in commuting) else []
         pool = filter_rows[fixed[t]]
-        for key, phi in commuting.items():
-            if key not in centralizers:
-                centralizers[key] = {i for i, r in enumerate(all_rows) if commutes(phi, r)}
-            pool = [i for i in pool if i in centralizers[key]]
+        for phi in commuting:
+            if phi not in centralizers:
+                centralizers[phi] = {i for i, r in enumerate(all_rows) if commutes(phi, r)}
+            pool = [i for i in pool if i in centralizers[phi]]
         return [all_rows[i] for i in pool]
 
     def distributive_at(t: int) -> bool:
         # The instances with outer prefix t: the others are in candidates.
-        phi, act = rows[t], acts[t]
+        phi, act = rows[t], placed[t][0]
         for py in range(t + 1):
             pz = act[py]
             if pz <= t:
                 row_y, row_z = rows[py], rows[pz]
+                if phi[row_y[0]] != row_z[phi[0]]:
+                    return False
                 if [phi[y] for y in row_y] != [row_z[y] for y in phi]:
                     return False
         return True
@@ -190,7 +201,7 @@ def enumerate_nracks(
     # Relabeling s as (s, s^-1, the index of s^-1.p for every prefix p, and
     # prefix_count past the last, where a relabeling tied on every row waits).
     relabelings = [
-        (sigma, inverse := inverse_of(sigma), entrywise(inverse, n - 1, m) + [prefix_count])
+        (sigma, inverse := inverse_of(sigma), entrywise(inverse, length, m) + [prefix_count])
         for sigma in all_rows[1:]
     ]
 
@@ -201,7 +212,9 @@ def enumerate_nracks(
         w = max(q, s^-1 q) is placed.  None if some T^s is smaller; else the
         (s, q, w) still equal so far.  Both sides' earlier rows are fixed, so
         a smaller T^s stays smaller in every completion, and a larger one
-        can be dropped."""
+        can be dropped.  Row q of T^s is compared on its entries 0 and 1
+        first (a relabeling moves at least two points, so m >= 2), and built
+        whole only when both tie: most relabelings differ there."""
         out = []
         for entry in tied:
             if entry[2] > t:
@@ -210,10 +223,14 @@ def enumerate_nracks(
             relabeling, q, _ = entry
             sigma, inverse, acted = relabeling
             while True:
-                row = rows[acted[q]]
-                image = [sigma[row[y]] for y in inverse]
-                if image != rows[q]:
-                    if image < rows[q]:
+                row, target = rows[acted[q]], rows[q]
+                image, want = sigma[row[inverse[0]]], target[0]
+                if image == want:
+                    image, want = sigma[row[inverse[1]]], target[1]
+                    if image == want:
+                        image, want = tuple([sigma[row[y]] for y in inverse]), target
+                if image != want:
+                    if image < want:
                         return None
                     break
                 q += 1
@@ -235,15 +252,16 @@ def enumerate_nracks(
         if row is None:
             t -= 1
             continue
-        acts[t] = entrywise(row, n - 1, m)
+        if row not in actions:
+            inverse = inverse_of(row)
+            actions[row] = (entrywise(row, length, m), inverse, entrywise(inverse, length, m))
+        placed[t] = actions[row]
         if not distributive_at(t):
             continue
         ties = still_tied(t, tied[t])
         if ties is None:
             continue
         if t + 1 < prefix_count:
-            inverses[t] = inverse_of(row)
-            inverse_acts[t] = entrywise(inverses[t], n - 1, m)
             t += 1
             tied[t] = ties
             options[t] = iter(candidates(t))

@@ -6,12 +6,15 @@ fixtures and on the enumerated census (n=2 with m <= 4, n=3 with m <= 3):
 - for n-quandles, the free rank of H^Q_k is |O| (|O| - 1)^(k-1)
   (Litherland & Nelson, JPAA 178, 2003);
 - the abelianized associated group is free on the orbits of X, as every
-  relator abelianizes to e_[xs] - e_{x_n}, in both relator forms.
+  relator abelianizes to e_[xs] - e_{x_n}, in both relator forms;
+- the connected quandles of prime order p are the p - 2 affine ones
+  (Etingof, Soloviev & Guralnick, J. Algebra 242, 2001).
 """
 
 import pytest
 
 from helpers import axiom_fixture_set, dihedral_nrack
+from oracle_enumeration import canonical_form
 from nracks import (
     FiniteNRack,
     abelianization,
@@ -85,3 +88,19 @@ def test_conj_s3_quandle_betti_numbers_in_degrees_3_and_4():
     C = rack_chain_complex(R, 5)
     Q = quandle_quotient_complex(C, degenerate_subcomplex(R, C))
     assert [homology(Q, k).invariants.free_rank for k in (3, 4)] == [12, 24]
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_connected_quandles_of_prime_order_are_the_affine_ones(p):
+    # x.y = t y + (1 - t) x mod p for t = 2..p-1, one class each.
+    connected = {
+        t
+        for t in enumerate_nracks(2, p, "n-quandle").representatives
+        if len(orbits(FiniteNRack(2, p, t))) == 1
+    }
+    affine = {
+        canonical_form(tuple((t * y + (1 - t) * x) % p for x in range(p) for y in range(p)), p, 2)
+        for t in range(2, p)
+    }
+    assert len(connected) == p - 2
+    assert connected == affine
