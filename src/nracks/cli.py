@@ -35,7 +35,6 @@ from .homology import (
     cohomology,
     degenerate_subcomplex,
     homology,
-    quandle_quotient_complex,
     rack_chain_complex,
 )
 from .leibniz import (
@@ -136,13 +135,9 @@ def cmd_construct(args) -> int:
 
 
 def _build_variant_complex(R, variant: str, max_degree: int, budget: int):
-    full = rack_chain_complex(R, max_degree, budget=budget)
-    if variant == "R":
-        return full
-    sub = degenerate_subcomplex(R, full)
-    if variant == "D":
-        return sub
-    return quandle_quotient_complex(full, sub)
+    if variant != "D":
+        return rack_chain_complex(R, max_degree, budget=budget, variant=variant)
+    return degenerate_subcomplex(R, rack_chain_complex(R, max_degree, budget=budget))
 
 
 def _cmd_homology_common(args, compute) -> int:

@@ -587,7 +587,7 @@ def _small_module_group_bundle(tmp_path):
         (["assoc-group", "--input", "dihedral"], 0, 1),
         (["construct", "module-group", "--input", "bundle"], 0, 1),
         # The input alone: the reduced rack is a rack by theorem, and the
-        # degenerate subcomplex reads the reduced rack its complex keeps.
+        # quandle complex is built on it like the rack complex.
         (["homology", "--input", "dihedral", "--variant", "R", "--degrees", "1-2"], 0, 1),
         (["homology", "--input", "dihedral", "--variant", "Q", "--degrees", "1-2"], 0, 1),
         (["homology", "--input", "mod2", "--degrees", "1-2"], 1, 1),
@@ -711,11 +711,58 @@ def test_a_boundary_that_does_not_square_to_zero_exits_4(monkeypatch, capsys, wo
 
 
 @pytest.mark.parametrize(
+    "table, message",
+    [
+        # x o y = x + y mod 3 permutes each row, but 1 o 1 = 2: the
+        # degenerate tuple (1, 1) has a non-degenerate boundary.
+        ([(x + y) % 3 for x in range(3) for y in range(3)],
+         "degenerate basis not closed under the boundary in degree 2"),
+        # Idempotent bijective rows, so D is closed, but not left
+        # distributive: caught by d.d = 0 on Q itself.
+        ([0, 2, 1, 2, 1, 0, 0, 1, 2], "boundary does not square to zero"),
+    ],
+    ids=["not-idempotent", "not-distributive"],
+)
+def test_a_quandle_complex_on_a_faulty_reduced_rack_exits_4(
+    monkeypatch, capsys, workspace, table, message
+):
+    faulty = FiniteRack(3, tuple(table))
+    monkeypatch.setattr(
+        importlib.import_module("nracks.homology"), "reduce_nrack_to_rack", lambda X: faulty
+    )
+    argv = ["homology", "--input", str(workspace["dihedral"]), "--variant", "Q",
+            "--degrees", "1-3"]
+    assert main(argv) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"internal error: {message}\n"
+
+
+def test_the_quandle_complex_is_built_without_the_rack_complex(monkeypatch, capsys, workspace):
+    counted = [
+        _count_calls(monkeypatch, "nracks.homology", name)
+        for name in ("degenerate_subcomplex", "quandle_quotient_complex", "_degenerate_split")
+    ]
+    argv = ["homology", "--input", str(workspace["dihedral"]), "--variant", "Q",
+            "--degrees", "1-3"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert counted == [[], [], []]
+    # The counters do see the restriction path, which variant D still takes.
+    argv[argv.index("Q")] = "D"
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert [len(calls) for calls in counted] == [1, 0, 1]
+
+
+@pytest.mark.parametrize(
     "target, error",
     [
         ("enumerate_nracks", RecursionError("maximum recursion depth exceeded")),
         ("enumerate_nracks", MemoryError()),
-        ("degenerate_subcomplex", SubcomplexError("subcomplex basis is not the degenerate sub-basis")),
+        # The Q path builds the quandle complex directly, closure check and all.
+        ("rack_chain_complex",
+         SubcomplexError("degenerate basis not closed under the boundary in degree 2")),
     ],
     ids=["recursion", "memory", "subcomplex"],
 )

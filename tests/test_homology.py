@@ -23,7 +23,7 @@ from nracks import (
     rack_chain_complex,
     symmetric_group,
 )
-from nracks.homology import CoefficientGroup, reduced_rack_table
+from nracks.homology import ChainComplex, CoefficientGroup, reduced_rack_table
 from nracks.snf import invariant_factors, sparse_invariant_factors
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "homology_tables.json")
@@ -99,6 +99,30 @@ def test_boundary_squares_to_zero_dense():
         ]
         assert all(v == 0 for row in prod for v in row)
 
+
+
+@pytest.mark.parametrize(
+    "column, squares_to_zero",
+    [
+        ({}, True),
+        ({0: 2, 1: 1}, True),
+        ({0: -2, 1: -1}, True),
+        ({0: 1, 1: 1}, False),
+        ({0: -3, 2: 1}, False),
+        ({2: 2}, False),
+    ],
+)
+def test_the_square_check_weighs_every_coefficient(column, squares_to_zero):
+    # d_1 has entries of size 2 and 3 and rows that cancel across columns,
+    # so d_1 d_2 = 0 only when the coefficients of d_2 match them exactly.
+    rack = rack_chain_complex(dihedral_nrack(3), 1).rack
+    basis = [[0, 1], [0, 1, 2], [0]]
+    cols = [[], [{0: 1, 1: -1}, {0: -2, 1: 2}, {1: 3}], [column]]
+    if squares_to_zero:
+        ChainComplex(rack=rack, basis=basis, cols=cols)
+    else:
+        with pytest.raises(AssertionError, match="boundary does not square to zero"):
+            ChainComplex(rack=rack, basis=basis, cols=cols)
 
 def test_reduced_rack_table_of_z4_three_rack():
     rows = reduced_rack_table(build_z4_module_nrack(3, 4))

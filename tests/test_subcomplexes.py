@@ -1,12 +1,21 @@
 """The degenerate subcomplex D and the quandle quotient Q = C/D, entry for
 entry against the classical oracle, and the checks on the sub-basis that
-quandle_quotient_complex is given."""
+quandle_quotient_complex is given.  The quandle complex built directly on
+the non-degenerate tuples is checked against the restriction of the rack
+complex, and the three complexes against the Litherland-Nelson splitting."""
 
 import dataclasses
 
 import pytest
 
-from helpers import axiom_fixture_set, boundary_dense, dihedral_nrack, shift_nrack
+from helpers import (
+    axiom_fixture_set,
+    boundary_dense,
+    dihedral_nrack,
+    one_element_nrack,
+    shift_nrack,
+    trivial_nrack,
+)
 from oracle_cjkls import boundary_matrix
 from nracks import (
     FiniteNRack,
@@ -15,11 +24,15 @@ from nracks import (
     classify,
     degenerate_subcomplex,
     enumerate_nracks,
+    homology,
     quandle_quotient_complex,
     rack_chain_complex,
     symmetric_group,
 )
-from nracks.homology import reduced_rack_table
+from nracks.cli import main
+from nracks.homology import CoefficientGroup, reduced_rack_table
+from nracks.jsonio import dump_document, nrack_to_json
+from nracks.snf import invariants_from_cyclic_orders
 
 # Binary quandles small enough for dense oracle matrices in degrees 1-4
 # (at most 6**4 = 1296 columns).
@@ -92,3 +105,90 @@ def test_quotient_refuses_a_sub_basis_other_than_the_degenerate_one():
     lower = degenerate_subcomplex(R, rack_chain_complex(R, 2))
     with pytest.raises(SubcomplexError, match="does not match"):
         quandle_quotient_complex(C, lower)
+
+
+def _top_degree(R, cap=RANK_CAP):
+    M = R.size ** (R.arity - 1)
+    top = 1
+    while top < 4 and M ** (top + 1) <= cap:
+        top += 1
+    return top
+
+
+# (name, quandle, top degree) for the direct quandle complex: the order-4
+# quandles, the homology golden tables, the arity-3 quandles of order 3 (an
+# arity-3 lift of a non-trivial quandle is not an n-quandle), and every
+# n-quandle fixture.
+QUANDLES = [
+    ("dihedral(3)", dihedral_nrack(3), 6),
+    ("conj(S3,n=2)", build_conjugation_nrack(symmetric_group(3), 2), 4),
+    ("one_element", one_element_nrack(2), 6),
+    ("trivial_m2", trivial_nrack(2, 2), 6),
+    ("trivial_m3", trivial_nrack(2, 3), 5),
+]
+QUANDLES += [
+    (f"census(n=2,m=4)#{i}", FiniteNRack(2, 4, table), 4)
+    for i, table in enumerate(enumerate_nracks(2, 4, "n-quandle").representatives)
+]
+QUANDLES += [
+    (f"census(n=3,m=3)#{i}", FiniteNRack(3, 3, table), 3)
+    for i, table in enumerate(enumerate_nracks(3, 3, "n-quandle").representatives)
+]
+QUANDLES += [
+    (name, R, _top_degree(R))
+    for name, R in FIXTURES
+    if name not in {name for name, _, _ in QUANDLES}
+]
+
+
+@pytest.mark.parametrize(
+    "R, top", [(R, top) for _, R, top in QUANDLES], ids=[n for n, _, _ in QUANDLES]
+)
+def test_the_direct_quandle_complex_is_the_restriction(R, top):
+    for d in range(top + 1):
+        C = rack_chain_complex(R, d)
+        expected = quandle_quotient_complex(C, degenerate_subcomplex(R, C))
+        Q = rack_chain_complex(R, d, variant="Q")
+        assert (Q.variant, Q.rack) == ("Q", C.rack)
+        assert Q.basis == expected.basis, d
+        assert Q.cols == expected.cols, d
+
+
+def test_the_direct_quandle_complex_dumps_the_restricted_matrices(tmp_path):
+    R = build_conjugation_nrack(symmetric_group(3), 2)
+    path = tmp_path / "conj.json"
+    path.write_text(dump_document(nrack_to_json(R)))
+    out = tmp_path / "dump"
+    argv = ["homology", "--input", str(path), "--variant", "Q", "--degrees", "1-3",
+            "--dump-matrices", str(out), "--output", str(tmp_path / "answer.jsonl")]
+    assert main(argv) == 0
+    C = rack_chain_complex(R, 4)
+    expected = quandle_quotient_complex(C, degenerate_subcomplex(R, C))
+    assert sorted(p.name for p in out.iterdir()) == [f"boundary_Q_{k}.txt" for k in range(1, 5)]
+    for k in range(1, 5):
+        assert (out / f"boundary_Q_{k}.txt").read_text() == expected.boundary_triplets(k), k
+
+
+def test_the_quandle_complex_refuses_a_rack_that_is_not_a_quandle():
+    with pytest.raises(ValueError, match="requires an n-quandle"):
+        rack_chain_complex(shift_nrack(3), 2, variant="Q")
+    with pytest.raises(ValueError, match="unknown complex variant"):
+        rack_chain_complex(dihedral_nrack(3), 2, variant="D")
+
+
+# Litherland & Nelson, J. Pure Appl. Algebra 178 (2003): for a quandle the
+# rack homology splits as H_k^R = H_k^D + H_k^Q.  Degrees 1-3 need d_4: every
+# quandle above whose d_4 has at most 10,000 columns.
+SPLITTING = [(name, R) for name, R, _ in QUANDLES if _top_degree(R, 10_000) >= 4]
+
+
+@pytest.mark.parametrize("R", [R for _, R in SPLITTING], ids=[n for n, _ in SPLITTING])
+def test_rack_homology_is_degenerate_plus_quandle_homology(R):
+    C = rack_chain_complex(R, 4)
+    D = degenerate_subcomplex(R, C)
+    Q = rack_chain_complex(R, 4, variant="Q")
+    for A in (CoefficientGroup(0), CoefficientGroup(2), CoefficientGroup(3)):
+        for k in (1, 2, 3):
+            HR, HD, HQ = (homology(CX, k, A).invariants for CX in (C, D, Q))
+            assert HR.free_rank == HD.free_rank + HQ.free_rank, (A, k)
+            assert HR.torsion == invariants_from_cyclic_orders(HD.torsion + HQ.torsion), (A, k)
