@@ -58,21 +58,17 @@ def _load_table(path: str):
 
 
 def _parse_degrees(spec: str) -> list[tuple[int, int]]:
-    """Accepts "2", "1,2,3", and ranges "1-3" or "1..3"; returns the
+    """Accepts "2", "1,2,3", and ranges "1-3" or "1..3", each bound in
+    ASCII digits, spaces allowed around each part and bound; returns the
     (lo, hi) range of each comma-separated part, unexpanded."""
     ranges = []
     for part in spec.split(","):
         part = part.strip()
-        if ".." in part:
-            lo, hi = part.split("..", 1)
-        elif "-" in part and not part.lstrip("-").isdigit():
-            lo, hi = part.split("-", 1)
-        else:
-            lo = hi = part
-        try:
-            lo, hi = int(lo), int(hi)
-        except ValueError as exc:
-            raise ValueError(f"cannot parse degree specification {spec!r}") from exc
+        lo, sep, hi = part.partition(".." if ".." in part else "-")
+        bounds = [b.strip() for b in (lo, hi if sep else lo)]
+        if not all(b.isascii() and b.isdigit() for b in bounds):
+            raise ValueError(f"cannot parse degree specification {spec!r}")
+        lo, hi = map(int, bounds)
         if lo > hi:
             raise ValueError(f"empty degree range {part!r}")
         ranges.append((lo, hi))

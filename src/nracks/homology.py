@@ -10,38 +10,40 @@ abelian on k-tuples over Y, ordered lexicographically.  The boundary is
 where a*b is the left action of a on b in Y.  This is the unique reading
 of the classical rack boundary for which d.d = 0 holds on left racks; the
 identity is asserted on every construction.  Degree 0 has rank 1 (the
-empty tuple) with d_1 = 0, so H_0 = A.  Each boundary map is built from
-the one below it.  Splitting off the last entry x of a k-tuple (t, x),
-
-    d_k(t, x) = (d_{k-1}(t), x) + (-1)^k [ t - x.t ],
-
-where (c, x) appends x to every tuple of the chain c and x.t is x acting
-on each entry of t.  So column t*M + x of d_k is column t of d_{k-1} with
-each row r moved to r*M + x, plus the rows t and x.t, which may cancel.
-The index of x.t is read from a table of x acting entrywise on
-(k-1)-tuples, extended by one entry per degree, so the build is linear in
-the entries it writes.
+empty tuple) with d_1 = 0, so H_0 = A.
 
 For an n-quandle, the degenerate tuples (two consecutive entries equal)
 span a subcomplex D, and the quandle complex Q = C/D has the
 non-degenerate tuples as its basis, in the same lexicographic order; its
 boundary is d followed by the projection p that kills degenerate tuples.
-Q is built by the same recursion on the non-degenerate tuples alone: for
-non-degenerate t and x != last(t),
+
+One recursion builds both the rack complex R and Q, each boundary map
+from the one below it.  The children of a tuple t are the tuples (t, x).
+Q skips the child (t, last(t)), as (t, x) is degenerate when t is or when
+x = last(t); R is the case in which no child is skipped, read as every
+tuple having for its last entry a sentinel that no element equals, as the
+empty tuple has in both.  For each kept child,
 
     p d_k(t, x) = (p d_{k-1}(t), x) + (-1)^k [ t - x.t ],
 
-restricted to the rows r with last(r) != x, since (r, x) is degenerate
-when r is or when last(r) = x.  Each x acts bijectively, so x.t is again
-non-degenerate and no projection touches t - x.t.  Closure of D is
-verified, not assumed.  A degenerate (t, x) has t degenerate, or t
-non-degenerate and x = last(t).  In the first case p d(t, x) =
-(p d(t), x) restricted as above, as t and x.t are degenerate, and that is
-zero once D is closed one degree down.  So, by induction on the degree,
-d(D) lies in D up to the top degree exactly when p d_k(t, last(t))
-vanishes for each non-degenerate t in each degree k >= 2: the one column
-per t that Q skips, built and checked instead of kept.  In degree 2 that
-is (a) - (a.a) = 0, the quandle identity a.a = a.
+where p is the identity on R, (c, x) appends x to every tuple of the
+chain c and drops the skipped children, and x.t is x acting on each entry
+of t.  Each x acts bijectively, so on a quandle x.t is again
+non-degenerate and no projection touches t - x.t.  So column (t, x) of
+d_k is column t of d_{k-1} with each row r moved to the position of
+(r, x), or dropped when (r, x) is skipped, plus the rows t and x.t, which
+may cancel.  The positions of the children and of x.t are read from
+tables extended by one entry per degree, so the build is linear in the
+entries it writes.
+
+Closure of D is verified, not assumed.  A degenerate (t, x) has t
+degenerate, or t non-degenerate and x = last(t).  In the first case
+p d(t, x) = (p d(t), x), skipped children dropped, as t and x.t are
+degenerate, and that is zero once D is closed one degree down.  So, by induction on
+the degree, d(D) lies in D up to the top degree exactly when
+p d_k(t, last(t)) vanishes for each non-degenerate t in each degree
+k >= 2: the one column per t that Q skips, built and checked instead of
+kept.  In degree 2 that is (a) - (a.a) = 0, the quandle identity a.a = a.
 
 Homology with Z/d coefficients is computed from the integral Smith normal
 form data by universal-coefficient reduction:
@@ -239,9 +241,10 @@ def reduced_rack_table(X: FiniteNRack) -> list[list[int]]:
 def rack_chain_complex(
     X: FiniteNRack, max_degree: int, budget: int = DEFAULT_COLUMN_BUDGET, variant: str = "R"
 ) -> ChainComplex:
-    """The rack chain complex of X up to the given degree: the full complex
-    R, or with variant "Q" the quandle complex of an n-quandle, built on
-    the non-degenerate tuples alone (see the module docstring).
+    """The chain complex of X up to the given degree: the rack complex R,
+    or with variant "Q" the quandle complex of an n-quandle, on the
+    non-degenerate tuples.  One recursion builds both, R being the case in
+    which no tuple is skipped (see the module docstring).
 
     X must pass the n-rack validator, and for Q classify as an n-quandle.
     Construction refuses degrees whose full chain rank M**k exceeds the
@@ -272,73 +275,54 @@ def rack_chain_complex(
                 reached=r,
             )
     rack = reduce_nrack_to_rack(X)
-    if variant == "Q":
-        return _quandle_complex(rack, max_degree)
     rows = [rack.row(x) for x in range(M)]
-    # acts[x][t]: the index of x acting on each entry of the t-th
-    # (k-1)-tuple, from the empty tuple on; M**k entries in degree k,
-    # within the budget.
-    acts = [[0]] * M
-    # d_0 has no stored columns; d_1 = 0, one empty column per element.
-    cols: list[list[dict[int, int]]] = [[], [{} for _ in range(M)]][: max_degree + 1]
-    for k in range(2, max_degree + 1):
-        acts = [[a * M + b for a in act for b in row] for act, row in zip(acts, rows)]
-        sign = 1 if k % 2 == 0 else -1
-        degree_cols = []
-        for t, below in enumerate(cols[k - 1]):
-            shifted = [(r * M, v) for r, v in below.items()]
-            for x, act in enumerate(acts):
-                col = {r + x: v for r, v in shifted}
-                u = act[t]
-                if u != t:
-                    for target, s in ((t, sign), (u, -sign)):
-                        s += col.get(target, 0)
-                        if s:
-                            col[target] = s
-                        else:
-                            del col[target]
-                degree_cols.append(col)
-        cols.append(degree_cols)
-    basis = [range(M**k) for k in range(max_degree + 1)]
-    return ChainComplex(rack=rack, basis=basis, cols=cols, variant="R")
-
-
-def _quandle_complex(rack: FiniteRack, max_degree: int) -> ChainComplex:
-    """Q on the non-degenerate tuples, each degree from the one below.
-
-    A tuple is named by its position in its degree.  The children (p, y)
-    of position p, y != last(p), follow each other in order, so (p, y) has
-    position p*(M-1) + y - (y > last(p)); the empty tuple has no last
-    entry, which M stands for.
-    """
-    M = rack.size
-    rows = [rack.row(x) for x in range(M)]
+    # Q skips the child (t, last(t)) of each tuple t.  R records for every
+    # tuple the last entry the empty tuple has in both, the sentinel M that
+    # no entry equals, so it skips none.  tag[y] is the last entry recorded
+    # for a tuple ending in y, width the number of children it keeps.
+    width = M - 1 if variant == "Q" else M
+    tag = range(M) if variant == "Q" else [M] * M
     # lasts: last entries of the (k-2)-tuples; acts[x][p]: the position of
     # x acting on each entry of the p-th (k-2)-tuple.  Both grow a degree
-    # at the top of each step.
+    # at the top of each step, as does the basis.
     lasts = [M]
     acts = [[0]] * M
     basis: list[Sequence[int]] = [[0], list(range(M))][: max_degree + 1]
+    # d_0 has no stored columns; d_1 = 0, one empty column per element.
     cols: list[list[dict[int, int]]] = [[], [{} for _ in range(M)]][: max_degree + 1]
     for k in range(2, max_degree + 1):
-        acts = [[a * (M - 1) + b - (b > lasts[a]) for a, l in zip(act, lasts)
-                 for y, b in enumerate(row) if y != l] for act, row in zip(acts, rows)]
-        lasts_below, lasts = lasts, [y for l in lasts for y in range(M) if y != l]
+        # children[x][p]: the position of the child (p, x) among the
+        # (k-1)-tuples, or -1 where it is skipped.
+        children = [[-1 if l == x else p * width + x - (x > l) for p, l in enumerate(lasts)]
+                    for x in range(M)]
+        acts = [[children[b][a] for a, l in zip(act, lasts) for y, b in enumerate(row) if y != l]
+                for act, row in zip(acts, rows)]
+        lasts = [tag[y] for l in lasts for y in range(M) if y != l]
+        basis.append([f * M + y for f, l in zip(basis[k - 1], lasts) for y in range(M) if y != l])
         sign = 1 if k % 2 == 0 else -1
+        by_x = list(zip(range(M), children, acts))
         degree_cols = []
-        for t, col_below in enumerate(cols[k - 1]):
-            shifted = [(r * (M - 1), lasts_below[r], v) for r, v in col_below.items()]
+        for t, below in enumerate(cols[k - 1]):
+            items = below.items()
             last = lasts[t]
-            for x, act in enumerate(acts):
-                col = {b + x - (x > l): v for b, l, v in shifted if l != x}
+            for x, child, act in by_x:
+                # Rows (r, x) that are skipped all land on -1.
+                col = {child[r]: v for r, v in items}
+                if -1 in col:
+                    del col[-1]
+                # (-1)^k (t - x.t), cancelling what is already there.
                 u = act[t]
                 if u != t:
-                    for target, s in ((t, sign), (u, -sign)):
-                        s += col.get(target, 0)
-                        if s:
-                            col[target] = s
-                        else:
-                            del col[target]
+                    s = col.get(t, 0) + sign
+                    if s:
+                        col[t] = s
+                    else:
+                        del col[t]
+                    s = col.get(u, 0) - sign
+                    if s:
+                        col[u] = s
+                    else:
+                        del col[u]
                 if x != last:
                     degree_cols.append(col)
                 elif col:
@@ -346,8 +330,7 @@ def _quandle_complex(rack: FiniteRack, max_degree: int) -> ChainComplex:
                         f"degenerate basis not closed under the boundary in degree {k}"
                     )
         cols.append(degree_cols)
-        basis.append([f * M + y for f, l in zip(basis[k - 1], lasts) for y in range(M) if y != l])
-    return ChainComplex(rack=rack, basis=basis, cols=cols, variant="Q")
+    return ChainComplex(rack=rack, basis=basis, cols=cols, variant=variant)
 
 
 def _degenerate_split(C: ChainComplex) -> tuple[list[list[int]], list[list[int]]]:

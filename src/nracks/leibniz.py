@@ -20,6 +20,13 @@ from functools import cached_property
 from itertools import combinations, permutations, product
 from math import lcm, prod
 
+from .errors import BudgetExceededError
+
+# check_multilinearity_sample draws trials * (arity + 2) random vectors of
+# dimension entries each, and refuses to draw more entries than this.  Its
+# default 20 trials draw 600 on a dimension-6 ternary bracket.
+MULTILINEARITY_DRAW_BUDGET = 100_000
+
 
 def _as_fraction(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
@@ -257,7 +264,17 @@ def check_multilinearity_sample(L: LeibnizNAlgebra, trials: int = 20, seed: int 
     regression probe of bracket, whose integer sums it calls.  The draws
     are Fractions taken from random.Random(seed) in a fixed order, so each
     seed gives the same vectors, and the same answer, on every run.
+    Raises BudgetExceededError, before drawing, when the draws would pass
+    MULTILINEARITY_DRAW_BUDGET.
     """
+    draws = trials * (L.arity + 2) * L.dimension
+    if draws > MULTILINEARITY_DRAW_BUDGET:
+        raise BudgetExceededError(
+            f"multilinearity probe needs {draws} random draws, over the "
+            f"{MULTILINEARITY_DRAW_BUDGET}-draw budget",
+            limit=MULTILINEARITY_DRAW_BUDGET,
+            reached=draws,
+        )
     rng = random.Random(seed)
 
     def rand_vector():

@@ -2,6 +2,7 @@ import importlib
 import json
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -447,6 +448,21 @@ def test_leibniz_zero_tensor(tmp_path):
     assert run_cli("leibniz", "--input", str(path)).returncode == 0
 
 
+@pytest.mark.parametrize("dimension, arity", [(100000, 2), (1, 200000)])
+def test_a_multilinearity_probe_past_its_budget_exits_3(tmp_path, dimension, arity):
+    # Each 50-byte tensor asks for millions of random draws; the probe
+    # refuses them before drawing one.
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"dimension": dimension, "arity": arity, "constants": []}))
+    start = time.perf_counter()
+    result = run_cli("leibniz", "--input", str(path), timeout=10)
+    assert time.perf_counter() - start < 2
+    assert result.returncode == 3
+    assert result.stdout == ""
+    assert result.stderr.startswith("budget exceeded: multilinearity probe needs ")
+    assert "random draws" in result.stderr
+
+
 def test_enumerate_command():
     result = run_cli("enumerate", "--n", "2", "--m", "2")
     assert result.returncode == 0
@@ -683,6 +699,27 @@ def test_malformed_coefficients_exit_2_without_an_answer(capsys, workspace, spel
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith(f"input error: cannot parse coefficient group {spelling!r}")
+
+
+@pytest.mark.parametrize(
+    "spelling", ["1_0", "\u0661-\u0663", "1..\uff13", "+2", "-2", "1-", "..3", "1-2-3", "1.5", ""]
+)
+def test_malformed_degrees_exit_2_without_an_answer(capsys, workspace, spelling):
+    argv = ["homology", "--input", str(workspace["dihedral"]), "--degrees", spelling]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"input error: cannot parse degree specification {spelling!r}")
+
+
+@pytest.mark.parametrize(
+    "spelling, degrees", [("2", [2]), ("1,3", [1, 3]), ("1-3", [1, 2, 3]), ("1..3", [1, 2, 3]),
+                          (" 1 , 2..3 ", [1, 2, 3])]
+)
+def test_documented_degree_spellings_are_read(capsys, workspace, spelling, degrees):
+    argv = ["homology", "--input", str(workspace["dihedral"]), "--degrees", spelling]
+    assert main(argv) == 0
+    assert [json.loads(line)["degree"] for line in capsys.readouterr().out.splitlines()] == degrees
 
 
 @pytest.mark.parametrize("d", [2, 4, 6])
