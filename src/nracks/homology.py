@@ -94,11 +94,14 @@ class CoefficientGroup:
 
     @classmethod
     def parse(cls, text: str) -> "CoefficientGroup":
-        """Accepts "Z", or "Z/" followed by the ASCII digits of some d >= 2."""
+        """Accepts only the canonical spelling, so str(parse(text)) == text:
+        "Z", or "Z/" followed by the ASCII digits of some d >= 2 with no
+        leading zero."""
         if text == "Z":
             return cls.integers()
         digits = text[2:]
-        if text.startswith("Z/") and digits.isascii() and digits.isdigit() and int(digits) >= 2:
+        if (text.startswith("Z/") and digits.isascii() and digits.isdigit()
+                and digits[0] != "0" and int(digits) >= 2):
             return cls.cyclic(int(digits))
         raise ValueError(f"cannot parse coefficient group {text!r}: expected Z or Z/d, d >= 2")
 

@@ -5,11 +5,16 @@ arithmetic is on Python ints; no overflow is possible.
 
 Invariant factors come from sparse_invariant_factors, which works on sparse
 columns: it eliminates +-1 pivots in Markowitz order, each contributing the
-factor 1, and hands only what is left to the dense smith_normal_form (after
-Dumas, Saunders & Villard, J. Symb. Comp. 32, 2001).  Every answer is
-certified before it is returned: the unit-pivot steps are unimodular by
-construction, the residual's S = U*R*V is checked exactly, and the rank of
-the input modulo CERTIFICATE_PRIME must match the factors.  That rank
+factor 1.  What is left, the residual, is factored on its short side, of
+size r: its long-side vectors are inserted into an echelon basis of Z^r by
+exact division and 2x2 extended-gcd steps, and only that basis, at most
+r x r, goes to the dense smith_normal_form (after Dumas, Saunders &
+Villard, J. Symb. Comp. 32, 2001, and Cohen, A Course in Computational
+Algebraic Number Theory, 1993, section 2.4).  Every answer is certified
+before it is returned: the unit-pivot steps are unimodular by
+construction, every residual vector must reduce to zero against the basis
+by exact division, the basis's S = U*B*V is checked exactly, and the rank
+of the input modulo CERTIFICATE_PRIME must match the factors.  That rank
 comes from a separate elimination (_rank_mod_p) in another order and
 another arithmetic: columns shortest first, each reduced by its highest
 row, with residues held in the symmetric range [-p/2, p/2].
@@ -23,6 +28,7 @@ Both inputs have the rank of the whole map, so the certificate still
 certifies the whole map, and it never reads what the elimination found.
 """
 
+from collections import defaultdict
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
@@ -208,7 +214,7 @@ def sparse_invariant_factors(columns) -> tuple[int, ...]:
     Rows are arbitrary hashable, orderable keys; rows that no column
     mentions are zero rows and change nothing.  The columns are not
     modified.  Raises AssertionError, and returns nothing, when the
-    residual's product check or the rank certificate fails.
+    residual's membership or product check or the rank certificate fails.
     """
     return certified_factors(columns, columns).factors
 
@@ -236,8 +242,8 @@ def certified_factors(columns, certificate_columns) -> Factorization:
     The certificate holds only when the two matrices have the same rank
     modulo the prime: pass the same columns, or columns that a lemma
     proves to have it (see homology.ChainComplex.factors).  Raises
-    AssertionError, and returns nothing, when the residual's product check
-    or the rank certificate fails.
+    AssertionError, and returns nothing, when the residual's membership or
+    product check or the rank certificate fails.
     """
     unit_keys, residual = _eliminate_unit_pivots(columns)
     factors = (1,) * len(unit_keys) + _residual_factors(residual)
@@ -254,25 +260,29 @@ def _eliminate_unit_pivots(columns):
     """Eliminate +-1 pivots from a copy of the columns.
 
     Pivots are taken in Markowitz order: the shortest column holding a
-    +-1 entry first, and within it the +-1 entry whose row is shortest.
-    Column operations clear the pivot's row in the other columns; the
-    pivot's row and column are then dropped, which a row operation would
-    justify, as the pivot row is zero outside the pivot.  Each step is
-    unimodular and splits off the invariant factor 1.
+    +-1 entry first, and within it the +-1 entry whose row is counted
+    shortest.  Column operations clear the pivot's row in the other
+    columns; the pivot's row and column are then dropped, which a row
+    operation would justify, as the pivot row is zero outside the pivot.
+    Each step is unimodular and splits off the invariant factor 1.
+
+    A row's count is the length of the list of every column that has held
+    it: fill-in appends to the list and nothing is ever removed, so the
+    count is an upper bound, and a pivot skips the listed columns that no
+    longer hold its row.
 
     Returns (the rows of the pivots, residual columns), the residual
     holding the nonzero columns that are left, none of them with a +-1
     entry.
     """
     cols = {}
+    rows = defaultdict(list)
     for j, col in enumerate(columns):
-        entries = {i: v for i, v in col.items() if v}
+        entries = {i: v for i, v in col.items() if v} if 0 in col.values() else dict(col)
         if entries:
             cols[j] = entries
-    rows: dict = {}
-    for j, col in cols.items():
-        for i in col:
-            rows.setdefault(i, set()).add(j)
+            for i in entries:
+                rows[i].append(j)
     # (length, column) entries go stale when a column changes length; each
     # change pushes a fresh entry, and a column with no unit entry waits
     # until it changes again.
@@ -286,49 +296,177 @@ def _eliminate_unit_pivots(columns):
             continue
         best = None
         for i, v in col.items():
-            if (v == 1 or v == -1) and (best is None or len(rows[i]) < len(rows[best])):
-                best = i
+            if v == 1 or v == -1:
+                count = len(rows[i])
+                if best is None or count < best_count:
+                    best, best_count = i, count
         if best is None:
             continue
         u = col[best]
-        for k in [k for k in rows[best] if k != j]:
-            other = cols[k]
-            q = other[best] * u
+        del cols[j]
+        for k in rows.pop(best):
+            other = cols.get(k)
+            if other is None:
+                continue
+            q = other.get(best)
+            if q is None:
+                continue
+            q *= u
             for i, v in col.items():
-                w = other.get(i, 0) - q * v
-                if w:
-                    if i not in other:
-                        rows[i].add(k)
-                    other[i] = w
+                w = other.get(i)
+                if w is None:
+                    other[i] = -q * v
+                    rows[i].append(k)
                 else:
-                    del other[i]
-                    rows[i].discard(k)
+                    w -= q * v
+                    if w:
+                        other[i] = w
+                    else:
+                        del other[i]
             if other:
                 heappush(heap, (len(other), k))
             else:
                 del cols[k]
-        for i in col:
-            rows[i].discard(j)
-        del cols[j], rows[best]
         pivots.add(best)
     return pivots, list(cols.values())
 
 
+# A basis vector whose largest entry passes this many bits triggers a
+# Hermite reduction of the basis; the limit then rises to twice the bits of
+# the largest entry left, so entries that the reduction cannot shrink do
+# not trigger it again until they double.
+_HERMITE_BITS = 64
+
+
 def _residual_factors(residual) -> tuple[int, ...]:
-    """Invariant factors of the residual columns by the checked dense
-    smith_normal_form, on whichever of the residual and its transpose is at
-    least as tall as it is wide: the dense elimination clears long pivot
-    columns with whole-row operations and only short pivot rows with
-    entry-by-entry column operations."""
+    """Invariant factors of the residual columns, from an echelon basis of
+    the lattice on their short side.
+
+    With r the smaller of the residual's row and column counts, each
+    vector of the long side (a row when the columns are fewer, else a
+    column) lies in Z^r.  Row operations do not change invariant factors,
+    so those of the residual are those of any basis of the lattice the
+    long-side vectors span.  _echelon_basis builds one, at most r vectors,
+    by integer steps alone; every input vector must then reduce to zero
+    against it by exact division, which shows the two lattices are equal.
+    The checked dense smith_normal_form of the basis, at most r x r, gives
+    the factors.  Raises AssertionError when a vector is not a member.
+    """
     if not residual:
         return ()
     row_keys = sorted({i for col in residual for i in col})
-    if len(residual) > len(row_keys):
-        dense = [[col.get(i, 0) for i in row_keys] for col in residual]
+    if len(residual) <= len(row_keys):
+        by_row: dict = {}
+        for j, col in enumerate(residual):
+            for i, v in col.items():
+                by_row.setdefault(i, {})[j] = v
+        vectors, short_side = list(by_row.values()), range(len(residual))
     else:
-        dense = [[col.get(i, 0) for col in residual] for i in row_keys]
+        vectors, short_side = residual, row_keys
+    basis = _echelon_basis(vectors)
+    if any(_reduce(dict(vector), basis) for vector in vectors):
+        raise AssertionError("echelon residual verification failed")
+    dense = [[b.get(t, 0) for t in short_side] for _, b in sorted(basis.items())]
     _, S, _ = smith_normal_form(dense)
-    return tuple(S[t][t] for t in range(len(S[0])) if S[t][t])
+    return tuple(S[t][t] for t in range(len(S)) if S[t][t])
+
+
+def _echelon_basis(vectors) -> dict:
+    """A basis of the lattice the sparse vectors span, as {lead: vector}
+    with every vector's lowest nonzero position, its lead, distinct.
+
+    Each vector is reduced by the basis vector at its lead: by exact
+    division where that pivot divides the lead entry (_reduce), otherwise
+    by the 2x2 step of _gcd_step, which leaves the gcd in the basis.
+    Either step has determinant 1, so the lattice never changes.  A vector
+    whose lead no basis vector has joins the basis.  The input is not
+    modified.
+    """
+    basis: dict = {}
+    limit = _HERMITE_BITS
+    for vector in vectors:
+        v = _reduce(dict(vector), basis)
+        while v:
+            lead = min(v)
+            b = basis.get(lead)
+            if b is None:
+                basis[lead], v = v, {}
+            else:
+                (s, t), (x, y) = _gcd_step(b[lead], v[lead])
+                basis[lead] = _combination(s, b, t, v)
+                v = _reduce(_combination(x, b, y, v), basis)
+            if _bits(basis[lead]) > limit:
+                _hermite_reduce(basis)
+                limit = max(limit, 2 * max(_bits(w) for w in basis.values()))
+    return basis
+
+
+def _reduce(v, basis):
+    """Reduce the sparse vector v in place by exact division against the
+    basis, lead by lead, until it vanishes or its lead entry is not a
+    multiple of a basis pivot; returns v."""
+    while v:
+        lead = min(v)
+        b = basis.get(lead)
+        if b is None or v[lead] % b[lead]:
+            break
+        _add_multiple(v, b, -(v[lead] // b[lead]))
+    return v
+
+
+def _gcd_step(a, c):
+    """The 2x2 integer matrix [[s, t], [x, y]] of determinant 1 with
+    s*a + t*c = g = +-gcd(a, c) and x*a + y*c = 0, for a != 0."""
+    s0, s1, t0, t1, g, h = 1, 0, 0, 1, a, c
+    while h:
+        q = g // h
+        g, h = h, g - q * h
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return (s0, t0), (-c // g, a // g)
+
+
+def _hermite_reduce(basis):
+    """Reduce each basis entry above a pivot to [0, pivot), pivots made
+    positive, by adding multiples of the pivot's vector: unimodular steps.
+    Ascending leads, as a step at lead p changes only positions >= p."""
+    leads = sorted(basis)
+    for p in leads:
+        b = basis[p]
+        if b[p] < 0:
+            for t in b:
+                b[t] = -b[t]
+        for lead in leads:
+            if lead >= p:
+                break
+            w = basis[lead]
+            q = w.get(p, 0) // b[p]
+            if q:
+                _add_multiple(w, b, -q)
+
+
+def _add_multiple(v, b, q):
+    """v += q*b in place, for sparse vectors."""
+    for t, x in b.items():
+        w = v.get(t, 0) + q * x
+        if w:
+            v[t] = w
+        else:
+            del v[t]
+
+
+def _combination(s, b, t, v) -> dict:
+    """The sparse vector s*b + t*v."""
+    out = {}
+    for key in b.keys() | v.keys():
+        w = s * b.get(key, 0) + t * v.get(key, 0)
+        if w:
+            out[key] = w
+    return out
+
+
+def _bits(v) -> int:
+    return max(abs(x) for x in v.values()).bit_length()
 
 
 def _rank_mod_p(columns, p: int = CERTIFICATE_PRIME) -> set:

@@ -690,7 +690,8 @@ def test_failed_certificate_exits_4_without_an_answer(monkeypatch, capsys, works
 
 
 @pytest.mark.parametrize(
-    "spelling", ["Z/0", "Z/1", "Z/+4", "Z/ 4", "Z/\u0664", "Z/", "Z/-2", " Z", "Z/4 ", "z/4", "Q"]
+    "spelling",
+    ["Z/0", "Z/1", "Z/+4", "Z/ 4", "Z/\u0664", "Z/", "Z/-2", " Z", "Z/4 ", "z/4", "Q", "Z/02"],
 )
 def test_malformed_coefficients_exit_2_without_an_answer(capsys, workspace, spelling):
     argv = ["homology", "--input", str(workspace["dihedral"]), "--degrees", "1-2",

@@ -51,7 +51,9 @@ def test_coefficient_group_parse():
     assert str(CoefficientGroup.cyclic(3)) == "Z/3"
     with pytest.raises(ValueError):
         CoefficientGroup.parse("Q")
-    for text in ("Z/0", "Z/1", "Z/+4", "Z/ 4", "Z/\u0664", " Z"):
+    for text in ("Z", "Z/2", "Z/6", "Z/10", "Z/2305843009213693951"):
+        assert str(CoefficientGroup.parse(text)) == text
+    for text in ("Z/0", "Z/1", "Z/+4", "Z/ 4", "Z/\u0664", " Z", "Z/02", "Z/00", "Z/010"):
         with pytest.raises(ValueError, match="cannot parse coefficient group"):
             CoefficientGroup.parse(text)
     with pytest.raises(ValueError):

@@ -25,6 +25,8 @@ from nracks import snf
 from nracks.snf import (
     CERTIFICATE_PRIME,
     _assert_product,
+    _echelon_basis,
+    _gcd_step,
     certified_factors,
     determinant,
     group_from_diagonal,
@@ -199,16 +201,22 @@ def _wide_residual_matrices(draw):
     return [[M[i][j] for j in col_order] for i in row_order]
 
 
+def _transposed(M):
+    return [list(r) for r in zip(*M)]
+
+
 @settings(max_examples=150, deadline=None)
 @given(_wide_residual_matrices(), st.booleans())
-def test_wide_residual_is_factored_transposed(M, transpose):
-    # Transposing the input makes the residual tall, so it is factored as is.
+def test_dense_smith_form_sees_at_most_the_short_side(M, transpose):
+    # The residual is wide, or tall once the input is transposed; either
+    # way the dense Smith form gets the echelon basis, at most r x r.
     if transpose:
-        M = [list(r) for r in zip(*M)]
+        M = _transposed(M)
     columns = _columns(M)
     _, residual = snf._eliminate_unit_pivots(columns)
     height = len({i for col in residual for i in col})
     assert (len(residual) > height) != transpose
+    r = min(len(residual), height)
     shapes = []
     original = snf.smith_normal_form
 
@@ -219,7 +227,87 @@ def test_wide_residual_is_factored_transposed(M, transpose):
     with mock.patch.object(snf, "smith_normal_form", spy):
         got = sparse_invariant_factors(columns)
     assert got == _sympy_factors(M)
-    assert shapes == [(max(len(residual), height), min(len(residual), height))]
+    assert len(shapes) == 1 and max(shapes[0]) <= r
+
+
+@st.composite
+def _residual_matrices(draw):
+    """[A 0; 0 B] with rows and columns shuffled, B of any shape with no
+    +-1 entry and at least one nonzero one, so the residual is never empty.
+    B's entries share factors 2, 3 and 5 in part, so the echelon basis
+    takes gcd steps, and B may have dependent rows and columns."""
+    A = draw(_sparse_matrices())
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    entries = st.sampled_from([0, 0, 2, -2, 3, 4, -6, 9, 10, -15])
+    B = [[draw(entries) for _ in range(cols)] for _ in range(rows)]
+    B[0][0] = draw(st.sampled_from([2, -3, 6, 10]))
+    a_cols = len(A[0])
+    M = [row + [0] * cols for row in A] + [[0] * a_cols + row for row in B]
+    row_order = draw(st.permutations(range(len(M))))
+    col_order = draw(st.permutations(range(len(M[0]))))
+    return [[M[i][j] for j in col_order] for i in row_order]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_residual_matrices(), st.booleans(), st.booleans())
+def test_echelon_residual_matches_sympy(M, transpose, hermite_always):
+    # Wide and tall residuals.  Hermite reduction is normally reached only
+    # when entries grow; a limit of 0 bits runs it from the first basis
+    # vector on.
+    if transpose:
+        M = _transposed(M)
+    _, residual = snf._eliminate_unit_pivots(_columns(M))
+    assert residual
+    with mock.patch.object(snf, "_HERMITE_BITS", 0 if hermite_always else snf._HERMITE_BITS):
+        assert invariant_factors(M) == _sympy_factors(M)
+
+
+def test_hermite_reduction_keeps_entries_above_pivots_below_them():
+    basis = {0: {0: 2, 1: 7, 2: -5}, 1: {1: -3, 2: 4}, 2: {2: 5}}
+    snf._hermite_reduce(basis)
+    assert all(0 <= basis[lead].get(p, 0) < basis[p][p]
+               for p in basis for lead in basis if lead < p)
+    dense = [[b.get(t, 0) for t in range(3)] for _, b in sorted(basis.items())]
+    assert abs(determinant(dense)) == 30
+    assert _sympy_factors(dense) == _sympy_factors([[2, 7, -5], [0, -3, 4], [0, 0, 5]])
+
+
+# Residuals that need gcd steps, wide and tall: no entry is +-1.
+_GCD_CASES = [[[2, 3]], [[2], [3]], [[6, 10, 15], [4, 0, 9]], [[6, 4], [10, 0], [15, 9]]]
+
+
+def _non_unimodular_gcd_step(a, c):
+    (s, t), second = _gcd_step(a, c)
+    return (2 * s, 2 * t), second
+
+
+def _basis_without_first_vector(vectors):
+    return _echelon_basis(vectors[1:])
+
+
+@pytest.mark.parametrize(
+    "name, mutant",
+    [("_gcd_step", _non_unimodular_gcd_step), ("_echelon_basis", _basis_without_first_vector)],
+    ids=["non-unimodular-gcd-step", "dropped-input-vector"],
+)
+@pytest.mark.parametrize("M", _GCD_CASES)
+def test_echelon_residual_mutants_are_caught(monkeypatch, name, mutant, M):
+    assert invariant_factors(M) == _sympy_factors(M)
+    monkeypatch.setattr(snf, name, mutant)
+    with pytest.raises(AssertionError, match="echelon residual verification failed"):
+        invariant_factors(M)
+
+
+def test_unit_keys_stay_unimodular_when_a_column_regains_a_row():
+    # Markowitz order pivots (row 0, col 0), then (row 2, col 1), then
+    # (row 1, col 2).  The first pivot cancels row 1 out of column 3 and
+    # the second fills it back in, so column 3 is listed twice under row 1
+    # when the third pivot clears it.
+    M = [[-1, 1, 0, 1], [1, 0, 2, -1], [0, 1, 1, 2]]
+    units, residual = snf._eliminate_unit_pivots(_columns(M))
+    assert units == {0, 1, 2} and residual == []
+    assert determinant([row[:3] for row in M]) in (1, -1)
+    assert certified_factors(_columns(M), _columns(M)).factors == (1, 1, 1) == _sympy_factors(M)
 
 
 def test_unit_pivots_alone_factor_torsion_free_maps_and_relators():
