@@ -2,10 +2,11 @@
 
 Subcommands: check, construct, reduce, homology, cohomology, assoc-group,
 leibniz, enumerate, inner.  All I/O uses the JSON formats of jsonio.
-Exit codes: 0 pass, 1 axiom failure, 2 input error, 3 budget exceeded,
-4 internal error (a failed internal certificate, such as the invariant
-factors' rank check or d.d = 0, a D/Q subcomplex failing its own
-verification, or running out of memory or recursion depth).
+Exit codes: 0 pass, 1 axiom failure (a table that fails the axioms a
+command needs is answered by its validation report), 2 input error,
+3 budget exceeded, 4 internal error (a failed internal certificate, such
+as the invariant factors' rank check or d.d = 0, a D/Q subcomplex failing
+its own verification, or running out of memory or recursion depth).
 """
 
 import argparse
@@ -26,9 +27,9 @@ from .constructions import (
     lift_rack_to_nrack,
     reduce_nrack_to_rack,
 )
-from .core import classify, inner_map, orbits, validate
+from .core import inner_map, orbits, require, validate
 from .enumeration import DEFAULT_CANDIDATE_BUDGET, FILTERS, enumerate_nracks
-from .errors import BudgetExceededError, SubcomplexError
+from .errors import AxiomError, BudgetExceededError, SubcomplexError
 from .homology import (
     DEFAULT_COLUMN_BUDGET,
     CoefficientGroup,
@@ -123,8 +124,7 @@ def cmd_construct(args) -> int:
         _write(jsonio.dump_document(jsonio.nrack_to_json(rack)), args.output)
         return 0
     rack = _construct_table(args)
-    report = validate(rack)
-    if not report.is_nrack:
+    if not validate(rack).is_nrack:
         raise AssertionError("constructor emitted a table that fails validation")
     _write(jsonio.dump_document(jsonio.nrack_to_json(rack)), args.output)
     return 0
@@ -133,21 +133,13 @@ def cmd_construct(args) -> int:
 def _build_variant_complex(R, variant: str, max_degree: int, budget: int):
     if variant != "D":
         return rack_chain_complex(R, max_degree, budget=budget, variant=variant)
+    # A table that is not an n-quandle is refused before R is built.
+    require(R, "degenerate subcomplex", nquandle=True)
     return degenerate_subcomplex(R, rack_chain_complex(R, max_degree, budget=budget))
 
 
 def _cmd_homology_common(args, compute) -> int:
     R = _load_table(args.input)
-    flags = classify(R)
-    if not flags.is_nrack:
-        print("input table is not an n-rack", file=sys.stderr)
-        return 1
-    if args.variant in ("D", "Q") and not flags.is_nquandle:
-        print(
-            f"variant {args.variant} requires an n-quandle and the input is not one",
-            file=sys.stderr,
-        )
-        return 1
     ranges = _parse_degrees(args.degrees)
     if min(lo for lo, _ in ranges) < 1:
         raise ValueError("degrees must be >= 1")
@@ -185,10 +177,6 @@ def cmd_cohomology(args) -> int:
 
 def cmd_assoc_group(args) -> int:
     R = _load_table(args.input)
-    report = validate(R)
-    if not report.is_nrack:
-        _write(jsonio.dump_document(jsonio.validation_to_json(report)), args.output)
-        return 1
     P = associated_group_presentation(R, paper_form=args.paper_relator)
     doc = {
         "presentation": jsonio.presentation_to_json(P),
@@ -236,10 +224,7 @@ def cmd_enumerate(args) -> int:
 
 def cmd_inner(args) -> int:
     R = _load_table(args.input)
-    report = validate(R)
-    if not report.is_nrack:
-        _write(jsonio.dump_document(jsonio.validation_to_json(report)), args.output)
-        return 1
+    require(R, "inner map")
     doc = {
         "inner_maps": [
             {"args": list(xs), "permutation": list(inner_map(R, xs).permutation)}
@@ -329,11 +314,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        try:
+            return args.func(args)
+        except AxiomError as exc:
+            # The answer to a table that fails the axioms is its report; an
+            # unwritable --output is an input error, as for any answer.
+            _write(jsonio.dump_document(jsonio.validation_to_json(exc.report)), args.output)
+            print(f"axiom failure: {exc}", file=sys.stderr)
+            return 1
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
-    # Before ValueError: past the n-quandle gate, a SubcomplexError can only
+    # Before ValueError: past the axiom gate, a SubcomplexError can only
     # come from our own D/Q construction, not from the input.
     except (AssertionError, RecursionError, MemoryError, SubcomplexError) as exc:
         print(f"internal error: {str(exc) or type(exc).__name__}", file=sys.stderr)

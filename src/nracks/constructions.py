@@ -19,6 +19,7 @@ from .core import (
     entrywise,
     first_power_past,
     is_homomorphism,
+    require,
     validate,
 )
 from .errors import BudgetExceededError, ConstructionError
@@ -230,9 +231,7 @@ def lift_rack_to_nrack(Q: FiniteRack, arity: int) -> FiniteNRack:
     if arity < 2:
         raise ConstructionError(f"arity must be >= 2, got {arity}")
     _check_table_budget(Q.size, arity)
-    report = validate_rack(Q)
-    if not report.is_nrack:
-        raise ValueError("lift requires a valid rack")
+    require(Q, "lift")
     rows = [Q.row(x) for x in range(Q.size)]
     return FiniteNRack(arity, Q.size, _fold(rows, range(Q.size), arity), basepoint=Q.basepoint)
 
@@ -253,8 +252,7 @@ def reduce_nrack_to_rack(R: FiniteNRack) -> FiniteRack:
     m, n = R.size, R.arity
     M = m ** (n - 1)
     _check_table_budget(M, 2)
-    if not validate(R).is_nrack:
-        raise ValueError("reduce requires a valid n-rack")
+    require(R, "reduce")
     table = [v for a in range(M) for v in entrywise(R.table[a * m : (a + 1) * m], n - 1, m)]
     basepoint = None if R.basepoint is None else R.index((R.basepoint,) * (n - 1))
     return FiniteRack(M, tuple(table), basepoint)
@@ -411,9 +409,7 @@ def associated_group_presentation(R: FiniteNRack, paper_form: bool = False) -> G
     nonabelian targets.  Relators are freely reduced, deduplicated, and
     sorted; trivial relators are dropped.
     """
-    report = validate(R)
-    if not report.is_nrack:
-        raise ValueError("associated group requires a valid n-rack")
+    require(R, "associated group")
     words = set()
     for xs in product(range(R.size), repeat=R.arity):
         word = _relator_word(xs, R.bracket(*xs), paper_form)

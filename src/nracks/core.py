@@ -20,6 +20,8 @@ from functools import cached_property
 from itertools import product, repeat
 from operator import itemgetter
 
+from .errors import AxiomError
+
 
 def first_product_past(factors, limit: int) -> int | None:
     """The first partial product of factors (the empty product 1 included)
@@ -264,6 +266,21 @@ def validate(R: FiniteNRack) -> ValidationReport:
     classify, the constructions or the chain complex) return it at no cost.
     """
     return R._report
+
+
+def require(R: FiniteNRack, what: str, nquandle: bool = False) -> ValidationReport:
+    """validate(R), for an operation, named by what, that needs an n-rack,
+    or with nquandle=True an n-quandle.  A table that fails is refused with
+    AxiomError, which carries its report; this is the one place that raises
+    it."""
+    report = validate(R)
+    if not report.is_nrack:
+        raise AxiomError(f"{what} requires a valid n-rack; distributivity witness "
+                         f"{report.distributivity_witness}, bijectivity witness "
+                         f"{report.bijectivity_witness}", report)
+    if nquandle and not report.classification.is_nquandle:
+        raise AxiomError(f"{what} requires an n-quandle", report)
+    return report
 
 
 def is_homomorphism(f, R: FiniteNRack, S: FiniteNRack, pointed: bool = False) -> bool:

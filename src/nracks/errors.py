@@ -1,6 +1,15 @@
 """Exception types shared across the toolkit."""
 
 
+class AxiomError(ValueError):
+    """A table fails the axioms an operation requires; report is the
+    table's ValidationReport, with its witnesses."""
+
+    def __init__(self, message: str, report):
+        super().__init__(message)
+        self.report = report
+
+
 class ConstructionError(ValueError):
     """Constructor parameters violate a required relation; the message
     names the violated relation."""

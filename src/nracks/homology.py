@@ -57,12 +57,13 @@ factored.  Tests cross-check this against direct mod-p Gaussian
 elimination on all fixtures.
 """
 
+from collections import Counter
 from dataclasses import dataclass, field
 from math import gcd
 from typing import Sequence
 
 from .constructions import FiniteRack, reduce_nrack_to_rack
-from .core import FiniteNRack, classify, validate
+from .core import FiniteNRack, require
 from .errors import BudgetExceededError, SubcomplexError
 from .snf import (
     AbelianGroupInvariants,
@@ -136,28 +137,38 @@ class ChainComplex:
     )
 
     def __post_init__(self):
-        # d_{k-1} d_k = 0 column by column: the rows each column of d_k
-        # reaches through d_{k-1} with a plus sign, listed with multiplicity,
-        # must sort to the list of those it reaches with a minus sign.
+        # d_{k-1} d_k = 0 column by column.  Through the entries +-1 of d_k
+        # that reach a column of d_{k-1} with entries +-1 alone, the rows
+        # reached with a plus sign must sort to those reached with a minus
+        # sign; every other product is summed exactly, so the cost does not
+        # grow with the size of the entries.
         for k in range(2, self.max_degree + 1):
             lower = self.cols[k - 1]
-            plus = [[i for i, v in col.items() for _ in range(v)] for col in lower]
-            minus = [[i for i, v in col.items() for _ in range(-v)] for col in lower]
+            plus = [[i for i, v in col.items() if v == 1] for col in lower]
+            minus = [[i for i, v in col.items() if v == -1] for col in lower]
+            unit = [len(p) + len(m) == len(col) for p, m, col in zip(plus, minus, lower)]
             for col in self.cols[k]:
-                up, down = [], []
+                up, down, rest = [], [], {}
                 for r, c in col.items():
-                    if c == 1:
+                    if c == 1 and unit[r]:
                         up += plus[r]
                         down += minus[r]
-                    elif c == -1:
+                    elif c == -1 and unit[r]:
                         up += minus[r]
                         down += plus[r]
                     else:
-                        up += (plus[r] if c > 0 else minus[r]) * abs(c)
-                        down += (minus[r] if c > 0 else plus[r]) * abs(c)
-                up.sort()
-                down.sort()
-                if up != down:
+                        for i, v in lower[r].items():
+                            rest[i] = rest.get(i, 0) + c * v
+                if rest:
+                    rest = Counter(rest)
+                    rest.update(up)
+                    rest.subtract(down)
+                    zero = not any(rest.values())
+                else:
+                    up.sort()
+                    down.sort()
+                    zero = up == down
+                if not zero:
                     raise AssertionError("boundary does not square to zero")
 
     @property
@@ -249,28 +260,26 @@ def rack_chain_complex(
     non-degenerate tuples.  One recursion builds both, R being the case in
     which no tuple is skipped (see the module docstring).
 
-    X must pass the n-rack validator, and for Q classify as an n-quandle.
-    Construction refuses degrees whose full chain rank M**k exceeds the
-    column budget, for either variant.  Q raises SubcomplexError when the
-    degenerate tuples fail to span a subcomplex.  d.d = 0 is asserted
-    before returning.
+    X must be an n-rack, and for Q an n-quandle; a table that is not is
+    refused with AxiomError (a ValueError) carrying its report.
+    Construction refuses degrees whose rank exceeds the column budget, the
+    rank of the complex being built: M**k for R and M*(M-1)**(k-1) for Q,
+    k >= 1.  Q raises SubcomplexError when the degenerate tuples fail to
+    span a subcomplex.  d.d = 0 is asserted before returning.
     """
     if variant not in ("R", "Q"):
         raise ValueError(f"unknown complex variant {variant!r}")
     if max_degree < 0:
         raise ValueError("max degree must be nonnegative")
-    report = validate(X)
-    if not report.is_nrack:
-        raise ValueError(
-            "chain complex requires a valid n-rack; "
-            f"distributivity witness {report.distributivity_witness}, "
-            f"bijectivity witness {report.bijectivity_witness}"
-        )
-    if variant == "Q" and not classify(X).is_nquandle:
-        raise ValueError("quandle complex requires an n-quandle")
+    require(X, "quandle complex" if variant == "Q" else "chain complex", nquandle=variant == "Q")
     M = X.size ** (X.arity - 1)
+    # Q skips the child (t, last(t)) of each tuple t.  R records for every
+    # tuple the last entry the empty tuple has in both, the sentinel M that
+    # no entry equals, so it skips none.  width is the number of children
+    # each tuple keeps, so degree k >= 1 has rank M * width**(k-1).
+    width = M - 1 if variant == "Q" else M
     for k in range(max_degree + 1):
-        r = M**k
+        r = M * width ** (k - 1) if k else 1
         if r > budget:
             raise BudgetExceededError(
                 f"chain rank {r} in degree {k} exceeds the {budget}-column budget",
@@ -279,11 +288,7 @@ def rack_chain_complex(
             )
     rack = reduce_nrack_to_rack(X)
     rows = [rack.row(x) for x in range(M)]
-    # Q skips the child (t, last(t)) of each tuple t.  R records for every
-    # tuple the last entry the empty tuple has in both, the sentinel M that
-    # no entry equals, so it skips none.  tag[y] is the last entry recorded
-    # for a tuple ending in y, width the number of children it keeps.
-    width = M - 1 if variant == "Q" else M
+    # tag[y] is the last entry recorded for a tuple ending in y.
     tag = range(M) if variant == "Q" else [M] * M
     # lasts: last entries of the (k-2)-tuples; acts[x][p]: the position of
     # x acting on each entry of the p-th (k-2)-tuple.  Both grow a degree
@@ -384,19 +389,16 @@ def _restrict(
 def degenerate_subcomplex(X: FiniteNRack, C: ChainComplex) -> ChainComplex:
     """Subcomplex spanned by tuples with two consecutive equal entries.
 
-    Requires X to classify as an n-quandle; the induced quandle identity
-    on the reduced rack C lives on and closure under the boundary are both
-    verified, not assumed.
+    Requires X to be an n-quandle (AxiomError, a ValueError, otherwise).
+    Closure under the boundary is verified, not assumed; in degree 2 it is
+    the quandle identity a.a = a on the reduced rack C lives on, as the
+    boundary of (a, a) is (a) - (a.a) and D_1 is empty.
     """
     if C.variant != "R":
         raise SubcomplexError("degenerate subcomplex is taken inside the rack complex")
     if C.carrier_size != X.size ** (X.arity - 1):
         raise SubcomplexError("complex does not belong to the given n-rack")
-    flags = classify(X)
-    if not flags.is_nquandle:
-        raise ValueError("degenerate subcomplex requires an n-quandle")
-    if any(C.rack.op(a, a) != a for a in range(C.carrier_size)):
-        raise SubcomplexError("reduced rack of an n-quandle must be a quandle")
+    require(X, "degenerate subcomplex", nquandle=True)
     degenerate, _ = _degenerate_split(C)
     return _restrict(C, degenerate, "D", closed=True)
 

@@ -30,6 +30,7 @@ from nracks.jsonio import (
     nrack_to_json,
     tensor_from_json,
     tensor_to_json,
+    validation_to_json,
 )
 
 
@@ -365,6 +366,42 @@ def test_assoc_group_invalid_table_exit_1(workspace):
     assert run_cli("assoc-group", "--input", str(workspace["mod2"])).returncode == 1
 
 
+MOD2 = FiniteNRack(2, 2, (0, 1, 1, 0))
+Z4 = build_z4_module_nrack(3, 4)
+# Every command that takes a table, on one that fails the axioms it needs:
+# mod2 is not left distributive, and z4 n=3 is a 3-rack but not a 3-quandle.
+REFUSALS = (
+    [(MOD2, ["construct", "lift", "--n", "3"]), (MOD2, ["construct", "reduce"]),
+     (MOD2, ["reduce"]), (MOD2, ["assoc-group"]), (MOD2, ["inner"])]
+    + [(MOD2, [c, "--variant", v, "--degrees", "1-2"])
+       for c in ("homology", "cohomology") for v in "RDQ"]
+    + [(Z4, [c, "--variant", v, "--degrees", "1-2"])
+       for c in ("homology", "cohomology") for v in "DQ"]
+)
+
+
+@pytest.mark.parametrize(
+    "table, argv", REFUSALS,
+    ids=[("mod2 " if X is MOD2 else "z4 ") + " ".join(argv) for X, argv in REFUSALS],
+)
+def test_a_table_that_fails_the_axioms_is_answered_by_its_report(
+    capsys, tmp_path, table, argv
+):
+    path = tmp_path / "table.json"
+    path.write_text(dump_document(nrack_to_json(table)))
+    report = dump_document(validation_to_json(validate(table)))
+    argv = argv + ["--input", str(path)]
+    result = run_cli(*argv)
+    assert (result.returncode, result.stdout) == (1, report)
+    assert result.stderr.startswith("axiom failure: ")
+    assert result.stderr.count("\n") == 1 and result.stderr.endswith("\n")
+    assert "Traceback" not in result.stderr
+    output = tmp_path / "answer.json"
+    assert main(argv + ["--output", str(output)]) == 1
+    out, err = capsys.readouterr()
+    assert (out, output.read_text(), err) == ("", report, result.stderr)
+
+
 def test_leibniz_nambu(workspace):
     result = run_cli("leibniz", "--input", str(workspace["nambu"]))
     assert result.returncode == 0
@@ -607,6 +644,17 @@ def _small_module_group_bundle(tmp_path):
         (["homology", "--input", "dihedral", "--variant", "R", "--degrees", "1-2"], 0, 1),
         (["homology", "--input", "dihedral", "--variant", "Q", "--degrees", "1-2"], 0, 1),
         (["homology", "--input", "mod2", "--degrees", "1-2"], 1, 1),
+        # Refusals: the input alone, once, in every command that needs an
+        # n-rack or an n-quandle.
+        (["construct", "lift", "--n", "3", "--input", "mod2"], 1, 1),
+        (["construct", "reduce", "--input", "mod2"], 1, 1),
+        (["reduce", "--input", "mod2"], 1, 1),
+        (["assoc-group", "--input", "mod2"], 1, 1),
+        (["inner", "--input", "mod2"], 1, 1),
+        (["cohomology", "--input", "mod2", "--variant", "Q", "--degrees", "1-2"], 1, 1),
+        (["homology", "--input", "mod2", "--variant", "D", "--degrees", "1-2"], 1, 1),
+        (["homology", "--input", "z4", "--variant", "D", "--degrees", "1-2"], 1, 1),
+        (["homology", "--input", "z4", "--variant", "Q", "--degrees", "1-2"], 1, 1),
         # The input, then the reduced rack, which the CLI validates before
         # printing it.
         (["construct", "reduce", "--input", "z4"], 0, 2),
@@ -624,6 +672,18 @@ def test_each_table_is_scanned_for_distributivity_once(
     assert main(argv) == code
     capsys.readouterr()
     assert len(calls) == scans
+
+
+@pytest.mark.parametrize("table", [MOD2, Z4], ids=["mod2", "z4"])
+def test_variant_d_refuses_a_table_before_building_the_rack_complex(
+    monkeypatch, capsys, tmp_path, table
+):
+    path = tmp_path / "table.json"
+    path.write_text(dump_document(nrack_to_json(table)))
+    calls = _count_calls(monkeypatch, "nracks.homology", "rack_chain_complex")
+    assert main(["homology", "--input", str(path), "--variant", "D", "--degrees", "1-2"]) == 1
+    capsys.readouterr()
+    assert calls == []
 
 
 def test_a_rack_is_its_own_arity_two_nrack():
@@ -774,6 +834,22 @@ def test_a_quandle_complex_on_a_faulty_reduced_rack_exits_4(
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"internal error: {message}\n"
+
+
+def test_variant_d_checks_the_quandle_identity_by_closure(monkeypatch, capsys, workspace):
+    # x o y = x + y mod 3 has 1 o 1 = 2: the boundary (1) - (2) of the
+    # degenerate (1, 1) leaves D, which is empty in degree 1.  Degree 2 is
+    # the top, so the rack complex passes its own d.d = 0 check.
+    faulty = FiniteRack(3, tuple((x + y) % 3 for x in range(3) for y in range(3)))
+    monkeypatch.setattr(
+        importlib.import_module("nracks.homology"), "reduce_nrack_to_rack", lambda X: faulty
+    )
+    argv = ["homology", "--input", str(workspace["dihedral"]), "--variant", "D",
+            "--degrees", "1"]
+    assert main(argv) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "internal error: degenerate basis not closed under the boundary in degree 2\n"
 
 
 def test_the_quandle_complex_is_built_without_the_rack_complex(monkeypatch, capsys, workspace):

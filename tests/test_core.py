@@ -8,7 +8,10 @@ from hypothesis import strategies as st
 
 from helpers import dihedral_nrack, one_element_nrack, shift_nrack, trivial_nrack
 from nracks import (
+    AxiomError,
     FiniteNRack,
+    FiniteRack,
+    associated_group_presentation,
     build_conjugation_nrack,
     build_z4_module_nrack,
     check_inner_is_automorphism,
@@ -16,10 +19,14 @@ from nracks import (
     check_pointed,
     check_translation_bijective,
     classify,
+    degenerate_subcomplex,
     find_isomorphism,
     inner_map,
     is_homomorphism,
+    lift_rack_to_nrack,
     orbits,
+    rack_chain_complex,
+    reduce_nrack_to_rack,
     symmetric_group,
     validate,
 )
@@ -354,3 +361,36 @@ def test_validator_deterministic():
     bad = FiniteNRack(2, 2, (0, 1, 1, 0))
     assert validate(bad) == validate(bad)
     assert classify(bad) == classify(bad)
+
+
+# Each library operation that needs an n-rack, or an n-quandle, on a table
+# X, with the message of its refusal.  MOD2 has bijective rows but is not
+# left distributive; z4_3rack() is a 3-rack that is not a 3-quandle.
+MOD2 = FiniteRack(2, (0, 1, 1, 0))
+NOT_A_RACK = "requires a valid n-rack; distributivity witness ((1,), (0, 0)), bijectivity witness None"
+GATES = [
+    ("chain", MOD2, lambda X: rack_chain_complex(X, 2), "chain complex " + NOT_A_RACK),
+    ("quandle", MOD2, lambda X: rack_chain_complex(X, 2, variant="Q"),
+     "quandle complex " + NOT_A_RACK),
+    ("quandle-z4", z4_3rack(), lambda X: rack_chain_complex(X, 2, variant="Q"),
+     "quandle complex requires an n-quandle"),
+    ("degenerate", MOD2,
+     lambda X: degenerate_subcomplex(X, rack_chain_complex(trivial_nrack(2, 2), 2)),
+     "degenerate subcomplex " + NOT_A_RACK),
+    ("degenerate-z4", z4_3rack(),
+     lambda X: degenerate_subcomplex(X, rack_chain_complex(X, 2)),
+     "degenerate subcomplex requires an n-quandle"),
+    ("lift", MOD2, lambda X: lift_rack_to_nrack(X, 3), "lift " + NOT_A_RACK),
+    ("reduce", MOD2, reduce_nrack_to_rack, "reduce " + NOT_A_RACK),
+    ("associated-group", MOD2, associated_group_presentation, "associated group " + NOT_A_RACK),
+]
+
+
+@pytest.mark.parametrize("X, call, message", [g[1:] for g in GATES], ids=[g[0] for g in GATES])
+def test_each_gate_refuses_with_the_tables_report(X, call, message):
+    with pytest.raises(AxiomError) as err:
+        call(X)
+    assert isinstance(err.value, ValueError)
+    assert str(err.value) == message
+    # The validator's report, flags and witnesses alike.
+    assert err.value.report == validate(X)

@@ -1,5 +1,6 @@
 import json
 import os
+import time
 import tracemalloc
 
 import pytest
@@ -125,6 +126,33 @@ def test_the_square_check_weighs_every_coefficient(column, squares_to_zero):
     else:
         with pytest.raises(AssertionError, match="boundary does not square to zero"):
             ChainComplex(rack=rack, basis=basis, cols=cols)
+
+
+BIG = 10**12
+
+
+@pytest.mark.parametrize(
+    "lower, column, squares_to_zero",
+    [
+        ([{0: BIG}, {0: BIG}], {0: 1, 1: -1}, True),
+        ([{0: BIG}, {0: BIG}], {0: 1, 1: 1}, False),
+        ([{0: 1}, {0: 1}], {0: BIG, 1: -BIG}, True),
+        ([{0: 1}, {0: 1}], {0: BIG, 1: 1 - BIG}, False),
+    ],
+)
+def test_the_square_check_does_not_grow_with_the_entries(lower, column, squares_to_zero):
+    # Entries of 10^12 listed one row per unit would never finish; each
+    # verdict must come at once.
+    rack = rack_chain_complex(dihedral_nrack(3), 1).rack
+    basis, cols = [[0], [0, 1], [0]], [[], lower, [column]]
+    start = time.perf_counter()
+    if squares_to_zero:
+        ChainComplex(rack=rack, basis=basis, cols=cols)
+    else:
+        with pytest.raises(AssertionError, match="boundary does not square to zero"):
+            ChainComplex(rack=rack, basis=basis, cols=cols)
+    assert time.perf_counter() - start < 1
+
 
 def test_reduced_rack_table_of_z4_three_rack():
     rows = reduced_rack_table(build_z4_module_nrack(3, 4))
@@ -445,6 +473,18 @@ def test_budget_refused_at_the_first_rank_over_it():
     assert (err.value.limit, err.value.reached) == (20000, 16**4)
     assert str(err.value) == "chain rank 65536 in degree 4 exceeds the 20000-column budget"
     assert peak < 2**20
+
+
+def test_the_quandle_complex_is_charged_its_own_rank():
+    # conj(S3) has M = 6; Q_6 has 6 * 5^5 = 18,750 columns, where R_6 has 6^6.
+    R = build_conjugation_nrack(symmetric_group(3), 2)
+    assert rack_chain_complex(R, 6, budget=18750, variant="Q").ranks[-1] == 18750
+    with pytest.raises(BudgetExceededError) as err:
+        rack_chain_complex(R, 6, budget=18749, variant="Q")
+    assert (err.value.limit, err.value.reached) == (18749, 18750)
+    with pytest.raises(BudgetExceededError) as err:
+        rack_chain_complex(R, 6, budget=18750)
+    assert err.value.reached == 6**6
 
 
 def test_triplet_export_format():
