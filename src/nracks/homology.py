@@ -45,6 +45,27 @@ p d_k(t, last(t)) vanishes for each non-degenerate t in each degree
 k >= 2: the one column per t that Q skips, built and checked instead of
 kept.  In degree 2 that is (a) - (a.a) = 0, the quandle identity a.a = a.
 
+The rank of every boundary map is known before it is factored.  With r_k
+the rank of C_k, s_k that of d_k and b_k the free rank of H_k,
+b_k = r_k - s_k - s_{k+1} and s_1 = 0, so s_{k+1} = r_k - s_k - b_k, and
+the free ranks depend only on the number o of orbits of Y under its inner
+group:
+
+    R: b_k = o^k,  Q: b_k = o(o-1)^(k-1),  D: b_k = o^k - o(o-1)^(k-1).
+
+For R this is the theorem of Etingof & Grana (On rack cohomology, J. Pure
+Appl. Algebra 177, 2003): the Betti numbers of a finite rack are o^k.  For
+a finite quandle, Litherland & Nelson (The Betti numbers of some finite
+racks, J. Pure Appl. Algebra 178, 2003) split the rack complex as
+C^R = C^D + C^Q and determine the degenerate homology by the quandle
+homology; with the rack Betti numbers this gives the quandle Betti numbers
+o(o-1)^(k-1), as conjectured by Carter, Jelsovsky, Kamada & Saito, and D
+has the difference.  Each d_k of a complex built here must have exactly
+s_k invariant factors (ChainComplex._factorization), so a wrong column,
+orbit count or elimination that changes a rank raises instead of
+answering.  The tests check every s_k against an independent rank modulo
+a prime on the small censuses and the fixtures.
+
 Homology with Z/d coefficients is computed from the integral Smith normal
 form data by universal-coefficient reduction:
 
@@ -63,12 +84,13 @@ from math import gcd
 from typing import Sequence
 
 from .constructions import FiniteRack, reduce_nrack_to_rack
-from .core import FiniteNRack, require
+from .core import FiniteNRack, orbits, require
 from .errors import BudgetExceededError, SubcomplexError
 from .snf import (
     AbelianGroupInvariants,
     Factorization,
     certified_factors,
+    certify_rank_mod_p,
     invariants_from_cyclic_orders,
 )
 
@@ -122,6 +144,11 @@ class ChainComplex:
     basis[k-1]) to its integer coefficient.  Ranks and max_degree are read
     off the basis: rank(k) = len(basis[k]), ranks lists every rank, and
     max_degree = len(basis) - 1.
+    orbit_count is the number of orbits of Y, given by the builders: with
+    it, the rank of every d_k follows from the variant's free ranks (see
+    the module docstring) and is computed once, on construction.  A
+    complex built by hand leaves it None, and each map's rank is then
+    certified modulo a prime instead (see _factorization).
     Every instance has d_{k-1} d_k = 0, checked exactly on construction;
     factors relies on it.  The invariant factors of each d_k are computed
     on first use (see factors) and kept with the complex, with the row keys
@@ -132,9 +159,11 @@ class ChainComplex:
     basis: list[Sequence[int]]
     cols: list[list[dict[int, int]]]
     variant: str = "R"
+    orbit_count: int | None = None
     _factors: dict[int, Factorization] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    _boundary_ranks: list[int] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         # d_{k-1} d_k = 0 column by column.  Through the entries +-1 of d_k
@@ -170,6 +199,11 @@ class ChainComplex:
                     zero = up == down
                 if not zero:
                     raise AssertionError("boundary does not square to zero")
+        if self.orbit_count is not None:
+            # s_1 = 0 and s_{k+1} = r_k - s_k - b_k, b_k the free rank of H_k.
+            self._boundary_ranks = s = [0, 0]
+            for k in range(1, self.max_degree):
+                s.append(self.rank(k) - s[k] - _free_rank(self.variant, self.orbit_count, k))
 
     @property
     def carrier_size(self) -> int:
@@ -191,8 +225,8 @@ class ChainComplex:
         return self._factorization(k).factors
 
     def _factorization(self, k: int) -> Factorization:
-        """Certified factors of d_k, from the rows of d_k that d_{k-1}
-        leaves independent.
+        """Factors of d_k, from the rows of d_k that d_{k-1} leaves
+        independent, with their number certified.
 
         The factors are those of the coboundary d_k^T: its columns are the
         nonzero rows of d_k, indexed by column position.  d_k is at least
@@ -202,26 +236,34 @@ class ChainComplex:
         Fewer rows still suffice.  If d_{k-1}[A, B] is invertible, then
         d_{k-1}[A, :] d_k = 0 puts rows B of d_k in the span of the others,
         B': d_k[B, :] = -d_{k-1}[A, B]^-1 d_{k-1}[A, B'] d_k[B', :].  So d_{k-1}
-        is factored first, and each side of the engine drops the rows its
-        own pivots on d_{k-1} name: the elimination the keys of its +-1
-        pivots, a unimodular block, so the invariant factors do not change;
-        the certificate the highest rows of its kept vectors, a block that
-        is nonsingular modulo its prime, so the rank there does not change.
-        The certificate's input thus has the rank of the whole of d_k, and
-        its keys never come from the elimination.
+        is factored first, and the elimination is handed d_k without the
+        rows at the keys of its +-1 pivots on d_{k-1}: a unimodular block,
+        so the invariant factors do not change.  Only those rows are
+        transposed.
+
+        The number of factors is the rank of d_k, and it is certified from
+        outside the elimination.  A complex with an orbit count must have
+        exactly the rank s_k that the free ranks give (see the module
+        docstring).  A complex built by hand has its whole map, every
+        nonzero row, ranked modulo snf.CERTIFICATE_PRIME.  Either failure
+        raises AssertionError, and no factors are kept.
         """
         if k not in self._factors:
-            rows: list[dict[int, int]] = [{} for _ in range(self.rank(k - 1))]
+            units = self._factorization(k - 1).unit_keys if k > 1 else ()
+            theorem = self._boundary_ranks
+            drop = units if theorem else ()
+            rows = [None if i in drop else {} for i in range(self.rank(k - 1))]
             for j, col in enumerate(self.cols[k]):
                 for i, v in col.items():
-                    rows[i][j] = v
-            units = rank = ()
-            if k > 1:
-                _, units, rank = self._factorization(k - 1)
-            self._factors[k] = certified_factors(
-                [row for i, row in enumerate(rows) if row and i not in units],
-                [row for i, row in enumerate(rows) if row and i not in rank],
-            )
+                    if rows[i] is not None:
+                        rows[i][j] = v
+            found = certified_factors([row for i, row in enumerate(rows) if row and i not in units])
+            if theorem is None:
+                certify_rank_mod_p([row for row in rows if row], found.factors)
+            elif len(found.factors) != theorem[k]:
+                raise AssertionError(f"rank certificate failed: d_{k} has {len(found.factors)} "
+                                     f"invariant factors, and {theorem[k]} by its orbit count")
+            self._factors[k] = found
         return self._factors[k]
 
     def boundary_triplets(self, k: int) -> str:
@@ -265,7 +307,9 @@ def rack_chain_complex(
     Construction refuses degrees whose rank exceeds the column budget, the
     rank of the complex being built: M**k for R and M*(M-1)**(k-1) for Q,
     k >= 1.  Q raises SubcomplexError when the degenerate tuples fail to
-    span a subcomplex.  d.d = 0 is asserted before returning.
+    span a subcomplex.  d.d = 0 is asserted before returning.  The complex
+    keeps the orbit count of the reduced rack, one union-find over its
+    rows, which fixes the rank of every boundary map (see ChainComplex).
     """
     if variant not in ("R", "Q"):
         raise ValueError(f"unknown complex variant {variant!r}")
@@ -338,7 +382,15 @@ def rack_chain_complex(
                         f"degenerate basis not closed under the boundary in degree {k}"
                     )
         cols.append(degree_cols)
-    return ChainComplex(rack=rack, basis=basis, cols=cols, variant=variant)
+    return ChainComplex(rack, basis, cols, variant, len(orbits(rack)))
+
+
+def _free_rank(variant: str, orbit_count: int, k: int) -> int:
+    """Free rank of H_k, k >= 1, of the complex R, D or Q of a finite rack
+    with orbit_count orbits, D and Q taken of a quandle (see the module
+    docstring)."""
+    rack, quandle = orbit_count**k, orbit_count * (orbit_count - 1) ** (k - 1)
+    return {"R": rack, "Q": quandle, "D": rack - quandle}[variant]
 
 
 def _degenerate_split(C: ChainComplex) -> tuple[list[list[int]], list[list[int]]]:
@@ -349,11 +401,10 @@ def _degenerate_split(C: ChainComplex) -> tuple[list[list[int]], list[list[int]]
     nondegenerate: list[list[int]] = []
     flags = [False]
     for k in range(C.max_degree + 1):
-        # (t, x) is degenerate iff t is, or x = last(t) = t mod M.
-        if k == 1:
-            flags = [False] * M
-        elif k > 1:
-            flags = [f or x == t % M for t, f in enumerate(flags) for x in range(M)]
+        # (t, x) is degenerate iff t is, or x = last(t) = t mod M; the empty
+        # tuple has no last entry.
+        if k:
+            flags = [f or (k > 1 and x == t % M) for t, f in enumerate(flags) for x in range(M)]
         degenerate.append([j for j, f in enumerate(flags) if f])
         nondegenerate.append([j for j, f in enumerate(flags) if not f])
     return degenerate, nondegenerate
@@ -366,7 +417,8 @@ def _restrict(
 
     closed: a boundary row outside the sub-basis raises SubcomplexError,
     as the sub-basis must span a subcomplex; otherwise such rows are
-    projected away, as in a quotient.
+    projected away, as in a quotient.  The orbit count of C is passed on,
+    so D and Q have their ranks certified by it, with their own free ranks.
     """
     cols: list[list[dict[int, int]]] = [[]]
     for k in range(1, C.max_degree + 1):
@@ -383,7 +435,7 @@ def _restrict(
                     )
             degree_cols.append(col)
         cols.append(degree_cols)
-    return ChainComplex(rack=C.rack, basis=basis, cols=cols, variant=variant)
+    return ChainComplex(C.rack, basis, cols, variant, C.orbit_count)
 
 
 def degenerate_subcomplex(X: FiniteNRack, C: ChainComplex) -> ChainComplex:

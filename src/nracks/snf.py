@@ -13,19 +13,20 @@ Villard, J. Symb. Comp. 32, 2001, and Cohen, A Course in Computational
 Algebraic Number Theory, 1993, section 2.4).  Every answer is certified
 before it is returned: the unit-pivot steps are unimodular by
 construction, every residual vector must reduce to zero against the basis
-by exact division, the basis's S = U*B*V is checked exactly, and the rank
-of the input modulo CERTIFICATE_PRIME must match the factors.  That rank
-comes from a separate elimination (_rank_mod_p) in another order and
-another arithmetic: columns shortest first, each reduced by its highest
-row, with residues held in the symmetric range [-p/2, p/2].
+by exact division, and the basis's S = U*B*V is checked exactly.  The
+number of factors, the rank, is certified against a second source:
+sparse_invariant_factors takes the rank of its input modulo
+CERTIFICATE_PRIME from a separate elimination (_rank_mod_p) in another
+order and another arithmetic: columns shortest first, each reduced by its
+highest row, with residues held in the symmetric range [-p/2, p/2].
 
-certified_factors is the same engine with the certificate given its own
-input, and it returns the keys each side pivoted on.  A chain complex uses
-it to factor d_k from fewer columns than d_k^T has (see
-homology.ChainComplex.factors): the elimination and the certificate each
-leave out the columns that their own pivots on d_{k-1} make dependent.
-Both inputs have the rank of the whole map, so the certificate still
-certifies the whole map, and it never reads what the elimination found.
+certified_factors is the same engine without that rank, and it returns the
+keys of the +-1 pivots.  A chain complex uses it to factor d_k from fewer
+columns than d_k^T has, leaving out those that the pivots on d_{k-1} make
+dependent, and certifies the rank another way: a complex built from a
+rack knows the rank of every d_k from the orbit count of the rack, and a
+complex built by hand takes the mod-p rank of the whole map (see
+homology.ChainComplex).
 """
 
 from collections import defaultdict
@@ -69,10 +70,6 @@ class AbelianGroupInvariants:
         return prod
 
 
-def _identity(k):
-    return [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-
-
 def smith_normal_form(M):
     """Diagonalize an integer matrix by unimodular row and column operations.
 
@@ -90,8 +87,7 @@ def smith_normal_form(M):
     S = [list(row) for row in M]
     if any(len(row) != cols for row in S):
         raise ValueError("ragged matrix")
-    U = _identity(rows)
-    V = _identity(cols)
+    U, V = ([[int(i == j) for j in range(k)] for i in range(k)] for k in (rows, cols))
 
     def swap_rows(i, j):
         S[i], S[j] = S[j], S[i]
@@ -114,26 +110,23 @@ def smith_normal_form(M):
         for row in V:
             row[dst] += q * row[src]
 
-    def negate_row(i):
-        S[i] = [-a for a in S[i]]
-        U[i] = [-a for a in U[i]]
-
     def pivot(t):
-        """Smallest nonzero |entry| in the trailing submatrix, or None."""
+        """Move the smallest nonzero |entry| of the trailing submatrix to
+        (t, t); False when there is none."""
         best = None
         for i in range(t, rows):
             for j in range(t, cols):
                 if S[i][j] != 0 and (best is None or abs(S[i][j]) < abs(S[best[0]][best[1]])):
                     best = (i, j)
-        return best
+        if best is not None:
+            swap_rows(t, best[0])
+            swap_cols(t, best[1])
+        return best is not None
 
     t = 0
     while t < min(rows, cols):
-        pos = pivot(t)
-        if pos is None:
+        if not pivot(t):
             break
-        swap_rows(t, pos[0])
-        swap_cols(t, pos[1])
         while True:
             # Clear the pivot column, then the pivot row; repeat while the
             # pivot keeps shrinking to a proper divisor.
@@ -141,17 +134,13 @@ def smith_normal_form(M):
                 if S[i][t] != 0:
                     add_row(t, i, -(S[i][t] // S[t][t]))
             if any(S[i][t] != 0 for i in range(t + 1, rows)):
-                pos = pivot(t)
-                swap_rows(t, pos[0])
-                swap_cols(t, pos[1])
+                pivot(t)
                 continue
             for j in range(t + 1, cols):
                 if S[t][j] != 0:
                     add_col(t, j, -(S[t][j] // S[t][t]))
             if any(S[t][j] != 0 for j in range(t + 1, cols)):
-                pos = pivot(t)
-                swap_rows(t, pos[0])
-                swap_cols(t, pos[1])
+                pivot(t)
                 continue
             # Pivot must divide every remaining entry; if not, fold the
             # offending row into the pivot row and restart this block.
@@ -167,7 +156,7 @@ def smith_normal_form(M):
                 break
             add_row(offender, t, 1)
         if S[t][t] < 0:
-            negate_row(t)
+            S[t], U[t] = [-a for a in S[t]], [-a for a in U[t]]
         t += 1
 
     _assert_product(U, M, V, S)
@@ -216,44 +205,45 @@ def sparse_invariant_factors(columns) -> tuple[int, ...]:
     modified.  Raises AssertionError, and returns nothing, when the
     residual's membership or product check or the rank certificate fails.
     """
-    return certified_factors(columns, columns).factors
+    return certify_rank_mod_p(columns, certified_factors(columns).factors)
+
+
+def certify_rank_mod_p(columns, factors) -> tuple[int, ...]:
+    """The factors, once the rank modulo CERTIFICATE_PRIME of the matrix with
+    the given columns is the number of them that the prime does not divide;
+    AssertionError otherwise."""
+    rank = len(_rank_mod_p(columns))
+    if rank != sum(1 for d in factors if d % CERTIFICATE_PRIME):
+        raise AssertionError(f"rank certificate failed: rank {rank} modulo {CERTIFICATE_PRIME} "
+                             f"against {len(factors)} invariant factors")
+    return factors
 
 
 class Factorization(NamedTuple):
-    """Certified invariant factors, with the row keys each side pivoted on.
+    """Invariant factors, with the row keys of the +-1 pivots.
 
-    unit_keys: the rows of the +-1 pivots.  With the pivot columns they
-    index a square submatrix that is unimodular: column operations among
-    the pivot columns make it triangular with +-1 on the diagonal.
-    rank_keys: the highest rows of the vectors the certificate kept.  With
-    the columns those vectors came from they index a square submatrix that
-    is nonsingular modulo CERTIFICATE_PRIME, by the same argument.
+    unit_keys: with the pivot columns they index a square submatrix that
+    is unimodular: column operations among the pivot columns make it
+    triangular with +-1 on the diagonal.
     """
 
     factors: tuple[int, ...]
     unit_keys: set
-    rank_keys: set
 
 
-def certified_factors(columns, certificate_columns) -> Factorization:
-    """Invariant factors of the matrix with the given columns, certified by
-    the rank modulo CERTIFICATE_PRIME of the matrix with certificate_columns.
+def certified_factors(columns) -> Factorization:
+    """Invariant factors of the matrix with the given columns, with the keys
+    of its +-1 pivots.
 
-    The certificate holds only when the two matrices have the same rank
-    modulo the prime: pass the same columns, or columns that a lemma
-    proves to have it (see homology.ChainComplex.factors).  Raises
-    AssertionError, and returns nothing, when the residual's membership or
-    product check or the rank certificate fails.
+    The elimination's steps are unimodular, and the residual's membership
+    and product checks raise AssertionError, returning nothing, when they
+    fail.  The number of factors is not checked here: the caller
+    certifies the rank, by certify_rank_mod_p on the same columns
+    (sparse_invariant_factors) or by a rank it knows on other grounds
+    (homology.ChainComplex).
     """
     unit_keys, residual = _eliminate_unit_pivots(columns)
-    factors = (1,) * len(unit_keys) + _residual_factors(residual)
-    rank_keys = _rank_mod_p(certificate_columns)
-    if len(rank_keys) != sum(1 for d in factors if d % CERTIFICATE_PRIME):
-        raise AssertionError(
-            f"rank certificate failed: rank {len(rank_keys)} modulo {CERTIFICATE_PRIME} "
-            f"against {len(factors)} invariant factors"
-        )
-    return Factorization(factors, unit_keys, rank_keys)
+    return Factorization((1,) * len(unit_keys) + _residual_factors(residual), unit_keys)
 
 
 def _eliminate_unit_pivots(columns):

@@ -1,11 +1,11 @@
 """Boundary maps factored along the chain.
 
 ChainComplex.factors hands the engine only the rows of d_k that the pivots
-of d_{k-1} leave independent: the elimination drops the keys of its +-1
-pivots on d_{k-1}, the certificate the highest rows of the vectors it kept.
-Checked here against the per-map factors of the whole of each d_k, against
-sympy on random integer complexes with torsion, and the certificate's rank
-on its reduced input against the rank of the whole map.
+of d_{k-1} leave independent: it drops the keys of the +-1 pivots on
+d_{k-1}.  Checked here against the per-map factors of the whole of each
+d_k, against sympy on random integer complexes with torsion, and the
+number of factors against the rank modulo snf.CERTIFICATE_PRIME of the
+whole map and the rank the orbit count gives.
 """
 
 import importlib
@@ -52,14 +52,14 @@ def per_map_factors(C, k):
 
 def _certified_inputs(C, monkeypatch):
     """Factor every map of the fresh complex C through the top one and
-    return the engine's inputs, (columns, certificate columns) of d_k at
-    index k - 1: factors(k) factors d_{k-1} before it calls the engine."""
+    return the engine's input, the columns of d_k at index k - 1:
+    factors(k) factors d_{k-1} before it calls the engine."""
     inputs = []
     engine = homology_module.certified_factors
 
-    def record(columns, certificate_columns):
-        inputs.append((columns, certificate_columns))
-        return engine(columns, certificate_columns)
+    def record(columns):
+        inputs.append(columns)
+        return engine(columns)
 
     monkeypatch.setattr(homology_module, "certified_factors", record)
     C.factors(C.max_degree)
@@ -70,21 +70,21 @@ def _certified_inputs(C, monkeypatch):
 
 def _check_along_the_chain(C, monkeypatch):
     inputs = _certified_inputs(C, monkeypatch)
-    for k, (columns, certificate_columns) in enumerate(inputs, start=1):
+    for k, columns in enumerate(inputs, start=1):
         rows = _rows(C, k)
-        # Each side drops exactly the rows its own keys on d_{k-1} name.
-        units, rank = C._factorization(k - 1)[1:] if k > 1 else ((), ())
+        # The engine is handed exactly the rows the unit keys on d_{k-1}
+        # leave, and its factors number the rank of the whole map, which
+        # the orbit count gives.
+        units = C._factorization(k - 1).unit_keys if k > 1 else ()
         assert columns == [row for i, row in enumerate(rows) if row and i not in units]
-        assert certificate_columns == [row for i, row in enumerate(rows) if row and i not in rank]
         assert C.factors(k) == per_map_factors(C, k)
-        assert len(snf._rank_mod_p(certificate_columns)) == len(snf._rank_mod_p(rows))
+        rank = len(snf._rank_mod_p([row for row in rows if row]))
+        assert len(C.factors(k)) == rank == C._boundary_ranks[k]
         if k > 1:
-            # The lemma's blocks: the columns of d_{k-1} at the unit keys
-            # split off unit factors only, and those at the rank keys are
-            # independent modulo the certificate prime.
+            # The lemma's block: the columns of d_{k-1} at the unit keys
+            # split off unit factors only.
             below = C.cols[k - 1]
             assert sparse_invariant_factors([below[j] for j in units]) == (1,) * len(units)
-            assert len(snf._rank_mod_p([below[j] for j in rank])) == len(rank)
 
 
 def _variants(R, top):

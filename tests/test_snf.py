@@ -170,12 +170,12 @@ def _rank_gf(rows, p):
 @given(_sparse_matrices())
 def test_pivot_keys_name_blocks_the_chain_can_drop(M):
     # The rows at the unit keys split off unit factors only, and those at
-    # the rank keys are independent modulo the certificate prime.
-    factorization = certified_factors(_columns(M), _columns(M))
+    # the certificate's keys are independent modulo its prime.
+    factorization = certified_factors(_columns(M))
     assert factorization.factors == _sympy_factors(M)
     unit_rows = [M[i] for i in factorization.unit_keys]
     assert (_sympy_factors(unit_rows) if unit_rows else ()) == (1,) * len(unit_rows)
-    rank_rows = [M[i] for i in factorization.rank_keys]
+    rank_rows = [M[i] for i in snf._rank_mod_p(_columns(M))]
     rank = _rank_gf(rank_rows, CERTIFICATE_PRIME)
     assert rank == len(rank_rows) == sum(1 for d in factorization.factors if d % CERTIFICATE_PRIME)
 
@@ -307,7 +307,7 @@ def test_unit_keys_stay_unimodular_when_a_column_regains_a_row():
     units, residual = snf._eliminate_unit_pivots(_columns(M))
     assert units == {0, 1, 2} and residual == []
     assert determinant([row[:3] for row in M]) in (1, -1)
-    assert certified_factors(_columns(M), _columns(M)).factors == (1, 1, 1) == _sympy_factors(M)
+    assert certified_factors(_columns(M)).factors == (1, 1, 1) == _sympy_factors(M)
 
 
 def test_unit_pivots_alone_factor_torsion_free_maps_and_relators():

@@ -8,7 +8,10 @@ fixtures and on the enumerated census (n=2 with m <= 4, n=3 with m <= 3):
 - the abelianized associated group is free on the orbits of X, as every
   relator abelianizes to e_[xs] - e_{x_n}, in both relator forms;
 - the connected quandles of prime order p are the p - 2 affine ones
-  (Etingof, Soloviev & Guralnick, J. Algebra 242, 2001).
+  (Etingof, Soloviev & Guralnick, J. Algebra 242, 2001);
+- the quandle homology of the dihedral quandles of order 3, 5 and 7 in
+  high degree (Niebrzydowski & Przytycki, JPAA 213, 2009; Nosaka,
+  Trans. AMS 365, 2013).
 """
 
 import pytest
@@ -19,6 +22,7 @@ from nracks import (
     FiniteNRack,
     abelianization,
     associated_group_presentation,
+    CoefficientGroup,
     build_conjugation_nrack,
     classify,
     degenerate_subcomplex,
@@ -104,3 +108,39 @@ def test_connected_quandles_of_prime_order_are_the_affine_ones(p):
     }
     assert len(connected) == p - 2
     assert connected == affine
+
+
+@pytest.mark.parametrize(
+    "m, torsion",
+    [(3, [0, 0, 1, 1, 1, 2, 3, 4, 6]), (5, [0, 0, 1, 1, 1]), (7, [0, 0, 1, 1])],
+    ids=["R3", "R5", "R7"],
+)
+def test_dihedral_quandle_homology_in_high_degree(m, torsion):
+    """H^Q_n of the dihedral quandle R_m (x.y = 2x - y mod m, m = 3, 5, 7)
+    is Z for n = 1 and (Z/m)^f_n for n >= 2, with torsion[n - 1] = f_n.
+
+    Degrees count the entries of a tuple: C^Q_n is free on the
+    non-degenerate n-tuples, the indexing in which H^Q_2(R_3) = 0 and
+    H^Q_3(R_3) = Z/3 (Carter, Jelsovsky, Kamada & Saito, JPAA 157, 2001),
+    so f_3 = 1 here.  In that indexing Niebrzydowski & Przytycki
+    (Homology of dihedral quandles, JPAA 213, 2009) conjectured
+    f_n = f_{n-1} + f_{n-3} for R_3 from f_1 = f_2 = 0, f_3 = 1, which
+    gives 0, 0, 1, 1, 1, 2, 3, 4, 6, and Nosaka (On quandle homology
+    groups of Alexander quandles of prime order, Trans. AMS 365, 2013)
+    proved it, with the homology of the other R_p of prime order.  No
+    free part past degree 1: each R_m is connected, one orbit, so
+    o(o-1)^(n-1) = 0.  Over Z/m, universal coefficients give
+    H_n(Z/m) = H_n (x) Z/m + Tor(H_{n-1}, Z/m), so (Z/m)^(f_n + f_{n-1})
+    for n >= 2 and Z/m for n = 1.
+    """
+    top = len(torsion)
+    Q = rack_chain_complex(dihedral_nrack(m), top + 1, variant="Q")
+    integral = [homology(Q, n).invariants for n in range(1, top + 1)]
+    assert [(h.free_rank, h.torsion) for h in integral] == [
+        (int(n == 1), (m,) * f) for n, f in enumerate(torsion, start=1)
+    ]
+    mod_m = [homology(Q, n, CoefficientGroup.cyclic(m)).invariants for n in range(1, top + 1)]
+    assert [(h.free_rank, h.torsion) for h in mod_m] == [
+        (0, (m,) * (int(n == 1) + f + ([0] + torsion)[n - 1]))
+        for n, f in enumerate(torsion, start=1)
+    ]
