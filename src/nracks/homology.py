@@ -10,7 +10,10 @@ abelian on k-tuples over Y, ordered lexicographically.  The boundary is
 where a*b is the left action of a on b in Y.  This is the unique reading
 of the classical rack boundary for which d.d = 0 holds on left racks; the
 identity is asserted on every construction.  Degree 0 has rank 1 (the
-empty tuple) with d_1 = 0, so H_0 = A.
+empty tuple) with d_1 = 0, so H_0 = A.  A complex is held as its boundary
+columns alone (ChainComplex): column j of d_k is the boundary of the j-th
+chain of degree k, degree 0 keeping one empty column per chain, and no
+tuple is stored; the ranks are the column counts.
 
 For an n-quandle, the degenerate tuples (two consecutive entries equal)
 span a subcomplex D, and the quandle complex Q = C/D has the
@@ -81,7 +84,6 @@ elimination on all fixtures.
 from collections import Counter
 from dataclasses import dataclass, field
 from math import gcd
-from typing import Sequence
 
 from .constructions import FiniteRack, reduce_nrack_to_rack
 from .core import FiniteNRack, orbits, require
@@ -134,16 +136,17 @@ class CoefficientGroup:
 
 @dataclass
 class ChainComplex:
-    """Ranked free chain groups with sparse integer boundary columns.
+    """Free chain groups given by their sparse integer boundary columns.
 
-    rack is the reduced rack Y the complex lives on, of size M.  basis[k]
-    lists, for each degree, the retained tuple indices within the full
-    tuple space {0..M-1}^k (encoded base M, first entry most significant),
-    in increasing order; the full rack complex retains range(M**k).
-    cols[k][j] is column j of d_k as a map from row position (index into
-    basis[k-1]) to its integer coefficient.  Ranks and max_degree are read
-    off the basis: rank(k) = len(basis[k]), ranks lists every rank, and
-    max_degree = len(basis) - 1.
+    rack is the reduced rack Y the complex lives on, of size M.  cols[k][j]
+    is column j of d_k as a map from row position in degree k-1 to its
+    integer coefficient; cols[0] holds one empty column per degree-0
+    chain, as d_0 = 0.  So rank(k) = len(cols[k]) in every degree, ranks
+    lists every rank, and max_degree = len(cols) - 1.  Position p in degree
+    k is the p-th k-tuple over Y in lexicographic order (first entry most
+    significant) among all tuples for variant "R", the degenerate ones
+    (two consecutive entries equal) for "D", and the non-degenerate ones
+    for "Q"; degree 0 is the empty tuple, non-degenerate.
     orbit_count is the number of orbits of Y, given by the builders: with
     it, the rank of every d_k follows from the variant's free ranks (see
     the module docstring) and is computed once, on construction.  A
@@ -156,7 +159,6 @@ class ChainComplex:
     """
 
     rack: FiniteRack
-    basis: list[Sequence[int]]
     cols: list[list[dict[int, int]]]
     variant: str = "R"
     orbit_count: int | None = None
@@ -166,6 +168,8 @@ class ChainComplex:
     _boundary_ranks: list[int] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
+        if self.variant not in ("R", "D", "Q"):
+            raise ValueError(f"unknown complex variant {self.variant!r}")
         # d_{k-1} d_k = 0 column by column.  Through the entries +-1 of d_k
         # that reach a column of d_{k-1} with entries +-1 alone, the rows
         # reached with a plus sign must sort to those reached with a minus
@@ -211,14 +215,14 @@ class ChainComplex:
 
     @property
     def max_degree(self) -> int:
-        return len(self.basis) - 1
+        return len(self.cols) - 1
 
     def rank(self, k: int) -> int:
-        return len(self.basis[k])
+        return len(self.cols[k])
 
     @property
     def ranks(self) -> list[int]:
-        return [len(b) for b in self.basis]
+        return [len(c) for c in self.cols]
 
     def factors(self, k: int) -> tuple[int, ...]:
         """Invariant factors of d_k, factored once per complex."""
@@ -248,22 +252,24 @@ class ChainComplex:
         nonzero row, ranked modulo snf.CERTIFICATE_PRIME.  Either failure
         raises AssertionError, and no factors are kept.
         """
-        if k not in self._factors:
-            units = self._factorization(k - 1).unit_keys if k > 1 else ()
+        # The maps are factored in increasing degree, each handing its unit
+        # keys to the next, so any degree may be asked for first.
+        for m in range(len(self._factors) + 1, k + 1):
+            units = self._factors[m - 1].unit_keys if m > 1 else ()
             theorem = self._boundary_ranks
             drop = units if theorem else ()
-            rows = [None if i in drop else {} for i in range(self.rank(k - 1))]
-            for j, col in enumerate(self.cols[k]):
+            rows = [None if i in drop else {} for i in range(self.rank(m - 1))]
+            for j, col in enumerate(self.cols[m]):
                 for i, v in col.items():
                     if rows[i] is not None:
                         rows[i][j] = v
             found = certified_factors([row for i, row in enumerate(rows) if row and i not in units])
             if theorem is None:
                 certify_rank_mod_p([row for row in rows if row], found.factors)
-            elif len(found.factors) != theorem[k]:
-                raise AssertionError(f"rank certificate failed: d_{k} has {len(found.factors)} "
-                                     f"invariant factors, and {theorem[k]} by its orbit count")
-            self._factors[k] = found
+            elif len(found.factors) != theorem[m]:
+                raise AssertionError(f"rank certificate failed: d_{m} has {len(found.factors)} "
+                                     f"invariant factors, and {theorem[m]} by its orbit count")
+            self._factors[m] = found
         return self._factors[k]
 
     def boundary_triplets(self, k: int) -> str:
@@ -336,12 +342,11 @@ def rack_chain_complex(
     tag = range(M) if variant == "Q" else [M] * M
     # lasts: last entries of the (k-2)-tuples; acts[x][p]: the position of
     # x acting on each entry of the p-th (k-2)-tuple.  Both grow a degree
-    # at the top of each step, as does the basis.
+    # at the top of each step.
     lasts = [M]
     acts = [[0]] * M
-    basis: list[Sequence[int]] = [[0], list(range(M))][: max_degree + 1]
-    # d_0 has no stored columns; d_1 = 0, one empty column per element.
-    cols: list[list[dict[int, int]]] = [[], [{} for _ in range(M)]][: max_degree + 1]
+    # d_0 = 0 and d_1 = 0: one empty column per chain.
+    cols: list[list[dict[int, int]]] = [[{}], [{} for _ in range(M)]][: max_degree + 1]
     for k in range(2, max_degree + 1):
         # children[x][p]: the position of the child (p, x) among the
         # (k-1)-tuples, or -1 where it is skipped.
@@ -350,7 +355,6 @@ def rack_chain_complex(
         acts = [[children[b][a] for a, l in zip(act, lasts) for y, b in enumerate(row) if y != l]
                 for act, row in zip(acts, rows)]
         lasts = [tag[y] for l in lasts for y in range(M) if y != l]
-        basis.append([f * M + y for f, l in zip(basis[k - 1], lasts) for y in range(M) if y != l])
         sign = 1 if k % 2 == 0 else -1
         by_x = list(zip(range(M), children, acts))
         degree_cols = []
@@ -382,20 +386,23 @@ def rack_chain_complex(
                         f"degenerate basis not closed under the boundary in degree {k}"
                     )
         cols.append(degree_cols)
-    return ChainComplex(rack, basis, cols, variant, len(orbits(rack)))
+    return ChainComplex(rack, cols, variant, len(orbits(rack)))
 
 
 def _free_rank(variant: str, orbit_count: int, k: int) -> int:
     """Free rank of H_k, k >= 1, of the complex R, D or Q of a finite rack
     with orbit_count orbits, D and Q taken of a quandle (see the module
-    docstring)."""
-    rack, quandle = orbit_count**k, orbit_count * (orbit_count - 1) ** (k - 1)
-    return {"R": rack, "Q": quandle, "D": rack - quandle}[variant]
+    docstring).  Only what the variant needs is evaluated: o^k gains a
+    digit every few degrees, so evaluating it for Q as well would make a
+    long range of degrees quadratic."""
+    quandle = 0 if variant == "R" else orbit_count * (orbit_count - 1) ** (k - 1)
+    return quandle if variant == "Q" else orbit_count**k - quandle
 
 
 def _degenerate_split(C: ChainComplex) -> tuple[list[list[int]], list[list[int]]]:
-    """Indices of the degenerate tuples (two consecutive entries equal) and
-    of the non-degenerate ones in each degree of the full complex C."""
+    """Positions in the full complex C of the degenerate tuples (two
+    consecutive entries equal) and of the non-degenerate ones, in each
+    degree."""
     M = C.carrier_size
     degenerate: list[list[int]] = []
     nondegenerate: list[list[int]] = []
@@ -411,20 +418,21 @@ def _degenerate_split(C: ChainComplex) -> tuple[list[list[int]], list[list[int]]
 
 
 def _restrict(
-    C: ChainComplex, basis: list[list[int]], variant: str, closed: bool
+    C: ChainComplex, positions: list[list[int]], variant: str, closed: bool
 ) -> ChainComplex:
-    """The complex on a sub-basis of the full complex C, columns renumbered.
+    """The complex on the chains of the full complex C at the given
+    positions in each degree, columns renumbered in the same order.
 
-    closed: a boundary row outside the sub-basis raises SubcomplexError,
-    as the sub-basis must span a subcomplex; otherwise such rows are
+    closed: a boundary row at no given position raises SubcomplexError,
+    as the chains must span a subcomplex; otherwise such rows are
     projected away, as in a quotient.  The orbit count of C is passed on,
     so D and Q have their ranks certified by it, with their own free ranks.
     """
-    cols: list[list[dict[int, int]]] = [[]]
-    for k in range(1, C.max_degree + 1):
-        position = {full: pos for pos, full in enumerate(basis[k - 1])}
+    cols: list[list[dict[int, int]]] = []
+    position: dict[int, int] = {}
+    for k, kept in enumerate(positions):
         degree_cols = []
-        for full in basis[k]:
+        for full in kept:
             col = {}
             for row, v in C.cols[k][full].items():
                 if row in position:
@@ -435,7 +443,8 @@ def _restrict(
                     )
             degree_cols.append(col)
         cols.append(degree_cols)
-    return ChainComplex(C.rack, basis, cols, variant, C.orbit_count)
+        position = {full: pos for pos, full in enumerate(kept)}
+    return ChainComplex(C.rack, cols, variant, C.orbit_count)
 
 
 def degenerate_subcomplex(X: FiniteNRack, C: ChainComplex) -> ChainComplex:
@@ -456,14 +465,16 @@ def degenerate_subcomplex(X: FiniteNRack, C: ChainComplex) -> ChainComplex:
 
 
 def quandle_quotient_complex(C: ChainComplex, D: ChainComplex) -> ChainComplex:
-    """Quotient of the rack complex by the degenerate subcomplex: basis is
-    the non-degenerate tuples, boundary is followed by projection."""
+    """Quotient of the rack complex by the degenerate subcomplex: its
+    chains are the non-degenerate tuples, and its boundary is followed by
+    projection.  D is checked, not read: it must be C's degenerate
+    subcomplex by rack, top degree and ranks."""
     if C.variant != "R" or D.variant != "D":
         raise SubcomplexError("quotient takes the rack complex and its degenerate subcomplex")
     if D.rack != C.rack or D.max_degree != C.max_degree:
         raise SubcomplexError("subcomplex does not match the ambient complex")
     degenerate, nondegenerate = _degenerate_split(C)
-    if D.basis != degenerate:
+    if D.ranks != [len(kept) for kept in degenerate]:
         raise SubcomplexError("subcomplex basis is not the degenerate sub-basis")
     return _restrict(C, nondegenerate, "Q", closed=False)
 

@@ -101,10 +101,11 @@ def module_group(H, bracket, module, arity):
 
 def rack_boundary_columns(rack, max_degree):
     """cols[k][j] of the rack complex on the binary rack: every face of
-    every k-tuple formed as a tuple and encoded digit by digit."""
+    every k-tuple formed as a tuple and encoded digit by digit.  The empty
+    tuple has no faces, so degree 0 is one empty column."""
     M = rack.size
-    cols = [[]]
-    for k in range(1, max_degree + 1):
+    cols = []
+    for k in range(max_degree + 1):
         degree_cols = []
         for t in product(range(M), repeat=k):
             col = {}
@@ -127,8 +128,8 @@ def rack_boundary_faces(rack, max_degree):
     the entrywise table for that length."""
     M = rack.size
     acts = [[entrywise(rack.row(x), L, M) for x in range(M)] for L in range(max_degree)]
-    cols = [[]]
-    for k in range(1, max_degree + 1):
+    cols = []
+    for k in range(max_degree + 1):
         degree_cols = []
         for j in range(M**k):
             col = {}

@@ -135,11 +135,11 @@ def _sign_flipped_in_degree(k):
         # The first column of d_k with two entries gets one of them negated.
         original = homology_module.ChainComplex
 
-        def flipped(rack, basis, cols, variant, orbit_count):
+        def flipped(rack, cols, variant, orbit_count):
             col = next(c for c in cols[k] if len(c) > 1)
             row = min(col)
             col[row] = -col[row]
-            return original(rack, basis, cols, variant, orbit_count)
+            return original(rack, cols, variant, orbit_count)
 
         monkeypatch.setattr(homology_module, "ChainComplex", flipped)
 
@@ -198,7 +198,7 @@ def test_a_hand_built_complex_keeps_the_mod_p_certificate(monkeypatch):
     # so an elimination that loses one unit pivot, and with it one factor,
     # is refused there, as it is by the theorem on the built complex.
     built = rack_chain_complex(CONJ_S3, 3)
-    by_hand = ChainComplex(rack=built.rack, basis=built.basis, cols=built.cols)
+    by_hand = ChainComplex(rack=built.rack, cols=built.cols)
     assert by_hand.orbit_count is None and by_hand._boundary_ranks is None
     eliminate = snf._eliminate_unit_pivots
 
@@ -215,7 +215,7 @@ def test_a_hand_built_complex_keeps_the_mod_p_certificate(monkeypatch):
     rank = snf._rank_mod_p
     monkeypatch.setattr(snf, "_rank_mod_p", lambda columns: calls.append(columns) or rank(columns))
     built = rack_chain_complex(CONJ_S3, 3)
-    by_hand = ChainComplex(rack=built.rack, basis=built.basis, cols=built.cols)
+    by_hand = ChainComplex(rack=built.rack, cols=built.cols)
     assert built.factors(3) == built.factors(3) and calls == []
     # One mod-p rank per map of the hand-built complex, on every nonzero
     # row of d_k, that is, all but the row of the tuple of identities:
