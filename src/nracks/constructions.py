@@ -253,6 +253,9 @@ def reduce_nrack_to_rack(R: FiniteNRack) -> FiniteRack:
     M = m ** (n - 1)
     _check_table_budget(M, 2)
     require(R, "reduce")
+    if m == 1:
+        # One tuple, whatever the arity: no tuple or loop as long as it.
+        return FiniteRack(1, (0,), None if R.basepoint is None else 0)
     table = [v for a in range(M) for v in entrywise(R.table[a * m : (a + 1) * m], n - 1, m)]
     basepoint = None if R.basepoint is None else R.index((R.basepoint,) * (n - 1))
     return FiniteRack(M, tuple(table), basepoint)

@@ -69,6 +69,26 @@ orbit count or elimination that changes a rank raises instead of
 answering.  The tests check every s_k against an independent rank modulo
 a prime on the small censuses and the fixtures.
 
+R splits by the orbit of the first entry.  No face of d(x_1,...,x_k)
+deletes x_1, and face i only moves it to x_i*x_1, in the same orbit of Y.
+So for k >= 1 the chains whose first entry lies in an orbit O span a
+subcomplex, the block of O, and each d_k is the direct sum of the blocks'
+maps: the block of O is the complex of Y with coefficients in the Y-set O,
+one degree up (Carter, Elhamdadi, Grana & Saito, Osaka J. Math. 42, 2005).
+An isomorphism of Y-sets phi: O -> O' maps the block of O onto that of O'
+by (a, x_2,...,x_k) -> (phi(a), x_2,...,x_k), as x*phi(a) = phi(x*a), with
+the same columns once positions are counted within each block.  So R is
+built one block per class of isomorphic orbits, each seeded by the same
+recursion with the entries of one orbit, and the invariant factors of d_k
+are those of the representative blocks, each counted once per orbit of its
+class, folded into one divisibility chain.  The orbit count certifies that
+class-weighted count; every representative block is checked for d.d = 0;
+each orbit map is checked on all of Y x O, and the orbits of the classes
+must partition Y, before any block is built.  When no two orbits are
+isomorphic the recursion is seeded with all of Y at once.  Q and D are not
+split this way: phi need not keep a = x_2, so it does not carry degenerate
+tuples to degenerate tuples.
+
 Homology with Z/d coefficients is computed from the integral Smith normal
 form data by universal-coefficient reduction:
 
@@ -156,6 +176,10 @@ class ChainComplex:
     factors relies on it.  The invariant factors of each d_k are computed
     on first use (see factors) and kept with the complex, with the row keys
     they pivoted on; the boundary columns must not change afterwards.
+    A rack complex R with isomorphic orbits is held as one block per class
+    of them instead (_SplitComplex, see the module docstring): its ranks
+    and factors are read from the blocks, and cols, the same columns as
+    above, is assembled from them on first read.
     """
 
     rack: FiniteRack
@@ -170,44 +194,8 @@ class ChainComplex:
     def __post_init__(self):
         if self.variant not in ("R", "D", "Q"):
             raise ValueError(f"unknown complex variant {self.variant!r}")
-        # d_{k-1} d_k = 0 column by column.  Through the entries +-1 of d_k
-        # that reach a column of d_{k-1} with entries +-1 alone, the rows
-        # reached with a plus sign must sort to those reached with a minus
-        # sign; every other product is summed exactly, so the cost does not
-        # grow with the size of the entries.
-        for k in range(2, self.max_degree + 1):
-            lower = self.cols[k - 1]
-            plus = [[i for i, v in col.items() if v == 1] for col in lower]
-            minus = [[i for i, v in col.items() if v == -1] for col in lower]
-            unit = [len(p) + len(m) == len(col) for p, m, col in zip(plus, minus, lower)]
-            for col in self.cols[k]:
-                up, down, rest = [], [], {}
-                for r, c in col.items():
-                    if c == 1 and unit[r]:
-                        up += plus[r]
-                        down += minus[r]
-                    elif c == -1 and unit[r]:
-                        up += minus[r]
-                        down += plus[r]
-                    else:
-                        for i, v in lower[r].items():
-                            rest[i] = rest.get(i, 0) + c * v
-                if rest:
-                    rest = Counter(rest)
-                    rest.update(up)
-                    rest.subtract(down)
-                    zero = not any(rest.values())
-                else:
-                    up.sort()
-                    down.sort()
-                    zero = up == down
-                if not zero:
-                    raise AssertionError("boundary does not square to zero")
-        if self.orbit_count is not None:
-            # s_1 = 0 and s_{k+1} = r_k - s_k - b_k, b_k the free rank of H_k.
-            self._boundary_ranks = s = [0, 0]
-            for k in range(1, self.max_degree):
-                s.append(self.rank(k) - s[k] - _free_rank(self.variant, self.orbit_count, k))
+        _check_square_zero(self.cols)
+        self._boundary_ranks = _theorem_ranks(self)
 
     @property
     def carrier_size(self) -> int:
@@ -229,21 +217,8 @@ class ChainComplex:
         return self._factorization(k).factors
 
     def _factorization(self, k: int) -> Factorization:
-        """Factors of d_k, from the rows of d_k that d_{k-1} leaves
-        independent, with their number certified.
-
-        The factors are those of the coboundary d_k^T: its columns are the
-        nonzero rows of d_k, indexed by column position.  d_k is at least
-        as wide as it is tall, and most of its columns lie in the kernel;
-        eliminating by rows leaves only the dependent rows to reduce.
-
-        Fewer rows still suffice.  If d_{k-1}[A, B] is invertible, then
-        d_{k-1}[A, :] d_k = 0 puts rows B of d_k in the span of the others,
-        B': d_k[B, :] = -d_{k-1}[A, B]^-1 d_{k-1}[A, B'] d_k[B', :].  So d_{k-1}
-        is factored first, and the elimination is handed d_k without the
-        rows at the keys of its +-1 pivots on d_{k-1}: a unimodular block,
-        so the invariant factors do not change.  Only those rows are
-        transposed.
+        """Factors of d_k, factored along the chain (see _next_factorization),
+        with their number certified.
 
         The number of factors is the rank of d_k, and it is certified from
         outside the elimination.  A complex with an orbit count must have
@@ -252,23 +227,14 @@ class ChainComplex:
         nonzero row, ranked modulo snf.CERTIFICATE_PRIME.  Either failure
         raises AssertionError, and no factors are kept.
         """
-        # The maps are factored in increasing degree, each handing its unit
-        # keys to the next, so any degree may be asked for first.
-        for m in range(len(self._factors) + 1, k + 1):
-            units = self._factors[m - 1].unit_keys if m > 1 else ()
-            theorem = self._boundary_ranks
-            drop = units if theorem else ()
-            rows = [None if i in drop else {} for i in range(self.rank(m - 1))]
-            for j, col in enumerate(self.cols[m]):
-                for i, v in col.items():
-                    if rows[i] is not None:
-                        rows[i][j] = v
-            found = certified_factors([row for i, row in enumerate(rows) if row and i not in units])
+        theorem = self._boundary_ranks
+        while len(self._factors) < k:
+            m = len(self._factors) + 1
+            rows, found = _next_factorization(self.cols, self._factors, theorem is not None)
             if theorem is None:
                 certify_rank_mod_p([row for row in rows if row], found.factors)
-            elif len(found.factors) != theorem[m]:
-                raise AssertionError(f"rank certificate failed: d_{m} has {len(found.factors)} "
-                                     f"invariant factors, and {theorem[m]} by its orbit count")
+            else:
+                _certify_rank(m, len(found.factors), theorem)
             self._factors[m] = found
         return self._factors[k]
 
@@ -284,6 +250,175 @@ class ChainComplex:
         for i, j, v in sorted(entries):
             lines.append(f"{i} {j} {v}")
         return "\n".join(lines) + "\n"
+
+
+class _SplitComplex(ChainComplex):
+    """The rack complex R held as one block per class of isomorphic orbits.
+
+    blocks lists (cols, orders, factors) per class: cols are the boundary
+    columns of the class's representative block, built on the orbit
+    orders[0] in sorted order, in block-local positions (see
+    _boundary_columns); orders lists every orbit of the class, each as the
+    images of orders[0] under an isomorphism of Y-sets, so that its block
+    has the same columns; factors keeps the block's own factorizations.
+    Degree 0 is the empty tuple of the whole complex, in no block.  The
+    global columns, the public cols, are assembled from the blocks on
+    first read and kept.
+    """
+
+    def __init__(self, rack: FiniteRack, blocks, orbit_count: int):
+        self.rack, self.variant, self.orbit_count = rack, "R", orbit_count
+        self._blocks = blocks
+        self._assembled = None
+        self._factors = {}
+        top = len(blocks[0][0]) - 1
+        self._ranks = [1] + [sum(len(cols[k]) * len(orders) for cols, orders, _ in blocks)
+                             for k in range(1, top + 1)]
+        for cols, _, _ in blocks:
+            _check_square_zero(cols)
+        self._boundary_ranks = _theorem_ranks(self)
+
+    @property
+    def max_degree(self) -> int:
+        return len(self._ranks) - 1
+
+    def rank(self, k: int) -> int:
+        return self._ranks[k]
+
+    @property
+    def ranks(self) -> list[int]:
+        return list(self._ranks)
+
+    @property
+    def cols(self) -> list[list[dict[int, int]]]:
+        if self._assembled is None:
+            M = self.carrier_size
+            cols = [[{}], [{} for _ in range(M)]][: self.max_degree + 1]
+            for k in range(2, self.max_degree + 1):
+                # Block-local position i * P + r in degree k is the tuple
+                # with first entry order[i] and the rest r, P = M**(k-1).
+                P, Q = M ** (k - 1), M ** (k - 2)
+                degree: list[dict[int, int]] = [{}] * (M * P)
+                for block, orders, _ in self._blocks:
+                    for order in orders:
+                        to_row = [a * Q + r for a in order for r in range(Q)]
+                        to_col = [a * P + r for a in order for r in range(P)]
+                        for j, col in zip(to_col, block[k]):
+                            degree[j] = {to_row[i]: v for i, v in col.items()}
+                cols.append(degree)
+            self._assembled = cols
+        return self._assembled
+
+    def _factorization(self, k: int) -> Factorization:
+        """Factors of d_k from those of the representative blocks.
+
+        d_k is block-diagonal, one block per orbit, and the blocks of a
+        class have the same columns: each representative block is factored
+        along its own chain, and its factors count once per orbit of its
+        class.  The class-weighted count is certified by the orbit count,
+        as for the whole complex, and the factors other than 1 are folded
+        into one divisibility chain, so nothing is factored twice.  The
+        result keeps no unit keys: the blocks keep their own.
+        """
+        while len(self._factors) < k:
+            m = len(self._factors) + 1
+            found = [_next_factorization(cols, done, True)[1] for cols, _, done in self._blocks]
+            count = sum(len(orders) * len(f.factors) for (_, orders, _), f in zip(self._blocks, found))
+            _certify_rank(m, count, self._boundary_ranks)
+            for (_, _, done), f in zip(self._blocks, found):
+                done[m] = f
+            chain = invariants_from_cyclic_orders(
+                [d for (_, orders, _), f in zip(self._blocks, found)
+                 for d in f.factors if d > 1 for _ in orders]
+            )
+            self._factors[m] = Factorization((1,) * (count - len(chain)) + chain, set())
+        return self._factors[k]
+
+
+def _check_square_zero(cols: list[list[dict[int, int]]]) -> None:
+    """Assert d_{k-1} d_k = 0 in every degree of the columns, exactly.
+
+    Column by column: through the entries +-1 of d_k that reach a column of
+    d_{k-1} with entries +-1 alone, the rows reached with a plus sign must
+    sort to those reached with a minus sign; every other product is summed
+    exactly, so the cost does not grow with the size of the entries.
+    """
+    for k in range(2, len(cols)):
+        lower = cols[k - 1]
+        plus = [[i for i, v in col.items() if v == 1] for col in lower]
+        minus = [[i for i, v in col.items() if v == -1] for col in lower]
+        unit = [len(p) + len(m) == len(col) for p, m, col in zip(plus, minus, lower)]
+        for col in cols[k]:
+            up, down, rest = [], [], {}
+            for r, c in col.items():
+                if c == 1 and unit[r]:
+                    up += plus[r]
+                    down += minus[r]
+                elif c == -1 and unit[r]:
+                    up += minus[r]
+                    down += plus[r]
+                else:
+                    for i, v in lower[r].items():
+                        rest[i] = rest.get(i, 0) + c * v
+            if rest:
+                rest = Counter(rest)
+                rest.update(up)
+                rest.subtract(down)
+                zero = not any(rest.values())
+            else:
+                up.sort()
+                down.sort()
+                zero = up == down
+            if not zero:
+                raise AssertionError("boundary does not square to zero")
+
+
+def _theorem_ranks(C: ChainComplex) -> list[int] | None:
+    """The rank s_k of every d_k of C from the free ranks of its variant, or
+    None for a complex with no orbit count: s_1 = 0 and
+    s_{k+1} = r_k - s_k - b_k, b_k the free rank of H_k."""
+    if C.orbit_count is None:
+        return None
+    s = [0, 0]
+    for k in range(1, C.max_degree):
+        s.append(C.rank(k) - s[k] - _free_rank(C.variant, C.orbit_count, k))
+    return s
+
+
+def _certify_rank(m: int, count: int, theorem: list[int]) -> None:
+    if count != theorem[m]:
+        raise AssertionError(f"rank certificate failed: d_{m} has {count} "
+                             f"invariant factors, and {theorem[m]} by its orbit count")
+
+
+def _next_factorization(cols, done: dict[int, Factorization], drop_units: bool):
+    """Factor d_m of the columns cols, m = len(done) + 1, the maps below it
+    factored in done.  Returns the rows of d_m it built and its factors,
+    not yet certified (see ChainComplex._factorization).
+
+    The factors are those of the coboundary d_m^T: its columns are the
+    nonzero rows of d_m, indexed by column position.  d_m is at least as
+    wide as it is tall, and most of its columns lie in the kernel;
+    eliminating by rows leaves only the dependent rows to reduce.
+
+    Fewer rows still suffice.  If d_{m-1}[A, B] is invertible, then
+    d_{m-1}[A, :] d_m = 0 puts rows B of d_m in the span of the others,
+    B': d_m[B, :] = -d_{m-1}[A, B]^-1 d_{m-1}[A, B'] d_m[B', :].  So d_{m-1}
+    is factored first, and the elimination is handed d_m without the rows
+    at the keys of its +-1 pivots on d_{m-1}: a unimodular block, so the
+    invariant factors do not change.  drop_units leaves those rows out of
+    the rows returned too; otherwise every row is built, for a certificate
+    that ranks the whole map.
+    """
+    m = len(done) + 1
+    units = done[m - 1].unit_keys if m > 1 else ()
+    drop = units if drop_units else ()
+    rows = [None if i in drop else {} for i in range(len(cols[m - 1]))]
+    for j, col in enumerate(cols[m]):
+        for i, v in col.items():
+            if rows[i] is not None:
+                rows[i][j] = v
+    return rows, certified_factors([row for i, row in enumerate(rows) if row and i not in units])
 
 
 @dataclass(frozen=True)
@@ -312,10 +447,13 @@ def rack_chain_complex(
     refused with AxiomError (a ValueError) carrying its report.
     Construction refuses degrees whose rank exceeds the column budget, the
     rank of the complex being built: M**k for R and M*(M-1)**(k-1) for Q,
-    k >= 1.  Q raises SubcomplexError when the degenerate tuples fail to
-    span a subcomplex.  d.d = 0 is asserted before returning.  The complex
-    keeps the orbit count of the reduced rack, one union-find over its
-    rows, which fixes the rank of every boundary map (see ChainComplex).
+    k >= 1, split into blocks or not.  Q raises SubcomplexError when the
+    degenerate tuples fail to span a subcomplex.  d.d = 0 is asserted
+    before returning.  The complex keeps the orbit count of the reduced
+    rack, one union-find over its rows, which fixes the rank of every
+    boundary map (see ChainComplex).  R is built one block per class of
+    isomorphic orbits when two orbits are isomorphic (see the module
+    docstring).
     """
     if variant not in ("R", "Q"):
         raise ValueError(f"unknown complex variant {variant!r}")
@@ -338,23 +476,50 @@ def rack_chain_complex(
             )
     rack = reduce_nrack_to_rack(X)
     rows = [rack.row(x) for x in range(M)]
+    orbs = orbits(rack)
+    if variant == "R" and len(orbs) > 1:
+        classes = _orbit_classes(rows, orbs)
+        if len(classes) < len(orbs):
+            return _split_complex(rack, rows, classes, max_degree, len(orbs))
+    return ChainComplex(rack, _boundary_columns(rows, range(M), max_degree, variant == "Q"),
+                        variant, len(orbs))
+
+
+def _boundary_columns(rows, seed, max_degree: int, quandle: bool = False):
+    """Columns of d_0 .. d_max_degree on the tuples whose first entry lies
+    in seed, a subset of Y closed under its action, by the recursion of the
+    module docstring: R, or with quandle the non-degenerate tuples for Q.
+
+    rows[x][a] is x acting on a.  Position p in degree k >= 1 is the p-th
+    such tuple in lexicographic order, its first entry ranked by its place
+    in seed: with seed all of Y in order, the positions of ChainComplex;
+    with seed an orbit, block-local positions.  Degree 0 is the empty
+    tuple.  A seed that the action leaves raises AssertionError.
+    """
+    M = len(rows)
+    # Q skips the child (t, last(t)) of each tuple t.  R records for every
+    # tuple the last entry the empty tuple has in both, the sentinel M that
+    # no entry equals, so it skips none.  width is the number of children
+    # each tuple keeps.
+    width = M - 1 if quandle else M
     # tag[y] is the last entry recorded for a tuple ending in y.
-    tag = range(M) if variant == "Q" else [M] * M
-    # lasts: last entries of the (k-2)-tuples; acts[x][p]: the position of
-    # x acting on each entry of the p-th (k-2)-tuple.  Both grow a degree
-    # at the top of each step.
-    lasts = [M]
-    acts = [[0]] * M
+    tag = range(M) if quandle else [M] * M
+    place = [-1] * M
+    for i, a in enumerate(seed):
+        place[a] = i
+    # lasts: last entries of the (k-1)-tuples; acts[x][p]: the position of
+    # x acting on each entry of the p-th (k-1)-tuple.  Both grow a degree
+    # at the bottom of each step.
+    lasts = [tag[a] for a in seed]
+    acts = [[place[row[a]] for a in seed] for row in rows]
+    if any(-1 in act for act in acts):
+        raise AssertionError("a block's first entries are not closed under the action")
+    # children[x][p]: the position of the child (p, x) among the
+    # (k-1)-tuples, or -1 where it is skipped; d_1 = 0 has no row to move.
+    children = [()] * M
     # d_0 = 0 and d_1 = 0: one empty column per chain.
-    cols: list[list[dict[int, int]]] = [[{}], [{} for _ in range(M)]][: max_degree + 1]
+    cols: list[list[dict[int, int]]] = [[{}], [{} for _ in seed]][: max_degree + 1]
     for k in range(2, max_degree + 1):
-        # children[x][p]: the position of the child (p, x) among the
-        # (k-1)-tuples, or -1 where it is skipped.
-        children = [[-1 if l == x else p * width + x - (x > l) for p, l in enumerate(lasts)]
-                    for x in range(M)]
-        acts = [[children[b][a] for a, l in zip(act, lasts) for y, b in enumerate(row) if y != l]
-                for act, row in zip(acts, rows)]
-        lasts = [tag[y] for l in lasts for y in range(M) if y != l]
         sign = 1 if k % 2 == 0 else -1
         by_x = list(zip(range(M), children, acts))
         degree_cols = []
@@ -386,7 +551,81 @@ def rack_chain_complex(
                         f"degenerate basis not closed under the boundary in degree {k}"
                     )
         cols.append(degree_cols)
-    return ChainComplex(rack, cols, variant, len(orbits(rack)))
+        if k < max_degree:
+            children = [[-1 if l == x else p * width + x - (x > l) for p, l in enumerate(lasts)]
+                        for x in range(M)]
+            acts = [[children[b][a] for a, l in zip(act, lasts) for y, b in enumerate(row) if y != l]
+                    for act, row in zip(acts, rows)]
+            lasts = [tag[y] for l in lasts for y in range(M) if y != l]
+    return cols
+
+
+def _orbit_classes(rows, orbs: list[list[int]]) -> list[list[list[int]]]:
+    """The orbits of Y grouped into classes of isomorphic Y-sets, in order
+    of first orbit.  A class lists its orbits: the first, its
+    representative, sorted, and each other one as the images of the
+    representative's entries under an isomorphism (see _orbit_map).
+    Isomorphic orbits have the same size and the same number of points
+    fixed by each x in Y, so only orbits that agree on those are compared.
+    """
+    classes: list[list[list[int]]] = []
+    seen: dict[tuple, list[list[list[int]]]] = {}
+    for orbit in orbs:
+        key = (len(orbit), *(sum(row[a] == a for a in orbit) for row in rows))
+        candidates = seen.setdefault(key, [])
+        for cls in candidates:
+            image = _orbit_map(rows, cls[0], orbit)
+            if image is not None:
+                cls.append(image)
+                break
+        else:
+            candidates.append([orbit])
+            classes.append(candidates[-1])
+    return classes
+
+
+def _orbit_map(rows, source: list[int], target: list[int]) -> list[int] | None:
+    """An isomorphism of Y-sets from the orbit source onto the orbit target,
+    as the images of source's entries, or None.  It is fixed by the image b
+    of source[0]: phi(x.a) = x.phi(a) spreads it over the orbit, and each b
+    in target is tried until the spread map is one (see _is_orbit_map)."""
+    for b in target:
+        phi = {source[0]: b}
+        spread = [source[0]]
+        for a in spread:
+            for row in rows:
+                if row[a] not in phi:
+                    phi[row[a]] = row[phi[a]]
+                    spread.append(row[a])
+        image = [phi.get(a) for a in source]
+        if _is_orbit_map(rows, source, image):
+            return image
+    return None
+
+
+def _is_orbit_map(rows, source: list[int], image: list) -> bool:
+    """Whether a -> image[i], a = source[i], has phi(x.a) = x.phi(a) for
+    every x in Y and a in source.  Onto an orbit of the same size, such a
+    map is one to one, as its image is closed under the action."""
+    where = {a: i for i, a in enumerate(source)}
+    return len(image) == len(source) and None not in image and all(
+        row[a] in where and image[where[row[a]]] == row[image[i]]
+        for row in rows for i, a in enumerate(source)
+    )
+
+
+def _split_complex(rack: FiniteRack, rows, classes, max_degree: int, orbit_count: int):
+    """R of the reduced rack with rows, one block built per class of
+    isomorphic orbits (see _SplitComplex).  What the blocks rest on is
+    checked first, each failure raising AssertionError: the orbits of all
+    classes partition Y, and each orbit's map from its representative is
+    an isomorphism of Y-sets, on every pair of Y x the orbit."""
+    if sorted(a for cls in classes for order in cls for a in order) != list(range(len(rows))):
+        raise AssertionError("the orbit classes do not partition the reduced rack")
+    if not all(_is_orbit_map(rows, rep, order) for rep, *others in classes for order in others):
+        raise AssertionError("an orbit map is not an isomorphism of Y-sets")
+    blocks = [(_boundary_columns(rows, cls[0], max_degree), cls, {}) for cls in classes]
+    return _SplitComplex(rack, blocks, orbit_count)
 
 
 def _free_rank(variant: str, orbit_count: int, k: int) -> int:

@@ -2,10 +2,12 @@
 
 ChainComplex.factors hands the engine only the rows of d_k that the pivots
 of d_{k-1} leave independent: it drops the keys of the +-1 pivots on
-d_{k-1}.  Checked here against the per-map factors of the whole of each
-d_k, against sympy on random integer complexes with torsion, and the
-number of factors against the rank modulo snf.CERTIFICATE_PRIME of the
-whole map and the rank the orbit count gives.
+d_{k-1}.  A rack complex split into orbit blocks does so on each
+representative block, along the block's own chain.  Checked here against
+the per-map factors of the whole of each d_k, against sympy on random
+integer complexes with torsion, and the number of factors against the rank
+modulo snf.CERTIFICATE_PRIME of the whole map and the rank the orbit count
+gives.
 """
 
 import importlib
@@ -29,19 +31,23 @@ from nracks import (
     symmetric_group,
 )
 from nracks import snf
-from nracks.homology import ChainComplex
+from nracks.homology import ChainComplex, _SplitComplex
 from nracks.snf import sparse_invariant_factors
 
 homology_module = importlib.import_module("nracks.homology")
 
 
-def _rows(C, k):
+def _rows_of(cols, k):
     """Every row of d_k, the columns of the coboundary: row i as {j: entry}."""
-    rows = [{} for _ in range(C.rank(k - 1))]
-    for j, col in enumerate(C.cols[k]):
+    rows = [{} for _ in range(len(cols[k - 1]))]
+    for j, col in enumerate(cols[k]):
         for i, v in col.items():
             rows[i][j] = v
     return rows
+
+
+def _rows(C, k):
+    return _rows_of(C.cols, k)
 
 
 def per_map_factors(C, k):
@@ -50,10 +56,19 @@ def per_map_factors(C, k):
     return sparse_invariant_factors([row for row in _rows(C, k) if row])
 
 
+def _chains(C):
+    """(columns, factorizations) of each chain that C factors on its own:
+    C itself, or each representative block of a split rack complex."""
+    if isinstance(C, _SplitComplex):
+        return [(cols, done) for cols, _, done in C._blocks]
+    return [(C.cols, C._factors)]
+
+
 def _certified_inputs(C, monkeypatch):
     """Factor every map of the fresh complex C through the top one and
-    return the engine's input, the columns of d_k at index k - 1:
-    factors(k) factors d_{k-1} before it calls the engine."""
+    return the engine's inputs: inputs[k - 1][b] is the input for d_k of
+    chain b (see _chains), as factors(k) factors d_{k-1} of every chain
+    before it calls the engine on d_k."""
     inputs = []
     engine = homology_module.certified_factors
 
@@ -64,27 +79,30 @@ def _certified_inputs(C, monkeypatch):
     monkeypatch.setattr(homology_module, "certified_factors", record)
     C.factors(C.max_degree)
     monkeypatch.undo()
-    assert len(inputs) == C.max_degree
-    return inputs
+    width = len(_chains(C))
+    assert len(inputs) == C.max_degree * width
+    return [inputs[i : i + width] for i in range(0, len(inputs), width)]
 
 
 def _check_along_the_chain(C, monkeypatch):
     inputs = _certified_inputs(C, monkeypatch)
-    for k, columns in enumerate(inputs, start=1):
-        rows = _rows(C, k)
-        # The engine is handed exactly the rows the unit keys on d_{k-1}
-        # leave, and its factors number the rank of the whole map, which
-        # the orbit count gives.
-        units = C._factorization(k - 1).unit_keys if k > 1 else ()
-        assert columns == [row for i, row in enumerate(rows) if row and i not in units]
+    for k, chain_inputs in enumerate(inputs, start=1):
+        for columns, (cols, done) in zip(chain_inputs, _chains(C)):
+            # The engine is handed exactly the rows the unit keys on d_{k-1}
+            # of the same chain leave.
+            units = done[k - 1].unit_keys if k > 1 else ()
+            rows = _rows_of(cols, k)
+            assert columns == [row for i, row in enumerate(rows) if row and i not in units]
+            if k > 1:
+                # The lemma's block: the columns of d_{k-1} at the unit keys
+                # split off unit factors only.
+                below = cols[k - 1]
+                assert sparse_invariant_factors([below[j] for j in units]) == (1,) * len(units)
+        # The factors equal those of the whole map, and number its rank,
+        # which the orbit count gives.
         assert C.factors(k) == per_map_factors(C, k)
-        rank = len(snf._rank_mod_p([row for row in rows if row]))
+        rank = len(snf._rank_mod_p([row for row in _rows(C, k) if row]))
         assert len(C.factors(k)) == rank == C._boundary_ranks[k]
-        if k > 1:
-            # The lemma's block: the columns of d_{k-1} at the unit keys
-            # split off unit factors only.
-            below = C.cols[k - 1]
-            assert sparse_invariant_factors([below[j] for j in units]) == (1,) * len(units)
 
 
 def _variants(R, top):
@@ -117,6 +135,20 @@ def test_census_racks_factor_along_the_chain(monkeypatch, index):
 def test_larger_complexes_factor_along_the_chain(monkeypatch, name, R, top, variant):
     C = dict(_variants(R, top))[variant]
     _check_along_the_chain(C, monkeypatch)
+
+
+def test_a_split_complex_factors_one_chain_per_class(monkeypatch):
+    # z4 n=3 has 8 isomorphic orbits: one block is factored, on 2 * 16**(k-1)
+    # columns in degree k, and its factors count 8 times.
+    C = rack_chain_complex(build_z4_module_nrack(3, 4), 3)
+    assert isinstance(C, _SplitComplex) and len(_chains(C)) == 1
+    inputs = _certified_inputs(C, monkeypatch)
+    assert [max((j for row in chain[0] for j in row), default=-1) < 2 * 16 ** (k - 1)
+            for k, chain in enumerate(inputs, start=1)] == [True] * 3
+    (block, orders, done), = C._blocks
+    assert len(orders) == 8
+    for k in (2, 3):
+        assert len(C.factors(k)) == 8 * len(done[k].factors)
 
 
 def test_torsion_beside_dropped_rows():

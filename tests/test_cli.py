@@ -21,7 +21,7 @@ from nracks import (
     validate,
     validate_rack,
 )
-from nracks import cli, snf
+from nracks import cli, core, snf
 from nracks.cli import main
 from nracks.errors import SubcomplexError
 from nracks.jsonio import (
@@ -229,6 +229,32 @@ def test_check_one_element_table(tmp_path):
     assert result.returncode == 0
     flags = json.loads(result.stdout)["classification"]
     assert all(flags.values())
+
+
+@pytest.mark.parametrize("basepoint", [None, 0])
+def test_check_one_element_table_does_not_grow_with_the_arity(capsys, tmp_path, basepoint):
+    # At arity 10**7 the report is the one every axiom scan gives at a small
+    # arity, and it costs neither a tuple as long as the arity nor a loop
+    # over it.
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"arity": 10**7, "size": 1, "basepoint": basepoint, "table": [0]}))
+    small = FiniteNRack(3, 1, (0,), basepoint)
+    dist, dist_witness = core.check_left_distributive(small)
+    bijective, bij_witness = core.check_translation_bijective(small)
+    scanned = core.ValidationReport(
+        core._classification(small, dist and bijective), dist_witness, bij_witness
+    )
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code = main(["check", "--input", str(path)])
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert capsys.readouterr().out == dump_document(validation_to_json(scanned))
+    assert elapsed < 1.0 and peak < 8 * 2**20
 
 
 @pytest.mark.parametrize("degrees, top", [("1-3", 3), ("1-800", 800), ("1-40000", 40000)])
@@ -729,6 +755,25 @@ def test_each_boundary_map_is_factored_once(monkeypatch, capsys, workspace, comm
         for args in calls
     )
     assert shapes == [((0, -1),), ((3, 7),), ((7, 25),), ((21, 79),)]
+
+
+@pytest.mark.parametrize("command", ["homology", "cohomology"])
+def test_a_split_complex_is_factored_once_per_class(monkeypatch, capsys, tmp_path, command):
+    calls = _count_calls(monkeypatch, "nracks.homology", "certified_factors")
+    path = tmp_path / "z4.json"
+    path.write_text(dump_document(nrack_to_json(build_z4_module_nrack(3, 4))))
+    assert main([command, "--input", str(path), "--degrees", "1-2"]) == 0
+    capsys.readouterr()
+    # z4 n=3 has 8 orbits of 2, all isomorphic: one block is built and
+    # factored, one call per map d_1 .. d_3, over its 2, 32 and 512 chains
+    # in degrees 1-3, in block-local positions.  Both of d_2's rows are
+    # nonzero, and its rank in the block is 1, an eighth of
+    # s_2 = 16 - 8, so d_3 gets 32 - 1 rows.
+    shapes = sorted(
+        tuple((len(cols), max((i for col in cols for i in col), default=-1)) for cols in args)
+        for args in calls
+    )
+    assert shapes == [((0, -1),), ((2, 30),), ((31, 510),)]
 
 
 @pytest.mark.parametrize(

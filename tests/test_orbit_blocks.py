@@ -1,0 +1,312 @@
+"""The rack complex split by the orbit of its first entry.
+
+No term of d(x_1, ..., x_k) moves x_1 out of its orbit, so R is
+block-diagonal, one block per orbit O of the reduced rack Y: the complex of
+Y with coefficients in the Y-set O (Carter, Elhamdadi, Grana & Saito, Osaka
+J. Math. 42, 2005).  Isomorphic orbits give blocks with the same columns,
+and rack_chain_complex builds and factors one block per class.  Checked
+here against the whole complex, built by patching in one class per orbit,
+over the censuses and the fixtures: the same factors and groups, the same
+columns once assembled, and the same D and Q; a split with every orbit in
+its own block gives them too.  Then each mutant of what the blocks rest on
+(a tuple in the wrong block, an orbit map that is not an isomorphism, a
+class size off by one, a wrong sign in a block) must raise AssertionError in the library and exit 4
+with no answer in the CLI.
+"""
+
+import importlib
+import itertools
+
+import pytest
+
+from helpers import axiom_fixture_set, dihedral_nrack
+from nracks import (
+    CoefficientGroup,
+    FiniteNRack,
+    build_conjugation_nrack,
+    build_z4_module_nrack,
+    cohomology,
+    degenerate_subcomplex,
+    enumerate_nracks,
+    homology,
+    orbits,
+    quandle_quotient_complex,
+    rack_chain_complex,
+    reduce_nrack_to_rack,
+    symmetric_group,
+    validate,
+)
+from nracks.cli import main
+from nracks.homology import ChainComplex, _SplitComplex
+from nracks.jsonio import dump_document, nrack_to_json
+
+homology_module = importlib.import_module("nracks.homology")
+
+# Degrees 2 to 4 are built, while the top chain rank stays within this.
+CHAIN_RANK_CAP = 5000
+Z4_3 = build_z4_module_nrack(3, 4)
+CONJ_S3_3 = build_conjugation_nrack(symmetric_group(3), 3)
+
+
+def _tables():
+    named = [
+        (f"census(n={n},m={m})#{i}", FiniteNRack(n, m, table))
+        for n, top in ((2, 4), (3, 3), (4, 2))
+        for m in range(1, top + 1)
+        for i, table in enumerate(enumerate_nracks(n, m).representatives)
+    ]
+    named += [(name, X) for name, X in axiom_fixture_set() if validate(X).is_nrack]
+    named += [(f"dihedral({m})", dihedral_nrack(m)) for m in (3, 4, 5, 6)]
+    named.append(("conj(S3)", build_conjugation_nrack(symmetric_group(3), 2)))
+    named.append(("z4(n=3)", Z4_3))
+    named.append(("conj(S3,n=3)", CONJ_S3_3))
+    return named
+
+
+TABLES = _tables()
+
+
+def _top(X):
+    M = X.size ** (X.arity - 1)
+    return max([k for k in range(2, 5) if M**k <= CHAIN_RANK_CAP], default=2)
+
+
+def _whole(X, top, monkeypatch):
+    """R of X built on all of Y at once: one class per orbit."""
+    with monkeypatch.context() as patch:
+        patch.setattr(homology_module, "_orbit_classes", lambda rows, orbs: [[o] for o in orbs])
+        return rack_chain_complex(X, top)
+
+
+def _each_orbit_a_block(X, top):
+    """R of X split with every orbit in a class of its own."""
+    rack = reduce_nrack_to_rack(X)
+    rows = [rack.row(x) for x in range(rack.size)]
+    orbs = orbits(rack)
+    return homology_module._split_complex(rack, rows, [[o] for o in orbs], top, len(orbs))
+
+
+def _groups(C):
+    return [
+        f(C, k, A).invariants
+        for f in (homology, cohomology)
+        for A in (CoefficientGroup(), CoefficientGroup(4))
+        for k in range(1, C.max_degree)
+    ]
+
+
+@pytest.mark.parametrize("X", [X for _, X in TABLES], ids=[name for name, _ in TABLES])
+def test_the_split_complex_is_the_whole_complex(X, monkeypatch):
+    top = _top(X)
+    C, W, E = rack_chain_complex(X, top), _whole(X, top, monkeypatch), _each_orbit_a_block(X, top)
+    assert type(W) is ChainComplex
+    for other in (W, E):
+        assert [C.factors(k) for k in range(1, top + 1)] == [
+            other.factors(k) for k in range(1, top + 1)
+        ]
+        assert _groups(C) == _groups(other)
+        assert C.ranks == other.ranks and C.cols == other.cols
+    if validate(X).classification.is_nquandle:
+        D, DW = degenerate_subcomplex(X, C), degenerate_subcomplex(X, W)
+        assert D.cols == DW.cols
+        assert quandle_quotient_complex(C, D).cols == quandle_quotient_complex(W, DW).cols
+
+
+def test_the_oracle_covers_split_complexes():
+    # 28 + 60 + 17 census tables, the 16 fixtures, and 7 more; 93 of them
+    # have two isomorphic orbits or more.
+    assert len(TABLES) == 128
+    split = [name for name, X in TABLES if isinstance(rack_chain_complex(X, 2), _SplitComplex)]
+    assert {"z4(n=3)", "conj(S3,n=3)", "trivial(3,2)"} <= set(split)
+    assert len(split) == 93
+
+
+@pytest.mark.parametrize(
+    "X, classes",
+    [(Z4_3, [8]), (CONJ_S3_3, [1, 3, 4, 3]), (build_conjugation_nrack(symmetric_group(3), 2), None)],
+    ids=["z4(n=3)", "conj(S3,n=3)", "conj(S3)"],
+)
+def test_classes_of_isomorphic_orbits(X, classes):
+    # z4 n=3: 8 orbits in 1 class; conj(S3) n=3: 11 orbits in 4 classes;
+    # conj(S3): 3 orbits, no two isomorphic, so Y is one seed.
+    C = rack_chain_complex(X, 2)
+    if classes is None:
+        assert type(C) is ChainComplex
+        return
+    assert [len(orders) for _, orders, _ in C._blocks] == classes
+
+
+def test_only_one_block_per_class_is_built(monkeypatch):
+    # z4 n=3 in degree 3: one block of 2 * 16**2 columns, not 16**3.
+    built = []
+    original = homology_module._boundary_columns
+
+    def spy(rows, seed, max_degree, quandle=False):
+        cols = original(rows, seed, max_degree, quandle)
+        built.append((list(seed), len(cols[3])))
+        return cols
+
+    monkeypatch.setattr(homology_module, "_boundary_columns", spy)
+    C = rack_chain_complex(Z4_3, 3)
+    assert built == [([0, 10], 2 * 16**2)]
+    assert C.rank(3) == 16**3 and len(C.cols[3]) == 16**3
+    built.clear()
+    _whole(Z4_3, 3, monkeypatch)
+    assert built == [(list(range(16)), 16**3)]
+
+
+def test_q_and_d_are_not_split():
+    # The map (a, x_2, ...) -> (phi(a), x_2, ...) need not keep a = x_2, so
+    # Q is built on all of Y; trivial(3,2) is a quandle with 4 isomorphic
+    # orbits.
+    X = dict(TABLES)["trivial(3,2)"]
+    assert type(rack_chain_complex(X, 3, variant="Q")) is ChainComplex
+    assert isinstance(rack_chain_complex(X, 3), _SplitComplex)
+
+
+# ------------------------------------------------------------------ mutants
+
+
+def _tuple_in_the_wrong_block(monkeypatch):
+    # The first element of the second orbit is put in the first orbit: the
+    # first block's seed is then not closed under the action.
+    original = homology_module.orbits
+
+    def moved(R):
+        orbs = original(R)
+        a = orbs[1].pop(0)
+        orbs[0] = sorted(orbs[0] + [a])
+        return orbs
+
+    monkeypatch.setattr(homology_module, "orbits", moved)
+
+
+def _orbit_moved_within_a_class(monkeypatch):
+    # One entry of the third orbit of the first class is handed to the second.
+    original = homology_module._orbit_classes
+
+    def moved(rows, orbs):
+        classes = original(rows, orbs)
+        classes[0][1].append(classes[0][2].pop())
+        return classes
+
+    monkeypatch.setattr(homology_module, "_orbit_classes", moved)
+
+
+def _broken_orbit_map(rows, rep, order):
+    """The order with two images swapped that breaks phi(y.a) = y.phi(a) at
+    the fewest pairs (y, a).  A swap keeps the map one to one onto the
+    orbit, so only the check of every pair can see it; and no bijection
+    breaks a single pair, as y.phi and phi(y.-) are bijections of the orbit
+    and differ at two points or none."""
+    where = {a: i for i, a in enumerate(rep)}
+    found = []
+    for i, j in itertools.combinations(range(len(order)), 2):
+        swapped = list(order)
+        swapped[i], swapped[j] = swapped[j], swapped[i]
+        broken = sum(swapped[where[row[a]]] != row[swapped[p]]
+                     for row in rows for p, a in enumerate(rep))
+        if broken:
+            found.append((broken, swapped))
+    return min(found)[1]
+
+
+def _orbit_map_not_an_isomorphism(monkeypatch):
+    original = homology_module._orbit_classes
+
+    def broken(rows, orbs):
+        classes = original(rows, orbs)
+        cls = next(cls for cls in classes if len(cls) > 1 and len(cls[0]) > 2)
+        cls[1] = _broken_orbit_map(rows, cls[0], cls[1])
+        return classes
+
+    monkeypatch.setattr(homology_module, "_orbit_classes", broken)
+
+
+def _class_size(change):
+    def mutate(monkeypatch):
+        original = homology_module._orbit_classes
+
+        def resized(rows, orbs):
+            classes = original(rows, orbs)
+            if change > 0:
+                classes[0].append(classes[0][-1])
+            else:
+                classes[0].pop()
+            return classes
+
+        monkeypatch.setattr(homology_module, "_orbit_classes", resized)
+
+    return mutate
+
+
+def _sign_flipped_in_the_block(monkeypatch):
+    # The first column of a block's d_2 with two entries gets one of them
+    # negated; d_2 d_3 = 0 sees it.
+    original = homology_module._boundary_columns
+
+    def flipped(rows, seed, max_degree, quandle=False):
+        cols = original(rows, seed, max_degree, quandle)
+        col = next(c for c in cols[2] if len(c) > 1)
+        row = min(col)
+        col[row] = -col[row]
+        return cols
+
+    monkeypatch.setattr(homology_module, "_boundary_columns", flipped)
+
+
+# name: (mutation, table, the check that must catch it)
+MUTANTS = {
+    "tuple in the wrong block": (_tuple_in_the_wrong_block, Z4_3, "not closed under the action"),
+    "orbit moved within a class": (
+        _orbit_moved_within_a_class, Z4_3, "not an isomorphism of Y-sets"),
+    "orbit map not an isomorphism": (
+        _orbit_map_not_an_isomorphism, CONJ_S3_3, "not an isomorphism of Y-sets"),
+    "class size one more": (_class_size(1), Z4_3, "do not partition"),
+    "class size one less": (_class_size(-1), Z4_3, "do not partition"),
+    "sign flipped in a block": (_sign_flipped_in_the_block, Z4_3, "does not square to zero"),
+}
+
+
+@pytest.mark.parametrize("name", MUTANTS)
+def test_a_mutant_of_the_split_raises(monkeypatch, name):
+    mutate, X, check = MUTANTS[name]
+    mutate(monkeypatch)
+    with pytest.raises(AssertionError, match=check):
+        C = rack_chain_complex(X, 3 if X is Z4_3 else 2)
+        [homology(C, k) for k in range(1, C.max_degree)]
+
+
+@pytest.mark.parametrize("name", MUTANTS)
+def test_a_mutant_of_the_split_exits_4_without_an_answer(monkeypatch, capsys, tmp_path, name):
+    mutate, X, check = MUTANTS[name]
+    path = tmp_path / "table.json"
+    path.write_text(dump_document(nrack_to_json(X)))
+    mutate(monkeypatch)
+    degrees = "1-2" if X is Z4_3 else "1"
+    assert main(["homology", "--input", str(path), "--degrees", degrees]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("internal error: ") and check in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("change", [1, -1])
+def test_a_class_size_off_by_one_fails_the_rank_certificate(change):
+    # Past the checks of the build, the orbit count sees the class-weighted
+    # number of factors.
+    C = rack_chain_complex(Z4_3, 3)
+    block, orders, done = C._blocks[0]
+    C._blocks[0] = (block, orders + orders[:1] if change > 0 else orders[1:], done)
+    with pytest.raises(AssertionError, match="rank certificate failed"):
+        C.factors(2)
+
+
+def test_the_unmutated_cases_answer():
+    # Unpatched, every mutant's table answers: H_1 = Z^8 and H_2 = Z^64 for
+    # z4 n=3 (8 orbits), H_1 = Z^11 for conj(S3) n=3 (11 orbits).
+    C = rack_chain_complex(Z4_3, 3)
+    assert [homology(C, k).invariants.free_rank for k in (1, 2)] == [8, 64]
+    assert [homology(C, k).invariants.torsion for k in (1, 2)] == [(), ()]
+    C = rack_chain_complex(CONJ_S3_3, 2)
+    assert homology(C, 1).invariants.free_rank == 11
