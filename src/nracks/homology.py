@@ -13,7 +13,10 @@ identity is asserted on every construction.  Degree 0 has rank 1 (the
 empty tuple) with d_1 = 0, so H_0 = A.  A complex is held as its boundary
 columns alone (ChainComplex): column j of d_k is the boundary of the j-th
 chain of degree k, degree 0 keeping one empty column per chain, and no
-tuple is stored; the ranks are the column counts.
+tuple is stored; the ranks are the column counts.  The columns are kept in
+blocks, d_k being their direct sum, each block counted once per orbit of
+its class (below); a complex given by its columns is one block counted
+once.
 
 For an n-quandle, the degenerate tuples (two consecutive entries equal)
 span a subcomplex D, and the quandle complex Q = C/D has the
@@ -85,9 +88,10 @@ class, folded into one divisibility chain.  The orbit count certifies that
 class-weighted count; every representative block is checked for d.d = 0;
 each orbit map is checked on all of Y x O, and the orbits of the classes
 must partition Y, before any block is built.  When no two orbits are
-isomorphic the recursion is seeded with all of Y at once.  Q and D are not
-split this way: phi need not keep a = x_2, so it does not carry degenerate
-tuples to degenerate tuples.
+isomorphic the recursion is seeded with all of Y at once: one block,
+counted once.  Q and D are not split this way: phi need not keep a = x_2,
+so it does not carry degenerate tuples to degenerate tuples.  Q is always
+one block seeded with all of Y, and D is restricted from the columns of R.
 
 Homology with Z/d coefficients is computed from the integral Smith normal
 form data by universal-coefficient reduction:
@@ -102,7 +106,7 @@ elimination on all fixtures.
 """
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 
 from .constructions import FiniteRack, reduce_nrack_to_rack
@@ -154,7 +158,6 @@ class CoefficientGroup:
         return "Z" if self.modulus == 0 else f"Z/{self.modulus}"
 
 
-@dataclass
 class ChainComplex:
     """Free chain groups given by their sparse integer boundary columns.
 
@@ -174,109 +177,52 @@ class ChainComplex:
     certified modulo a prime instead (see _factorization).
     Every instance has d_{k-1} d_k = 0, checked exactly on construction;
     factors relies on it.  The invariant factors of each d_k are computed
-    on first use (see factors) and kept with the complex, with the row keys
-    they pivoted on; the boundary columns must not change afterwards.
-    A rack complex R with isomorphic orbits is held as one block per class
-    of them instead (_SplitComplex, see the module docstring): its ranks
-    and factors are read from the blocks, and cols, the same columns as
-    above, is assembled from them on first read.
+    on first use (see factors) and kept with the complex; the boundary
+    columns must not change afterwards.
+
+    A complex is held as blocks (cols, orders, factors), d_k being the
+    direct sum of each block's map counted len(orders) times: cols are the
+    block's boundary columns, in block-local positions (see
+    _boundary_columns), and factors keeps its own factorizations, with the
+    row keys they pivoted on.  A complex given by its columns, by hand or
+    by restriction, is one block counted once, orders [None], and cols is
+    that block's own list.  rack_chain_complex builds R with one block per
+    class of isomorphic orbits (see the module docstring and
+    _split_complex): orders lists the orbits of the class, each as the
+    images of the first, sorted, under an isomorphism of Y-sets, so that
+    its block has the same columns.  Degree 0 is the empty tuple of the
+    whole complex, in no block.  cols is then assembled from the blocks on
+    first read and kept; ranks and factors read the blocks.
+    ChainComplex is not a dataclass: instances compare by identity, and
+    their repr reads no columns.
     """
 
-    rack: FiniteRack
-    cols: list[list[dict[int, int]]]
-    variant: str = "R"
-    orbit_count: int | None = None
-    _factors: dict[int, Factorization] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    _boundary_ranks: list[int] | None = field(default=None, init=False, repr=False)
+    def __init__(self, rack: FiniteRack, cols: list[list[dict[int, int]]],
+                 variant: str = "R", orbit_count: int | None = None):
+        self._hold(rack, [(cols, [None], {})], variant, orbit_count)
 
-    def __post_init__(self):
-        if self.variant not in ("R", "D", "Q"):
-            raise ValueError(f"unknown complex variant {self.variant!r}")
-        _check_square_zero(self.cols)
+    def _hold(self, rack: FiniteRack, blocks, variant: str, orbit_count: int | None) -> None:
+        if variant not in ("R", "D", "Q"):
+            raise ValueError(f"unknown complex variant {variant!r}")
+        self.rack, self.variant, self.orbit_count = rack, variant, orbit_count
+        self._blocks = blocks
+        first, orders, done = blocks[0]
+        # One block counted once is the whole complex: its columns and its
+        # factorizations are the complex's own.
+        alone = len(blocks) == 1 and len(orders) == 1
+        self._cols = first if alone else None
+        self._factors: dict[int, Factorization] = done if alone else {}
+        self._ranks = [len(c) for c in first[:1]] + [
+            sum(len(cols[k]) * len(orders) for cols, orders, _ in blocks)
+            for k in range(1, len(first))
+        ]
+        for cols, _, _ in blocks:
+            _check_square_zero(cols)
         self._boundary_ranks = _theorem_ranks(self)
 
     @property
     def carrier_size(self) -> int:
         return self.rack.size
-
-    @property
-    def max_degree(self) -> int:
-        return len(self.cols) - 1
-
-    def rank(self, k: int) -> int:
-        return len(self.cols[k])
-
-    @property
-    def ranks(self) -> list[int]:
-        return [len(c) for c in self.cols]
-
-    def factors(self, k: int) -> tuple[int, ...]:
-        """Invariant factors of d_k, factored once per complex."""
-        return self._factorization(k).factors
-
-    def _factorization(self, k: int) -> Factorization:
-        """Factors of d_k, factored along the chain (see _next_factorization),
-        with their number certified.
-
-        The number of factors is the rank of d_k, and it is certified from
-        outside the elimination.  A complex with an orbit count must have
-        exactly the rank s_k that the free ranks give (see the module
-        docstring).  A complex built by hand has its whole map, every
-        nonzero row, ranked modulo snf.CERTIFICATE_PRIME.  Either failure
-        raises AssertionError, and no factors are kept.
-        """
-        theorem = self._boundary_ranks
-        while len(self._factors) < k:
-            m = len(self._factors) + 1
-            rows, found = _next_factorization(self.cols, self._factors, theorem is not None)
-            if theorem is None:
-                certify_rank_mod_p([row for row in rows if row], found.factors)
-            else:
-                _certify_rank(m, len(found.factors), theorem)
-            self._factors[m] = found
-        return self._factors[k]
-
-    def boundary_triplets(self, k: int) -> str:
-        """Plain text export: a "rows cols" header line, then one
-        "row col value" line per nonzero entry (0-based), sorted."""
-        rows, cols = self.rank(k - 1), self.rank(k)
-        lines = [f"{rows} {cols}"]
-        entries = []
-        for j, col in enumerate(self.cols[k]):
-            for i, v in col.items():
-                entries.append((i, j, v))
-        for i, j, v in sorted(entries):
-            lines.append(f"{i} {j} {v}")
-        return "\n".join(lines) + "\n"
-
-
-class _SplitComplex(ChainComplex):
-    """The rack complex R held as one block per class of isomorphic orbits.
-
-    blocks lists (cols, orders, factors) per class: cols are the boundary
-    columns of the class's representative block, built on the orbit
-    orders[0] in sorted order, in block-local positions (see
-    _boundary_columns); orders lists every orbit of the class, each as the
-    images of orders[0] under an isomorphism of Y-sets, so that its block
-    has the same columns; factors keeps the block's own factorizations.
-    Degree 0 is the empty tuple of the whole complex, in no block.  The
-    global columns, the public cols, are assembled from the blocks on
-    first read and kept.
-    """
-
-    def __init__(self, rack: FiniteRack, blocks, orbit_count: int):
-        self.rack, self.variant, self.orbit_count = rack, "R", orbit_count
-        self._blocks = blocks
-        self._assembled = None
-        self._factors = {}
-        top = len(blocks[0][0]) - 1
-        self._ranks = [1] + [sum(len(cols[k]) * len(orders) for cols, orders, _ in blocks)
-                             for k in range(1, top + 1)]
-        for cols, _, _ in blocks:
-            _check_square_zero(cols)
-        self._boundary_ranks = _theorem_ranks(self)
 
     @property
     def max_degree(self) -> int:
@@ -291,7 +237,7 @@ class _SplitComplex(ChainComplex):
 
     @property
     def cols(self) -> list[list[dict[int, int]]]:
-        if self._assembled is None:
+        if self._cols is None:
             M = self.carrier_size
             cols = [[{}], [{} for _ in range(M)]][: self.max_degree + 1]
             for k in range(2, self.max_degree + 1):
@@ -306,33 +252,65 @@ class _SplitComplex(ChainComplex):
                         for j, col in zip(to_col, block[k]):
                             degree[j] = {to_row[i]: v for i, v in col.items()}
                 cols.append(degree)
-            self._assembled = cols
-        return self._assembled
+            self._cols = cols
+        return self._cols
+
+    def factors(self, k: int) -> tuple[int, ...]:
+        """Invariant factors of d_k, factored once per complex."""
+        return self._factorization(k).factors
 
     def _factorization(self, k: int) -> Factorization:
-        """Factors of d_k from those of the representative blocks.
+        """Factors of d_k from those of the blocks, with their number
+        certified.
 
-        d_k is block-diagonal, one block per orbit, and the blocks of a
-        class have the same columns: each representative block is factored
-        along its own chain, and its factors count once per orbit of its
-        class.  The class-weighted count is certified by the orbit count,
-        as for the whole complex, and the factors other than 1 are folded
-        into one divisibility chain, so nothing is factored twice.  The
-        result keeps no unit keys: the blocks keep their own.
+        d_k is block-diagonal: each block is factored along its own chain
+        (see _next_factorization), and its factors count once per orbit of
+        its class.  That number is the rank of d_k, and it is certified
+        from outside the elimination.  A complex with an orbit count must
+        have exactly the rank s_k that the free ranks give (see the module
+        docstring).  A complex built by hand, one block, has its whole map,
+        every nonzero row, ranked modulo snf.CERTIFICATE_PRIME.  Either
+        failure raises AssertionError, and no factors are kept.  A block
+        counted once alone keeps the complex's factors (see _hold).
+        Otherwise the factors other than 1 are folded into one divisibility
+        chain, so nothing is factored twice, and the result keeps no unit
+        keys, as the blocks keep their own.
         """
+        theorem = self._boundary_ranks
         while len(self._factors) < k:
             m = len(self._factors) + 1
-            found = [_next_factorization(cols, done, True)[1] for cols, _, done in self._blocks]
-            count = sum(len(orders) * len(f.factors) for (_, orders, _), f in zip(self._blocks, found))
-            _certify_rank(m, count, self._boundary_ranks)
+            count, found = 0, []
+            for cols, orders, done in self._blocks:
+                rows, f = _next_factorization(cols, done, theorem is not None)
+                count += len(orders) * len(f.factors)
+                found.append(f)
+            if theorem is None:
+                # Built by hand: one block, with every row built.
+                certify_rank_mod_p([row for row in rows if row], f.factors)
+            else:
+                _certify_rank(m, count, theorem)
             for (_, _, done), f in zip(self._blocks, found):
                 done[m] = f
-            chain = invariants_from_cyclic_orders(
-                [d for (_, orders, _), f in zip(self._blocks, found)
-                 for d in f.factors if d > 1 for _ in orders]
-            )
-            self._factors[m] = Factorization((1,) * (count - len(chain)) + chain, set())
+            if m not in self._factors:
+                chain = invariants_from_cyclic_orders(
+                    [d for (_, orders, _), f in zip(self._blocks, found)
+                     for d in f.factors if d > 1 for _ in orders]
+                )
+                self._factors[m] = Factorization((1,) * (count - len(chain)) + chain, set())
         return self._factors[k]
+
+    def boundary_triplets(self, k: int) -> str:
+        """Plain text export: a "rows cols" header line, then one
+        "row col value" line per nonzero entry (0-based), sorted."""
+        rows, cols = self.rank(k - 1), self.rank(k)
+        lines = [f"{rows} {cols}"]
+        entries = []
+        for j, col in enumerate(self.cols[k]):
+            for i, v in col.items():
+                entries.append((i, j, v))
+        for i, j, v in sorted(entries):
+            lines.append(f"{i} {j} {v}")
+        return "\n".join(lines) + "\n"
 
 
 def _check_square_zero(cols: list[list[dict[int, int]]]) -> None:
@@ -453,7 +431,8 @@ def rack_chain_complex(
     rack, one union-find over its rows, which fixes the rank of every
     boundary map (see ChainComplex).  R is built one block per class of
     isomorphic orbits when two orbits are isomorphic (see the module
-    docstring).
+    docstring); otherwise, and always for Q, one block is seeded with all
+    of Y.
     """
     if variant not in ("R", "Q"):
         raise ValueError(f"unknown complex variant {variant!r}")
@@ -461,13 +440,10 @@ def rack_chain_complex(
         raise ValueError("max degree must be nonnegative")
     require(X, "quandle complex" if variant == "Q" else "chain complex", nquandle=variant == "Q")
     M = X.size ** (X.arity - 1)
-    # Q skips the child (t, last(t)) of each tuple t.  R records for every
-    # tuple the last entry the empty tuple has in both, the sentinel M that
-    # no entry equals, so it skips none.  width is the number of children
-    # each tuple keeps, so degree k >= 1 has rank M * width**(k-1).
-    width = M - 1 if variant == "Q" else M
     for k in range(max_degree + 1):
-        r = M * width ** (k - 1) if k else 1
+        # M times the children each tuple keeps, per degree above the first
+        # (see the width of _boundary_columns).
+        r = M * (M - (variant == "Q")) ** (k - 1) if k else 1
         if r > budget:
             raise BudgetExceededError(
                 f"chain rank {r} in degree {k} exceeds the {budget}-column budget",
@@ -477,12 +453,12 @@ def rack_chain_complex(
     rack = reduce_nrack_to_rack(X)
     rows = [rack.row(x) for x in range(M)]
     orbs = orbits(rack)
-    if variant == "R" and len(orbs) > 1:
-        classes = _orbit_classes(rows, orbs)
-        if len(classes) < len(orbs):
-            return _split_complex(rack, rows, classes, max_degree, len(orbs))
-    return ChainComplex(rack, _boundary_columns(rows, range(M), max_degree, variant == "Q"),
-                        variant, len(orbs))
+    # Q is not split (see the module docstring): each orbit is a class.
+    classes = _orbit_classes(rows, orbs) if variant == "R" else [[o] for o in orbs]
+    if len(classes) == len(orbs):
+        # No class holds two orbits: one block seeded with all of Y.
+        classes = [[list(range(M))]]
+    return _split_complex(rack, rows, classes, max_degree, variant, len(orbs))
 
 
 def _boundary_columns(rows, seed, max_degree: int, quandle: bool = False):
@@ -614,18 +590,24 @@ def _is_orbit_map(rows, source: list[int], image: list) -> bool:
     )
 
 
-def _split_complex(rack: FiniteRack, rows, classes, max_degree: int, orbit_count: int):
-    """R of the reduced rack with rows, one block built per class of
-    isomorphic orbits (see _SplitComplex).  What the blocks rest on is
-    checked first, each failure raising AssertionError: the orbits of all
-    classes partition Y, and each orbit's map from its representative is
-    an isomorphism of Y-sets, on every pair of Y x the orbit."""
+def _split_complex(rack: FiniteRack, rows, classes, max_degree: int, variant: str,
+                   orbit_count: int) -> ChainComplex:
+    """The complex of the variant on the reduced rack with rows, one block
+    built per class of isomorphic orbits (see ChainComplex), each seeded by
+    _boundary_columns with the first orbit of its class.  What the blocks
+    rest on is checked first, each failure raising AssertionError: the
+    orbits of all classes partition Y, and each orbit's map from its
+    representative is an isomorphism of Y-sets, on every pair of Y x the
+    orbit."""
     if sorted(a for cls in classes for order in cls for a in order) != list(range(len(rows))):
         raise AssertionError("the orbit classes do not partition the reduced rack")
     if not all(_is_orbit_map(rows, rep, order) for rep, *others in classes for order in others):
         raise AssertionError("an orbit map is not an isomorphism of Y-sets")
-    blocks = [(_boundary_columns(rows, cls[0], max_degree), cls, {}) for cls in classes]
-    return _SplitComplex(rack, blocks, orbit_count)
+    blocks = [(_boundary_columns(rows, cls[0], max_degree, variant == "Q"), cls, {})
+              for cls in classes]
+    C = ChainComplex.__new__(ChainComplex)
+    C._hold(rack, blocks, variant, orbit_count)
+    return C
 
 
 def _free_rank(variant: str, orbit_count: int, k: int) -> int:

@@ -31,7 +31,7 @@ from nracks import (
     symmetric_group,
 )
 from nracks import snf
-from nracks.homology import ChainComplex, _SplitComplex
+from nracks.homology import ChainComplex
 from nracks.snf import sparse_invariant_factors
 
 homology_module = importlib.import_module("nracks.homology")
@@ -58,10 +58,9 @@ def per_map_factors(C, k):
 
 def _chains(C):
     """(columns, factorizations) of each chain that C factors on its own:
-    C itself, or each representative block of a split rack complex."""
-    if isinstance(C, _SplitComplex):
-        return [(cols, done) for cols, _, done in C._blocks]
-    return [(C.cols, C._factors)]
+    each block, one per class of isomorphic orbits of a split rack complex
+    and the one block of any other complex."""
+    return [(cols, done) for cols, _, done in C._blocks]
 
 
 def _certified_inputs(C, monkeypatch):
@@ -141,7 +140,7 @@ def test_a_split_complex_factors_one_chain_per_class(monkeypatch):
     # z4 n=3 has 8 isomorphic orbits: one block is factored, on 2 * 16**(k-1)
     # columns in degree k, and its factors count 8 times.
     C = rack_chain_complex(build_z4_module_nrack(3, 4), 3)
-    assert isinstance(C, _SplitComplex) and len(_chains(C)) == 1
+    assert [len(orders) for _, orders, _ in C._blocks] == [8] and len(_chains(C)) == 1
     inputs = _certified_inputs(C, monkeypatch)
     assert [max((j for row in chain[0] for j in row), default=-1) < 2 * 16 ** (k - 1)
             for k, chain in enumerate(inputs, start=1)] == [True] * 3
@@ -157,7 +156,8 @@ def test_torsion_beside_dropped_rows():
     # torsion that the dense residual keeps.
     C = dict(_variants(build_conjugation_nrack(symmetric_group(3), 2), 4))["Q"]
     assert [d for d in C.factors(4) if d > 1] == [3, 3, 3, 3, 9]
-    assert len(C._factorization(3).unit_keys) == 20
+    (_, _, done), = C._blocks
+    assert len(done[3].unit_keys) == 20
 
 
 def test_a_boundary_that_does_not_square_to_zero_is_refused():

@@ -10,8 +10,11 @@ over the censuses and the fixtures: the same factors and groups, the same
 columns once assembled, and the same D and Q; a split with every orbit in
 its own block gives them too.  Then each mutant of what the blocks rest on
 (a tuple in the wrong block, an orbit map that is not an isomorphism, a
-class size off by one, a wrong sign in a block) must raise AssertionError in the library and exit 4
-with no answer in the CLI.
+class size off by one, a wrong sign in every block or in a later block
+alone) must raise AssertionError in the library and exit 4 with no answer
+in the CLI.  A split complex answers without reading its global columns,
+and a complex of one block counted once hands out that block's own
+column list.
 """
 
 import importlib
@@ -23,6 +26,7 @@ from helpers import axiom_fixture_set, dihedral_nrack
 from nracks import (
     CoefficientGroup,
     FiniteNRack,
+    FiniteRack,
     build_conjugation_nrack,
     build_z4_module_nrack,
     cohomology,
@@ -37,7 +41,7 @@ from nracks import (
     validate,
 )
 from nracks.cli import main
-from nracks.homology import ChainComplex, _SplitComplex
+from nracks.homology import ChainComplex
 from nracks.jsonio import dump_document, nrack_to_json
 
 homology_module = importlib.import_module("nracks.homology")
@@ -83,7 +87,13 @@ def _each_orbit_a_block(X, top):
     rack = reduce_nrack_to_rack(X)
     rows = [rack.row(x) for x in range(rack.size)]
     orbs = orbits(rack)
-    return homology_module._split_complex(rack, rows, [[o] for o in orbs], top, len(orbs))
+    return homology_module._split_complex(rack, rows, [[o] for o in orbs], top, "R", len(orbs))
+
+
+def _split(C):
+    """Whether C is held as blocks counted more than once in all: one per
+    orbit, with two or more orbits, not one block seeded with all of Y."""
+    return sum(len(orders) for _, orders, _ in C._blocks) > 1
 
 
 def _groups(C):
@@ -99,7 +109,7 @@ def _groups(C):
 def test_the_split_complex_is_the_whole_complex(X, monkeypatch):
     top = _top(X)
     C, W, E = rack_chain_complex(X, top), _whole(X, top, monkeypatch), _each_orbit_a_block(X, top)
-    assert type(W) is ChainComplex
+    assert not _split(W)
     for other in (W, E):
         assert [C.factors(k) for k in range(1, top + 1)] == [
             other.factors(k) for k in range(1, top + 1)
@@ -116,7 +126,7 @@ def test_the_oracle_covers_split_complexes():
     # 28 + 60 + 17 census tables, the 16 fixtures, and 7 more; 93 of them
     # have two isomorphic orbits or more.
     assert len(TABLES) == 128
-    split = [name for name, X in TABLES if isinstance(rack_chain_complex(X, 2), _SplitComplex)]
+    split = [name for name, X in TABLES if _split(rack_chain_complex(X, 2))]
     assert {"z4(n=3)", "conj(S3,n=3)", "trivial(3,2)"} <= set(split)
     assert len(split) == 93
 
@@ -131,7 +141,7 @@ def test_classes_of_isomorphic_orbits(X, classes):
     # conj(S3): 3 orbits, no two isomorphic, so Y is one seed.
     C = rack_chain_complex(X, 2)
     if classes is None:
-        assert type(C) is ChainComplex
+        assert not _split(C)
         return
     assert [len(orders) for _, orders, _ in C._blocks] == classes
 
@@ -160,8 +170,42 @@ def test_q_and_d_are_not_split():
     # Q is built on all of Y; trivial(3,2) is a quandle with 4 isomorphic
     # orbits.
     X = dict(TABLES)["trivial(3,2)"]
-    assert type(rack_chain_complex(X, 3, variant="Q")) is ChainComplex
-    assert isinstance(rack_chain_complex(X, 3), _SplitComplex)
+    assert not _split(rack_chain_complex(X, 3, variant="Q"))
+    assert _split(rack_chain_complex(X, 3))
+
+
+def test_the_answers_of_a_split_complex_read_no_global_columns(monkeypatch):
+    # z4 n=3 answers from its one block of 2 * 16**2 columns in degree 3:
+    # its repr, ranks, factors and groups never read cols, whose 16**3
+    # global columns are put together on the first read, once.
+    C = rack_chain_complex(Z4_3, 3)
+    reads = []
+    cols = type(C).cols
+    monkeypatch.setattr(type(C), "cols", property(lambda self: reads.append(1) or cols.fget(self)))
+    repr(C)
+    assert C.ranks == [1, 16, 256, 4096]
+    assert [len(C.factors(k)) for k in (1, 2, 3)] == [0, 8, 184]
+    assert _groups(C) and reads == []
+    assert len(C.cols[3]) == 16**3 and C.cols is C.cols and len(reads) == 3
+
+
+def test_one_block_counted_once_is_held_as_its_own_columns():
+    # A complex of one block counted once hands out that block's column
+    # list itself: R and Q seeded with all of Y, D by restriction, and a
+    # complex built by hand, whose block is the list it was given.
+    R3 = dihedral_nrack(3)
+    R = rack_chain_complex(R3, 3)
+    by_hand = [[{}], [{0: 2}], [{}]]
+    complexes = [
+        R,
+        rack_chain_complex(build_conjugation_nrack(symmetric_group(3), 2), 3, variant="Q"),
+        degenerate_subcomplex(R3, R),
+        ChainComplex(FiniteRack(1, (0,)), by_hand),
+    ]
+    for C in complexes:
+        (block, orders, _), = C._blocks
+        assert len(orders) == 1 and C.cols is block
+    assert complexes[-1].cols is by_hand
 
 
 # ------------------------------------------------------------------ mutants
@@ -240,19 +284,28 @@ def _class_size(change):
     return mutate
 
 
-def _sign_flipped_in_the_block(monkeypatch):
-    # The first column of a block's d_2 with two entries gets one of them
-    # negated; d_2 d_3 = 0 sees it.
-    original = homology_module._boundary_columns
+def _sign_flipped_in_blocks(first):
+    def mutate(monkeypatch):
+        # The first column of a block's d_2 with two entries gets one of
+        # them negated, in every block, or in every block but the first,
+        # whose seed holds 0; d_2 d_3 = 0 sees it, block by block.
+        original = homology_module._boundary_columns
 
-    def flipped(rows, seed, max_degree, quandle=False):
-        cols = original(rows, seed, max_degree, quandle)
-        col = next(c for c in cols[2] if len(c) > 1)
-        row = min(col)
-        col[row] = -col[row]
-        return cols
+        def flipped(rows, seed, max_degree, quandle=False):
+            cols = original(rows, seed, max_degree, quandle)
+            if first or 0 not in seed:
+                col = next(c for c in cols[2] if len(c) > 1)
+                row = min(col)
+                col[row] = -col[row]
+            return cols
 
-    monkeypatch.setattr(homology_module, "_boundary_columns", flipped)
+        monkeypatch.setattr(homology_module, "_boundary_columns", flipped)
+
+    return mutate
+
+
+# A 3-rack of order 3 whose 5 orbits fall into a class of 1 and one of 4.
+TWO_CLASSES = dict(TABLES)["census(n=3,m=3)#4"]
 
 
 # name: (mutation, table, the check that must catch it)
@@ -264,7 +317,9 @@ MUTANTS = {
         _orbit_map_not_an_isomorphism, CONJ_S3_3, "not an isomorphism of Y-sets"),
     "class size one more": (_class_size(1), Z4_3, "do not partition"),
     "class size one less": (_class_size(-1), Z4_3, "do not partition"),
-    "sign flipped in a block": (_sign_flipped_in_the_block, Z4_3, "does not square to zero"),
+    "sign flipped in a block": (_sign_flipped_in_blocks(True), Z4_3, "does not square to zero"),
+    "sign flipped in a later block": (
+        _sign_flipped_in_blocks(False), TWO_CLASSES, "does not square to zero"),
 }
 
 
@@ -273,7 +328,7 @@ def test_a_mutant_of_the_split_raises(monkeypatch, name):
     mutate, X, check = MUTANTS[name]
     mutate(monkeypatch)
     with pytest.raises(AssertionError, match=check):
-        C = rack_chain_complex(X, 3 if X is Z4_3 else 2)
+        C = rack_chain_complex(X, 2 if X is CONJ_S3_3 else 3)
         [homology(C, k) for k in range(1, C.max_degree)]
 
 
@@ -283,7 +338,7 @@ def test_a_mutant_of_the_split_exits_4_without_an_answer(monkeypatch, capsys, tm
     path = tmp_path / "table.json"
     path.write_text(dump_document(nrack_to_json(X)))
     mutate(monkeypatch)
-    degrees = "1-2" if X is Z4_3 else "1"
+    degrees = "1" if X is CONJ_S3_3 else "1-2"
     assert main(["homology", "--input", str(path), "--degrees", degrees]) == 4
     out, err = capsys.readouterr()
     assert out == ""

@@ -133,15 +133,16 @@ def _free_ranks_one_degree_off(monkeypatch):
 def _sign_flipped_in_degree(k):
     def mutate(monkeypatch):
         # The first column of d_k with two entries gets one of them negated.
-        original = homology_module.ChainComplex
+        original = homology_module._boundary_columns
 
-        def flipped(rack, cols, variant, orbit_count):
+        def flipped(rows, seed, max_degree, quandle=False):
+            cols = original(rows, seed, max_degree, quandle)
             col = next(c for c in cols[k] if len(c) > 1)
             row = min(col)
             col[row] = -col[row]
-            return original(rack, cols, variant, orbit_count)
+            return cols
 
-        monkeypatch.setattr(homology_module, "ChainComplex", flipped)
+        monkeypatch.setattr(homology_module, "_boundary_columns", flipped)
 
     return mutate
 
