@@ -9,10 +9,10 @@ the (t, s) = (1, 2) gamma table.  Row a of the reduced rack, and the
 bracket index of the module-over-group table, are core.entrywise maps.
 """
 
-from dataclasses import dataclass
 from itertools import permutations, product
 from math import gcd
 
+from ._frozen import Frozen
 from .core import (
     FiniteNRack,
     ValidationReport,
@@ -77,45 +77,42 @@ def validate_rack(Q: FiniteRack) -> ValidationReport:
     return validate(Q)
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
+class FiniteGroup(Frozen):
     """A finite group on {0..size-1}: flat Cayley table (entry for (a, b) at
     a*size + b) and identity index.  The group laws are checked exhaustively
-    at construction; inverses are derived."""
+    at construction; inverses are derived, whatever inverse is given."""
 
-    size: int
-    cayley: tuple[int, ...]
-    identity: int
-    inverse: tuple[int, ...] = None  # type: ignore[assignment]
+    _fields = ("size", "cayley", "identity", "inverse")
 
-    def __post_init__(self):
-        k = self.size
+    def __init__(self, size: int, cayley: tuple[int, ...], identity: int,
+                 inverse: tuple[int, ...] | None = None):
+        k = size
         if k < 1:
             raise ValueError("group must be nonempty")
-        if not isinstance(self.cayley, tuple):
-            object.__setattr__(self, "cayley", tuple(self.cayley))
-        if len(self.cayley) != k * k:
+        if not isinstance(cayley, tuple):
+            cayley = tuple(cayley)
+        if len(cayley) != k * k:
             raise ValueError(f"cayley table must have {k * k} entries")
-        if any(not (0 <= v < k) for v in self.cayley):
+        if any(not (0 <= v < k) for v in cayley):
             raise ValueError("cayley entries must lie in the carrier")
-        e = self.identity
+        e = identity
         if not (0 <= e < k):
             raise ValueError(f"identity {e} outside carrier")
-        if any(self.cayley[e * k + x] != x or self.cayley[x * k + e] != x for x in range(k)):
+        if any(cayley[e * k + x] != x or cayley[x * k + e] != x for x in range(k)):
             raise ValueError("identity law fails")
         for a in range(k):
             for b in range(k):
-                ab = self.cayley[a * k + b]
+                ab = cayley[a * k + b]
                 for c in range(k):
-                    if self.cayley[ab * k + c] != self.cayley[a * k + self.cayley[b * k + c]]:
+                    if cayley[ab * k + c] != cayley[a * k + cayley[b * k + c]]:
                         raise ValueError(f"associativity fails at ({a}, {b}, {c})")
         inverse = []
         for a in range(k):
-            found = [b for b in range(k) if self.cayley[a * k + b] == e == self.cayley[b * k + a]]
+            found = [b for b in range(k) if cayley[a * k + b] == e == cayley[b * k + a]]
             if not found:
                 raise ValueError(f"element {a} has no inverse")
             inverse.append(found[0])
-        object.__setattr__(self, "inverse", tuple(inverse))
+        self._store(size, cayley, identity, tuple(inverse))
 
     def mul(self, a: int, b: int) -> int:
         return self.cayley[a * self.size + b]
@@ -261,8 +258,7 @@ def reduce_nrack_to_rack(R: FiniteNRack) -> FiniteRack:
     return FiniteRack(M, tuple(table), basepoint)
 
 
-@dataclass(frozen=True)
-class GroupModule:
+class GroupModule(Frozen):
     """A finite abelian group V with an action of a group H by automorphisms.
 
     action[h] is the permutation of V's carrier given by h.  Construction
@@ -270,18 +266,17 @@ class GroupModule:
     and h -> action[h] is a homomorphism sending the identity to id.
     """
 
-    space: FiniteGroup
-    acting: FiniteGroup
-    action: tuple[tuple[int, ...], ...]
+    _fields = ("space", "acting", "action")
 
-    def __post_init__(self):
-        V, H = self.space, self.acting
+    def __init__(self, space: FiniteGroup, acting: FiniteGroup,
+                 action: tuple[tuple[int, ...], ...]):
+        V, H = space, acting
         if not V.is_abelian():
             raise ConstructionError("module carrier must be an abelian group")
-        object.__setattr__(self, "action", tuple(tuple(p) for p in self.action))
-        if len(self.action) != H.size:
+        action = tuple(tuple(p) for p in action)
+        if len(action) != H.size:
             raise ConstructionError("action must assign a map to every group element")
-        for h, perm in enumerate(self.action):
+        for h, perm in enumerate(action):
             if sorted(perm) != list(range(V.size)):
                 raise ConstructionError(f"action of element {h} is not a bijection")
             for a in range(V.size):
@@ -290,13 +285,14 @@ class GroupModule:
                         raise ConstructionError(
                             f"action of element {h} is not an automorphism"
                         )
-        if self.action[H.identity] != tuple(range(V.size)):
+        if action[H.identity] != tuple(range(V.size)):
             raise ConstructionError("identity must act trivially")
         for h1 in range(H.size):
             for h2 in range(H.size):
-                composed = tuple(self.action[h1][self.action[h2][v]] for v in range(V.size))
-                if composed != self.action[H.mul(h1, h2)]:
+                composed = tuple(action[h1][action[h2][v]] for v in range(V.size))
+                if composed != action[H.mul(h1, h2)]:
                     raise ConstructionError("action is not a group homomorphism")
+        self._store(space, acting, action)
 
 
 def check_antisymmetric_bracket(H: FiniteGroup, bracket: tuple[int, ...], arity: int) -> None:
@@ -357,25 +353,24 @@ def build_module_group_nrack(
     return rack, validate(rack)
 
 
-@dataclass(frozen=True)
-class GroupPresentation:
+class GroupPresentation(Frozen):
     """Generators 0..generators-1 with relator words as tuples of signed
     1-based indices: generator i is i+1, its inverse -(i+1).  Relators are
     stored freely reduced; no empty relator is kept."""
 
-    generators: int
-    relators: tuple[tuple[int, ...], ...]
+    _fields = ("generators", "relators")
 
-    def __post_init__(self):
-        if self.generators < 0:
+    def __init__(self, generators: int, relators: tuple[tuple[int, ...], ...]):
+        if generators < 0:
             raise ValueError("generator count must be nonnegative")
-        object.__setattr__(self, "relators", tuple(tuple(w) for w in self.relators))
-        for word in self.relators:
+        relators = tuple(tuple(w) for w in relators)
+        for word in relators:
             if not word:
                 raise ValueError("empty relator stored")
             for letter in word:
-                if letter == 0 or abs(letter) > self.generators:
+                if letter == 0 or abs(letter) > generators:
                     raise ValueError(f"letter {letter} outside generator range")
+        self._store(generators, relators)
 
 
 def free_reduce(word) -> tuple[int, ...]:

@@ -15,11 +15,11 @@ homomorphism check, the reduction to the tuple rack and the chain complex
 all read tuples through it instead of decoding them digit by digit.
 """
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product, repeat
 from operator import itemgetter
 
+from ._frozen import Frozen
 from .errors import AxiomError
 
 
@@ -56,8 +56,7 @@ def entrywise(phi, length: int, base: int) -> list[int]:
     return idx
 
 
-@dataclass(frozen=True)
-class FiniteNRack:
+class FiniteNRack(Frozen):
     """An n-ary operation table on {0,...,size-1}.
 
     The table is flat and row-major: entry for (x_1,...,x_n) sits at index
@@ -65,31 +64,30 @@ class FiniteNRack:
     element of a pointed n-rack; None means no basepoint is declared.
     """
 
-    arity: int
-    size: int
-    table: tuple[int, ...]
-    basepoint: int | None = None
+    _fields = ("arity", "size", "table", "basepoint")
 
-    def __post_init__(self):
-        if self.arity < 2:
-            raise ValueError(f"arity must be >= 2, got {self.arity}")
-        if self.size < 1:
-            raise ValueError(f"size must be >= 1, got {self.size}")
-        if not isinstance(self.table, tuple):
-            object.__setattr__(self, "table", tuple(self.table))
-        given = len(self.table)
-        if first_power_past(self.size, self.arity, given) is not None:
+    def __init__(self, arity: int, size: int, table: tuple[int, ...],
+                 basepoint: int | None = None):
+        if arity < 2:
+            raise ValueError(f"arity must be >= 2, got {arity}")
+        if size < 1:
+            raise ValueError(f"size must be >= 1, got {size}")
+        if not isinstance(table, tuple):
+            table = tuple(table)
+        given = len(table)
+        if first_power_past(size, arity, given) is not None:
             raise ValueError(
                 f"table has {given} entries, too few for "
-                f"size**arity = {self.size}**{self.arity}"
+                f"size**arity = {size}**{arity}"
             )
-        expected = self.size**self.arity
+        expected = size**arity
         if given != expected:
             raise ValueError(f"table has {given} entries, expected {expected}")
-        if any(not (0 <= v < self.size) for v in self.table):
+        if any(not (0 <= v < size) for v in table):
             raise ValueError("table entries must lie in the carrier")
-        if self.basepoint is not None and not (0 <= self.basepoint < self.size):
-            raise ValueError(f"basepoint {self.basepoint} outside carrier")
+        if basepoint is not None and not (0 <= basepoint < size):
+            raise ValueError(f"basepoint {basepoint} outside carrier")
+        self._store(arity, size, table, basepoint)
 
     @property
     def strides(self) -> tuple[int, ...]:
@@ -137,8 +135,7 @@ class FiniteNRack:
         )
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(Frozen):
     """Axiom flags of a table.  is_pointed is None when no basepoint is set.
 
     Implications enforced by construction: any true flag other than
@@ -146,32 +143,34 @@ class Classification:
     is_nquandle implies is_weak_nquandle.
     """
 
-    is_nrack: bool
-    is_pointed: bool | None
-    is_weak_nquandle: bool
-    is_nquandle: bool
-    is_weak_nkei: bool
-    is_nkei: bool
+    _fields = ("is_nrack", "is_pointed", "is_weak_nquandle", "is_nquandle", "is_weak_nkei",
+               "is_nkei")
+
+    def __init__(self, is_nrack: bool, is_pointed: bool | None, is_weak_nquandle: bool,
+                 is_nquandle: bool, is_weak_nkei: bool, is_nkei: bool):
+        self._store(is_nrack, is_pointed, is_weak_nquandle, is_nquandle, is_weak_nkei, is_nkei)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    classification: Classification
-    distributivity_witness: tuple | None
-    bijectivity_witness: tuple | None
+class ValidationReport(Frozen):
+    _fields = ("classification", "distributivity_witness", "bijectivity_witness")
+
+    def __init__(self, classification: Classification, distributivity_witness: tuple | None,
+                 bijectivity_witness: tuple | None):
+        self._store(classification, distributivity_witness, bijectivity_witness)
 
     @property
     def is_nrack(self) -> bool:
         return self.classification.is_nrack
 
 
-@dataclass(frozen=True)
-class InnerMap:
+class InnerMap(Frozen):
     """The translation permutation y -> [args, y] of a validated n-rack."""
 
-    source: FiniteNRack
-    arguments: tuple[int, ...]
-    permutation: tuple[int, ...]
+    _fields = ("source", "arguments", "permutation")
+
+    def __init__(self, source: FiniteNRack, arguments: tuple[int, ...],
+                 permutation: tuple[int, ...]):
+        self._store(source, arguments, permutation)
 
 
 def check_left_distributive(R: FiniteNRack):

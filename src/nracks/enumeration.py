@@ -29,10 +29,10 @@ every permutation would try, so the budget is passed exactly where that
 scan passes it.
 """
 
-from dataclasses import dataclass
 from itertools import chain, permutations, product, repeat
 from math import factorial
 
+from ._frozen import Frozen
 from .core import entrywise, first_product_past
 from .errors import BudgetExceededError
 
@@ -41,14 +41,12 @@ DEFAULT_CANDIDATE_BUDGET = 2_000_000
 FILTERS = ("nrack", "weak-n-quandle", "n-quandle", "n-kei")
 
 
-@dataclass(frozen=True)
-class EnumerationReport:
-    arity: int
-    size: int
-    filter: str
-    count_total: int
-    count_up_to_iso: int
-    representatives: tuple[tuple[int, ...], ...]
+class EnumerationReport(Frozen):
+    _fields = ("arity", "size", "filter", "count_total", "count_up_to_iso", "representatives")
+
+    def __init__(self, arity: int, size: int, filter: str, count_total: int,
+                 count_up_to_iso: int, representatives: tuple[tuple[int, ...], ...]):
+        self._store(arity, size, filter, count_total, count_up_to_iso, representatives)
 
 
 def _passes_budget(factors, budget: int) -> bool:

@@ -106,9 +106,9 @@ elimination on all fixtures.
 """
 
 from collections import Counter
-from dataclasses import dataclass
 from math import gcd
 
+from ._frozen import Frozen
 from .constructions import FiniteRack, reduce_nrack_to_rack
 from .core import FiniteNRack, orbits, require
 from .errors import BudgetExceededError, SubcomplexError
@@ -123,15 +123,15 @@ from .snf import (
 DEFAULT_COLUMN_BUDGET = 20000
 
 
-@dataclass(frozen=True)
-class CoefficientGroup:
+class CoefficientGroup(Frozen):
     """Coefficients for homology: the integers (modulus 0) or Z/d, d >= 2."""
 
-    modulus: int = 0
+    _fields = ("modulus",)
 
-    def __post_init__(self):
-        if self.modulus != 0 and self.modulus < 2:
+    def __init__(self, modulus: int = 0):
+        if modulus != 0 and modulus < 2:
             raise ValueError("cyclic coefficient modulus must be >= 2")
+        self._store(modulus)
 
     @classmethod
     def integers(cls) -> "CoefficientGroup":
@@ -193,8 +193,8 @@ class ChainComplex:
     its block has the same columns.  Degree 0 is the empty tuple of the
     whole complex, in no block.  cols is then assembled from the blocks on
     first read and kept; ranks and factors read the blocks.
-    ChainComplex is not a dataclass: instances compare by identity, and
-    their repr reads no columns.
+    Unlike the value types, a ChainComplex compares by identity, and its
+    repr reads no columns.
     """
 
     def __init__(self, rack: FiniteRack, cols: list[list[dict[int, int]]],
@@ -399,12 +399,12 @@ def _next_factorization(cols, done: dict[int, Factorization], drop_units: bool):
     return rows, certified_factors([row for i, row in enumerate(rows) if row and i not in units])
 
 
-@dataclass(frozen=True)
-class HomologyResult:
-    degree: int
-    invariants: AbelianGroupInvariants
-    variant: str
-    coefficients: CoefficientGroup
+class HomologyResult(Frozen):
+    _fields = ("degree", "invariants", "variant", "coefficients")
+
+    def __init__(self, degree: int, invariants: AbelianGroupInvariants, variant: str,
+                 coefficients: CoefficientGroup):
+        self._store(degree, invariants, variant, coefficients)
 
 
 def reduced_rack_table(X: FiniteNRack) -> list[list[int]]:

@@ -14,7 +14,8 @@ from .constructions import FiniteGroup, GroupModule, GroupPresentation
 from .core import Classification, FiniteNRack, ValidationReport
 from .enumeration import EnumerationReport
 from .homology import HomologyResult
-from .leibniz import LeibnizNAlgebra, LinearOperator
+from .errors import BudgetExceededError
+from .leibniz import MULTILINEARITY_DRAW_BUDGET, LeibnizNAlgebra, LinearOperator
 from .snf import AbelianGroupInvariants
 
 
@@ -159,6 +160,16 @@ def tensor_from_json(doc) -> LeibnizNAlgebra:
             raise ValueError(f"bad rational value {value!r}: {exc}") from exc
         if not (0 <= out < dimension):
             raise ValueError(f"output index {out} out of range")
+    # Each structure vector is dimension entries long, and so is each vector
+    # the multilinearity probe draws: a dimension it would refuse is refused
+    # here, before a vector is built.
+    if dimension > MULTILINEARITY_DRAW_BUDGET:
+        raise BudgetExceededError(
+            f"tensor dimension {dimension} is over the {MULTILINEARITY_DRAW_BUDGET}-draw "
+            "budget of the multilinearity probe",
+            limit=MULTILINEARITY_DRAW_BUDGET,
+            reached=dimension,
+        )
     return LeibnizNAlgebra.from_entries(dimension, arity, entries)
 
 

@@ -14,12 +14,12 @@ is checked on basis tuples, which suffices by multilinearity.
 """
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, permutations, product
 from math import lcm, prod
 
+from ._frozen import Frozen
 from .errors import BudgetExceededError
 
 # check_multilinearity_sample draws trials * (arity + 2) random vectors of
@@ -39,34 +39,33 @@ def _cleared(values) -> tuple[int, list[int]]:
     return s, [x.numerator * (s // x.denominator) for x in fs]
 
 
-@dataclass(frozen=True)
-class LeibnizNAlgebra:
+class LeibnizNAlgebra(Frozen):
     """Structure constants of an n-linear bracket on a d-dimensional space.
 
     constants maps an argument tuple (i_1,...,i_n) of basis indices to the
-    coefficient vector of [e_{i_1},...,e_{i_n}]; absent tuples are zero.
+    coefficient vector of [e_{i_1},...,e_{i_n}]; absent tuples are zero, and
+    so are all of them when constants is not given.  The algebra keeps its
+    own copy of the nonzero vectors.  It holds a dict, so it has no hash.
     """
 
-    dimension: int
-    arity: int
-    constants: dict = field(default_factory=dict)
+    _fields = ("dimension", "arity", "constants")
 
-    def __post_init__(self):
-        if self.dimension < 1:
+    def __init__(self, dimension: int, arity: int, constants: dict | None = None):
+        if dimension < 1:
             raise ValueError("dimension must be >= 1")
-        if self.arity < 2:
+        if arity < 2:
             raise ValueError("arity must be >= 2")
         clean = {}
-        for args, vec in self.constants.items():
+        for args, vec in (constants or {}).items():
             args = tuple(args)
-            if len(args) != self.arity or any(not (0 <= i < self.dimension) for i in args):
+            if len(args) != arity or any(not (0 <= i < dimension) for i in args):
                 raise ValueError(f"argument tuple {args} out of range")
             vec = tuple(_as_fraction(v) for v in vec)
-            if len(vec) != self.dimension:
+            if len(vec) != dimension:
                 raise ValueError("structure vector has wrong length")
             if any(vec):
                 clean[args] = vec
-        object.__setattr__(self, "constants", clean)
+        self._store(dimension, arity, clean)
 
     @classmethod
     def from_entries(cls, dimension: int, arity: int, entries) -> "LeibnizNAlgebra":
@@ -94,18 +93,17 @@ class LeibnizNAlgebra:
         return self.constants.get(tuple(args), (Fraction(0),) * self.dimension)
 
 
-@dataclass(frozen=True)
-class LinearOperator:
+class LinearOperator(Frozen):
     """A d x d exact-rational matrix; matrix[i][j] is the e_i coefficient
     of the image of e_j."""
 
-    matrix: tuple[tuple[Fraction, ...], ...]
+    _fields = ("matrix",)
 
-    def __post_init__(self):
-        rows = tuple(tuple(_as_fraction(v) for v in row) for row in self.matrix)
+    def __init__(self, matrix: tuple[tuple[Fraction, ...], ...]):
+        rows = tuple(tuple(_as_fraction(v) for v in row) for row in matrix)
         if any(len(row) != len(rows) for row in rows):
             raise ValueError("operator matrix must be square")
-        object.__setattr__(self, "matrix", rows)
+        self._store(rows)
 
     @property
     def dimension(self) -> int:

@@ -29,35 +29,34 @@ complex built by hand takes the mod-p rank of the whole map (see
 homology.ChainComplex).
 """
 
-from collections import defaultdict
-from dataclasses import dataclass
+from collections import defaultdict, namedtuple
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from typing import NamedTuple
+
+from ._frozen import Frozen
 
 # 2^61 - 1, a Mersenne prime: the rank of a matrix over F_p is the number
 # of its invariant factors that p does not divide.
 CERTIFICATE_PRIME = 2**61 - 1
 
 
-@dataclass(frozen=True)
-class AbelianGroupInvariants:
+class AbelianGroupInvariants(Frozen):
     """Canonical form of a finitely generated abelian group:
     Z^free_rank plus cyclic factors Z/d_1 x ... x Z/d_r with d_1 | d_2 | ...
     and every d_i >= 2."""
 
-    free_rank: int
-    torsion: tuple[int, ...]
+    _fields = ("free_rank", "torsion")
 
-    def __post_init__(self):
-        if self.free_rank < 0:
+    def __init__(self, free_rank: int, torsion: tuple[int, ...]):
+        if free_rank < 0:
             raise ValueError("free rank must be nonnegative")
-        object.__setattr__(self, "torsion", tuple(self.torsion))
-        for a, b in zip(self.torsion, self.torsion[1:]):
+        torsion = tuple(torsion)
+        for a, b in zip(torsion, torsion[1:]):
             if b % a != 0:
-                raise ValueError(f"torsion {self.torsion} violates divisibility")
-        if any(d < 2 for d in self.torsion):
+                raise ValueError(f"torsion {torsion} violates divisibility")
+        if any(d < 2 for d in torsion):
             raise ValueError("torsion factors must be >= 2")
+        self._store(free_rank, torsion)
 
     @property
     def order(self) -> int | None:
@@ -219,7 +218,7 @@ def certify_rank_mod_p(columns, factors) -> tuple[int, ...]:
     return factors
 
 
-class Factorization(NamedTuple):
+class Factorization(namedtuple("Factorization", "factors unit_keys")):
     """Invariant factors, with the row keys of the +-1 pivots.
 
     unit_keys: with the pivot columns they index a square submatrix that
@@ -227,8 +226,7 @@ class Factorization(NamedTuple):
     triangular with +-1 on the diagonal.
     """
 
-    factors: tuple[int, ...]
-    unit_keys: set
+    __slots__ = ()
 
 
 def certified_factors(columns) -> Factorization:

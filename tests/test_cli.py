@@ -1,5 +1,6 @@
 import importlib
 import json
+import resource
 import subprocess
 import sys
 import time
@@ -526,6 +527,29 @@ def test_a_multilinearity_probe_past_its_budget_exits_3(tmp_path, dimension, ari
     assert result.stdout == ""
     assert result.stderr.startswith("budget exceeded: multilinearity probe needs ")
     assert "random draws" in result.stderr
+
+
+def test_a_tensor_too_wide_to_hold_exits_3_before_building_it(tmp_path):
+    # One constant in dimension 10**9 is a structure vector of 8 GB of
+    # pointers.  The loader refuses the dimension before building one, so
+    # the command answers within 512 MiB of address space, and at once.
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"dimension": 10**9, "arity": 2,
+                                "constants": [{"args": [0, 1], "out": 0, "value": "1"}]}))
+    limit = 512 * 2**20
+    start = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-m", "nracks.cli", "leibniz", "--input", str(path)],
+        capture_output=True,
+        text=True,
+        timeout=10,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert time.perf_counter() - start < 5
+    assert result.returncode == 3, result.stderr
+    assert result.stdout == ""
+    assert result.stderr == ("budget exceeded: tensor dimension 1000000000 is over the "
+                             "100000-draw budget of the multilinearity probe\n")
 
 
 def test_enumerate_command():

@@ -1,12 +1,15 @@
 """The CLI on inputs of random shape.
 
 `check` and `homology` read a table document and, for homology, a degree
-specification, coefficients, a variant and a budget.  Whatever the input,
-cli.main must end with a documented exit code, 0 to 3 (4 is an internal
-error and needs an injected fault), and never with a traceback: wrong
-types, bools where integers belong, negative or huge arity and size,
-tables too short or too long, entries outside the carrier, documents that
-are not objects or not JSON, and degree specifications of every spelling.
+specification, coefficients, a variant and a budget; `leibniz` reads a
+structure-constant tensor and, optionally, a linear operator.  Whatever
+the input, cli.main must end with a documented exit code, 0 to 3 (4 is an
+internal error and needs an injected fault), and never with a traceback:
+wrong types, bools where integers belong, negative or huge arity, size and
+dimension, tables too short or too long, entries outside the carrier or
+the dimension, values that are not rationals, operator matrices of the
+wrong shape, documents that are not objects or not JSON, and degree
+specifications of every spelling.
 """
 
 import contextlib
@@ -114,5 +117,117 @@ def test_the_cli_exits_with_a_documented_code(text, command, degrees, options):
         if command == "homology":
             argv += ["--degrees", degrees] + [a for option in options for a in option]
         code, err = _run(argv)
+    assert code in (0, 1, 2, 3), (argv, text, code, err)
+    assert "Traceback" not in err
+
+
+# Tensor and operator dimensions: small ones the checks answer, and huge
+# ones, up to 10**12, that no structure vector can hold.
+DIMENSIONS = st.one_of(st.integers(-1, 4), st.sampled_from([10**5, 10**5 + 1, 10**9, 10**12]))
+RATIONALS = st.sampled_from(["0", "1", "-1", "2", "1/2", "-3/4"])
+NOT_RATIONALS = st.one_of(st.sampled_from(["2/0", "1/-2", " 1", "x", ""]), st.text(max_size=4))
+# Operator entries: JSON numbers are read through their text, like strings.
+ENTRIES = st.one_of(RATIONALS, st.integers(-3, 3), NOT_RATIONALS, st.floats(allow_nan=False),
+                    st.booleans(), st.none(), st.just([1]))
+
+
+def _off(draw, doc, items):
+    """doc with one thing wrong: a field dropped or given a wild value, or
+    a wild value in one field or entry of an item of the list under
+    items."""
+    field = draw(st.sampled_from(sorted(doc)))
+    if field != items or not doc[items] or draw(st.booleans()):
+        if draw(st.booleans()):
+            del doc[field]
+        else:
+            doc[field] = draw(SCALARS)
+        return doc
+    item = doc[items][draw(st.integers(0, len(doc[items]) - 1))]
+    if isinstance(item, dict):
+        item[draw(st.sampled_from(sorted(item)))] = draw(st.one_of(
+            SCALARS, NOT_RATIONALS, st.sampled_from([-1, 10**12]),
+            st.lists(st.integers(-1, 3), max_size=4)))
+    else:
+        item[draw(st.integers(0, len(item) - 1))] = draw(ENTRIES)
+    return doc
+
+
+@st.composite
+def tensor_documents(draw):
+    """The text of a tensor document: well formed (two times in five),
+    with one thing wrong, wild or not JSON."""
+    kind = draw(st.sampled_from(["valid", "valid", "off", "wild", "text"]))
+    if kind in ("valid", "off"):
+        d, n = draw(DIMENSIONS), draw(st.one_of(st.integers(2, 3), st.sampled_from([1, 10**12])))
+        index = st.integers(0, min(d, 3) - 1) if d >= 1 else st.just(0)
+        constant = st.fixed_dictionaries({
+            "args": st.lists(index, min_size=min(n, 4), max_size=min(n, 4)),
+            "out": index,
+            "value": RATIONALS,
+        })
+        doc = {"dimension": d, "arity": n, "constants": draw(st.lists(constant, max_size=6))}
+        if kind == "off":
+            doc = _off(draw, doc, "constants")
+    elif kind == "wild":
+        doc = draw(st.one_of(SCALARS, st.lists(SCALARS, max_size=3),
+                             st.dictionaries(st.sampled_from(["args", "out", "value"]), SCALARS)))
+    else:
+        return draw(st.text(max_size=12))
+    return json.dumps(doc)
+
+
+@st.composite
+def operator_documents(draw):
+    """The text of an operator document: square of the tensor's dimension
+    3, of any dimension, with one thing wrong, wild or not JSON."""
+    kind = draw(st.sampled_from(["valid", "any", "off", "wild", "text"]))
+    if kind in ("valid", "any", "off"):
+        d = draw(st.just(3) if kind == "valid" else DIMENSIONS)
+        rows = d if 0 <= d <= 4 else draw(st.integers(0, 4))
+        row = st.lists(RATIONALS, min_size=rows, max_size=rows)
+        doc = {"dimension": d, "matrix": draw(st.lists(row, min_size=rows, max_size=rows))}
+        if kind == "off":
+            doc = _off(draw, doc, "matrix")
+    elif kind == "wild":
+        doc = draw(st.one_of(SCALARS, st.dictionaries(st.sampled_from(["dimension", "matrix"]),
+                                                      SCALARS)))
+    else:
+        return draw(st.text(max_size=12))
+    return json.dumps(doc)
+
+
+# The cross product on Q^3, a Lie bracket, and the same tensor with one
+# constant doubled, which breaks the fundamental identity.
+CROSS = {"dimension": 3, "arity": 2, "constants": [
+    {"args": [i, j], "out": k, "value": str(sign)}
+    for i, j, k, sign in [(0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 1, 1),
+                          (1, 0, 2, -1), (2, 1, 0, -1), (0, 2, 1, -1)]
+]}
+BROKEN = {**CROSS, "constants": CROSS["constants"] + [{"args": [0, 1], "out": 2, "value": "1"}]}
+
+
+def _leibniz(files, options=()):
+    with tempfile.TemporaryDirectory() as directory:
+        argv = ["leibniz"]
+        for flag, text in files:
+            path = os.path.join(directory, f"{flag[2:]}.json")
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            argv += [flag, path]
+        return argv, _run(argv + list(options))
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=tensor_documents(), seed=st.sampled_from([[], ["--seed", "3"]]))
+def test_leibniz_exits_with_a_documented_code_on_any_tensor(text, seed):
+    argv, (code, err) = _leibniz([("--input", text)], seed)
+    assert code in (0, 1, 2, 3), (argv, text, code, err)
+    assert "Traceback" not in err
+
+
+@settings(max_examples=100, deadline=None)
+@given(tensor=st.sampled_from([CROSS, BROKEN]), text=operator_documents())
+def test_leibniz_exits_with_a_documented_code_on_any_operator(tensor, text):
+    argv, (code, err) = _leibniz([("--input", json.dumps(tensor)), ("--operator", text)])
     assert code in (0, 1, 2, 3), (argv, text, code, err)
     assert "Traceback" not in err
