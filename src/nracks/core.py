@@ -146,17 +146,9 @@ class Classification(Frozen):
     _fields = ("is_nrack", "is_pointed", "is_weak_nquandle", "is_nquandle", "is_weak_nkei",
                "is_nkei")
 
-    def __init__(self, is_nrack: bool, is_pointed: bool | None, is_weak_nquandle: bool,
-                 is_nquandle: bool, is_weak_nkei: bool, is_nkei: bool):
-        self._store(is_nrack, is_pointed, is_weak_nquandle, is_nquandle, is_weak_nkei, is_nkei)
-
 
 class ValidationReport(Frozen):
     _fields = ("classification", "distributivity_witness", "bijectivity_witness")
-
-    def __init__(self, classification: Classification, distributivity_witness: tuple | None,
-                 bijectivity_witness: tuple | None):
-        self._store(classification, distributivity_witness, bijectivity_witness)
 
     @property
     def is_nrack(self) -> bool:
@@ -167,10 +159,6 @@ class InnerMap(Frozen):
     """The translation permutation y -> [args, y] of a validated n-rack."""
 
     _fields = ("source", "arguments", "permutation")
-
-    def __init__(self, source: FiniteNRack, arguments: tuple[int, ...],
-                 permutation: tuple[int, ...]):
-        self._store(source, arguments, permutation)
 
 
 def check_left_distributive(R: FiniteNRack):

@@ -44,10 +44,6 @@ FILTERS = ("nrack", "weak-n-quandle", "n-quandle", "n-kei")
 class EnumerationReport(Frozen):
     _fields = ("arity", "size", "filter", "count_total", "count_up_to_iso", "representatives")
 
-    def __init__(self, arity: int, size: int, filter: str, count_total: int,
-                 count_up_to_iso: int, representatives: tuple[tuple[int, ...], ...]):
-        self._store(arity, size, filter, count_total, count_up_to_iso, representatives)
-
 
 def _passes_budget(factors, budget: int) -> bool:
     """Whether the product of factors passes budget, multiplied out only

@@ -402,10 +402,6 @@ def _next_factorization(cols, done: dict[int, Factorization], drop_units: bool):
 class HomologyResult(Frozen):
     _fields = ("degree", "invariants", "variant", "coefficients")
 
-    def __init__(self, degree: int, invariants: AbelianGroupInvariants, variant: str,
-                 coefficients: CoefficientGroup):
-        self._store(degree, invariants, variant, coefficients)
-
 
 def reduced_rack_table(X: FiniteNRack) -> list[list[int]]:
     """Row-indexed table of the reduced rack X^(n-1) the complex lives on."""

@@ -14,8 +14,7 @@ from .constructions import FiniteGroup, GroupModule, GroupPresentation
 from .core import Classification, FiniteNRack, ValidationReport
 from .enumeration import EnumerationReport
 from .homology import HomologyResult
-from .errors import BudgetExceededError
-from .leibniz import MULTILINEARITY_DRAW_BUDGET, LeibnizNAlgebra, LinearOperator
+from .leibniz import LeibnizNAlgebra, LinearOperator, require_probe_budget
 from .snf import AbelianGroupInvariants
 
 
@@ -160,16 +159,14 @@ def tensor_from_json(doc) -> LeibnizNAlgebra:
             raise ValueError(f"bad rational value {value!r}: {exc}") from exc
         if not (0 <= out < dimension):
             raise ValueError(f"output index {out} out of range")
-    # Each structure vector is dimension entries long, and so is each vector
-    # the multilinearity probe draws: a dimension it would refuse is refused
-    # here, before a vector is built.
-    if dimension > MULTILINEARITY_DRAW_BUDGET:
-        raise BudgetExceededError(
-            f"tensor dimension {dimension} is over the {MULTILINEARITY_DRAW_BUDGET}-draw "
-            "budget of the multilinearity probe",
-            limit=MULTILINEARITY_DRAW_BUDGET,
-            reached=dimension,
-        )
+    # Each vector the multilinearity probe draws is as long as a structure
+    # vector, and the probe refuses a tensor whose draws pass its budget:
+    # such a tensor is refused here, as the probe would refuse it, before
+    # any vector is built.  A malformed tensor is refused as malformed.
+    LeibnizNAlgebra.check_shape(
+        dimension, arity, dict.fromkeys(tuple(args) for args, _, _ in entries)
+    )
+    require_probe_budget(dimension, arity)
     return LeibnizNAlgebra.from_entries(dimension, arity, entries)
 
 

@@ -51,21 +51,28 @@ class LeibnizNAlgebra(Frozen):
     _fields = ("dimension", "arity", "constants")
 
     def __init__(self, dimension: int, arity: int, constants: dict | None = None):
-        if dimension < 1:
-            raise ValueError("dimension must be >= 1")
-        if arity < 2:
-            raise ValueError("arity must be >= 2")
+        constants = {tuple(args): vec for args, vec in (constants or {}).items()}
+        self.check_shape(dimension, arity, constants)
         clean = {}
-        for args, vec in (constants or {}).items():
-            args = tuple(args)
-            if len(args) != arity or any(not (0 <= i < dimension) for i in args):
-                raise ValueError(f"argument tuple {args} out of range")
+        for args, vec in constants.items():
             vec = tuple(_as_fraction(v) for v in vec)
             if len(vec) != dimension:
                 raise ValueError("structure vector has wrong length")
             if any(vec):
                 clean[args] = vec
         self._store(dimension, arity, clean)
+
+    @staticmethod
+    def check_shape(dimension: int, arity: int, tuples) -> None:
+        """Raise ValueError unless dimension >= 1, arity >= 2 and each
+        argument tuple is arity basis indices below dimension."""
+        if dimension < 1:
+            raise ValueError("dimension must be >= 1")
+        if arity < 2:
+            raise ValueError("arity must be >= 2")
+        for args in tuples:
+            if len(args) != arity or any(not (0 <= i < dimension) for i in args):
+                raise ValueError(f"argument tuple {args} out of range")
 
     @classmethod
     def from_entries(cls, dimension: int, arity: int, entries) -> "LeibnizNAlgebra":
@@ -255,6 +262,20 @@ def check_self_derivation(L: LeibnizNAlgebra) -> bool:
     return True
 
 
+def require_probe_budget(dimension: int, arity: int, trials: int = 20) -> None:
+    """Raise BudgetExceededError when check_multilinearity_sample, with
+    these trials, would draw more than MULTILINEARITY_DRAW_BUDGET entries
+    on an algebra of this dimension and arity."""
+    draws = trials * (arity + 2) * dimension
+    if draws > MULTILINEARITY_DRAW_BUDGET:
+        raise BudgetExceededError(
+            f"multilinearity probe needs {draws} random draws, over the "
+            f"{MULTILINEARITY_DRAW_BUDGET}-draw budget",
+            limit=MULTILINEARITY_DRAW_BUDGET,
+            reached=draws,
+        )
+
+
 def check_multilinearity_sample(L: LeibnizNAlgebra, trials: int = 20, seed: int = 0) -> bool:
     """Spot check of linearity in each slot on seeded random rational vectors.
 
@@ -265,14 +286,7 @@ def check_multilinearity_sample(L: LeibnizNAlgebra, trials: int = 20, seed: int 
     Raises BudgetExceededError, before drawing, when the draws would pass
     MULTILINEARITY_DRAW_BUDGET.
     """
-    draws = trials * (L.arity + 2) * L.dimension
-    if draws > MULTILINEARITY_DRAW_BUDGET:
-        raise BudgetExceededError(
-            f"multilinearity probe needs {draws} random draws, over the "
-            f"{MULTILINEARITY_DRAW_BUDGET}-draw budget",
-            limit=MULTILINEARITY_DRAW_BUDGET,
-            reached=draws,
-        )
+    require_probe_budget(L.dimension, L.arity, trials)
     rng = random.Random(seed)
 
     def rand_vector():

@@ -529,13 +529,30 @@ def test_a_multilinearity_probe_past_its_budget_exits_3(tmp_path, dimension, ari
     assert "random draws" in result.stderr
 
 
-def test_a_tensor_too_wide_to_hold_exits_3_before_building_it(tmp_path):
-    # One constant in dimension 10**9 is a structure vector of 8 GB of
-    # pointers.  The loader refuses the dimension before building one, so
-    # the command answers within 512 MiB of address space, and at once.
+WIDE_CONSTANT = {"args": [0, 1], "out": 0, "value": "1"}
+
+
+@pytest.mark.parametrize("doc, code, message", [
+    # One structure vector in dimension 10**9 is 8 GB of pointers.
+    ({"dimension": 10**9, "arity": 2, "constants": [WIDE_CONSTANT]}, 3,
+     "budget exceeded: multilinearity probe needs 80000000000 random draws, over the "
+     "100000-draw budget"),
+    # A thousand vectors in dimension 10**5 are 0.8 GB, and copies of them.
+    ({"dimension": 10**5, "arity": 2,
+      "constants": [{"args": [i, 0], "out": 0, "value": "1"} for i in range(1000)]}, 3,
+     "budget exceeded: multilinearity probe needs 8000000 random draws, over the "
+     "100000-draw budget"),
+    # Malformed and wide: refused as malformed, with no vector built either.
+    ({"dimension": 10**9, "arity": 2,
+      "constants": [WIDE_CONSTANT, {"args": [0], "out": 0, "value": "1"}]}, 2,
+     "input error: argument tuple (0,) out of range"),
+], ids=["one-vector", "thousand-vectors", "malformed"])
+def test_a_tensor_too_wide_to_hold_is_refused_before_it_is_built(tmp_path, doc, code, message):
+    # The loader checks the tensor's shape and the multilinearity probe's
+    # budget before it builds a structure vector, so the command answers
+    # within 512 MiB of address space, and at once.
     path = tmp_path / "wide.json"
-    path.write_text(json.dumps({"dimension": 10**9, "arity": 2,
-                                "constants": [{"args": [0, 1], "out": 0, "value": "1"}]}))
+    path.write_text(json.dumps(doc))
     limit = 512 * 2**20
     start = time.perf_counter()
     result = subprocess.run(
@@ -546,10 +563,9 @@ def test_a_tensor_too_wide_to_hold_exits_3_before_building_it(tmp_path):
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
     )
     assert time.perf_counter() - start < 5
-    assert result.returncode == 3, result.stderr
+    assert result.returncode == code, result.stderr
     assert result.stdout == ""
-    assert result.stderr == ("budget exceeded: tensor dimension 1000000000 is over the "
-                             "100000-draw budget of the multilinearity probe\n")
+    assert result.stderr == message + "\n"
 
 
 def test_enumerate_command():

@@ -127,8 +127,8 @@ DIMENSIONS = st.one_of(st.integers(-1, 4), st.sampled_from([10**5, 10**5 + 1, 10
 RATIONALS = st.sampled_from(["0", "1", "-1", "2", "1/2", "-3/4"])
 NOT_RATIONALS = st.one_of(st.sampled_from(["2/0", "1/-2", " 1", "x", ""]), st.text(max_size=4))
 # Operator entries: JSON numbers are read through their text, like strings.
-ENTRIES = st.one_of(RATIONALS, st.integers(-3, 3), NOT_RATIONALS, st.floats(allow_nan=False),
-                    st.booleans(), st.none(), st.just([1]))
+MATRIX_ENTRIES = st.one_of(RATIONALS, st.integers(-3, 3), NOT_RATIONALS,
+                           st.floats(allow_nan=False), st.booleans(), st.none(), st.just([1]))
 
 
 def _off(draw, doc, items):
@@ -148,7 +148,7 @@ def _off(draw, doc, items):
             SCALARS, NOT_RATIONALS, st.sampled_from([-1, 10**12]),
             st.lists(st.integers(-1, 3), max_size=4)))
     else:
-        item[draw(st.integers(0, len(item) - 1))] = draw(ENTRIES)
+        item[draw(st.integers(0, len(item) - 1))] = draw(MATRIX_ENTRIES)
     return doc
 
 

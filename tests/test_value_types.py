@@ -157,6 +157,19 @@ def test_positional_and_keyword_construction_agree(name):
     assert repr(by_position) == repr(by_keyword) == text
 
 
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_constructors_refuse_extra_repeated_unknown_or_missing_arguments(name):
+    cls, args, kwargs, _ = CASES[name]
+    first = next(iter(kwargs))
+    calls = [lambda: cls(*args, None), lambda: cls(*args, **{first: args[0]}),
+             lambda: cls(**kwargs, extra=None)]
+    if name != "CoefficientGroup":  # its one field has a default
+        calls.append(cls)
+    for call in calls:
+        with pytest.raises(TypeError):
+            call()
+
+
 @pytest.mark.parametrize("name", HASHABLE)
 def test_equal_fields_give_equal_hashes(name):
     cls, args, kwargs, _ = CASES[name]
