@@ -356,7 +356,8 @@ def build_module_group_nrack(
 class GroupPresentation(Frozen):
     """Generators 0..generators-1 with relator words as tuples of signed
     1-based indices: generator i is i+1, its inverse -(i+1).  Relators are
-    stored freely reduced; no empty relator is kept."""
+    kept as given, not reduced (associated_group_presentation reduces its
+    own words before it builds one); an empty relator is refused."""
 
     _fields = ("generators", "relators")
 

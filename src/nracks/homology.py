@@ -91,7 +91,9 @@ must partition Y, before any block is built.  When no two orbits are
 isomorphic the recursion is seeded with all of Y at once: one block,
 counted once.  Q and D are not split this way: phi need not keep a = x_2,
 so it does not carry degenerate tuples to degenerate tuples.  Q is always
-one block seeded with all of Y, and D is restricted from the columns of R.
+one block seeded with all of Y, by the recursion alone, also when it is
+asked for as the quotient of R by D; D is the subcomplex of R on the
+degenerate positions, its columns those of R renumbered.
 
 Homology with Z/d coefficients is computed from the integral Smith normal
 form data by universal-coefficient reduction:
@@ -185,14 +187,14 @@ class ChainComplex:
     block's boundary columns, in block-local positions (see
     _boundary_columns), and factors keeps its own factorizations, with the
     row keys they pivoted on.  A complex given by its columns, by hand or
-    by restriction, is one block counted once, orders [None], and cols is
-    that block's own list.  rack_chain_complex builds R with one block per
-    class of isomorphic orbits (see the module docstring and
-    _split_complex): orders lists the orbits of the class, each as the
-    images of the first, sorted, under an isomorphism of Y-sets, so that
-    its block has the same columns.  Degree 0 is the empty tuple of the
-    whole complex, in no block.  cols is then assembled from the blocks on
-    first read and kept; ranks and factors read the blocks.
+    as D (see degenerate_subcomplex), is one block counted once, orders
+    [None], and cols is that block's own list.  rack_chain_complex builds
+    R with one block per class of isomorphic orbits (see the module
+    docstring and _split_complex): orders lists the orbits of the class,
+    each as the images of the first, sorted, under an isomorphism of
+    Y-sets, so that its block has the same columns.  Degree 0 is the empty
+    tuple of the whole complex, in no block.  cols is then assembled from
+    the blocks on first read and kept; ranks and factors read the blocks.
     Unlike the value types, a ChainComplex compares by identity, and its
     repr reads no columns.
     """
@@ -616,84 +618,64 @@ def _free_rank(variant: str, orbit_count: int, k: int) -> int:
     return quandle if variant == "Q" else orbit_count**k - quandle
 
 
-def _degenerate_split(C: ChainComplex) -> tuple[list[list[int]], list[list[int]]]:
-    """Positions in the full complex C of the degenerate tuples (two
-    consecutive entries equal) and of the non-degenerate ones, in each
-    degree."""
+def degenerate_subcomplex(X: FiniteNRack, C: ChainComplex) -> ChainComplex:
+    """Subcomplex spanned by tuples with two consecutive equal entries: the
+    columns of the rack complex C at their positions, renumbered in the
+    same order.
+
+    Requires X to be an n-quandle (AxiomError, a ValueError, otherwise).
+    Closure under the boundary is verified, not assumed: a boundary row at
+    a non-degenerate position raises SubcomplexError.  In degree 2 it is
+    the quandle identity a.a = a on the reduced rack C lives on, as the
+    boundary of (a, a) is (a) - (a.a) and D_1 is empty.  The orbit count of
+    C is passed on, so D has its ranks certified by its own free ranks.
+    """
+    if C.variant != "R":
+        raise SubcomplexError("degenerate subcomplex is taken inside the rack complex")
     M = C.carrier_size
-    degenerate: list[list[int]] = []
-    nondegenerate: list[list[int]] = []
+    if M != X.size ** (X.arity - 1):
+        raise SubcomplexError("complex does not belong to the given n-rack")
+    require(X, "degenerate subcomplex", nquandle=True)
+    cols: list[list[dict[int, int]]] = []
+    position: dict[int, int] = {}
     flags = [False]
     for k in range(C.max_degree + 1):
         # (t, x) is degenerate iff t is, or x = last(t) = t mod M; the empty
         # tuple has no last entry.
         if k:
             flags = [f or (k > 1 and x == t % M) for t, f in enumerate(flags) for x in range(M)]
-        degenerate.append([j for j, f in enumerate(flags) if f])
-        nondegenerate.append([j for j, f in enumerate(flags) if not f])
-    return degenerate, nondegenerate
-
-
-def _restrict(
-    C: ChainComplex, positions: list[list[int]], variant: str, closed: bool
-) -> ChainComplex:
-    """The complex on the chains of the full complex C at the given
-    positions in each degree, columns renumbered in the same order.
-
-    closed: a boundary row at no given position raises SubcomplexError,
-    as the chains must span a subcomplex; otherwise such rows are
-    projected away, as in a quotient.  The orbit count of C is passed on,
-    so D and Q have their ranks certified by it, with their own free ranks.
-    """
-    cols: list[list[dict[int, int]]] = []
-    position: dict[int, int] = {}
-    for k, kept in enumerate(positions):
+        kept = [j for j, f in enumerate(flags) if f]
         degree_cols = []
         for full in kept:
             col = {}
             for row, v in C.cols[k][full].items():
-                if row in position:
-                    col[position[row]] = v
-                elif closed:
+                if row not in position:
                     raise SubcomplexError(
                         f"degenerate basis not closed under the boundary in degree {k}"
                     )
+                col[position[row]] = v
             degree_cols.append(col)
         cols.append(degree_cols)
         position = {full: pos for pos, full in enumerate(kept)}
-    return ChainComplex(C.rack, cols, variant, C.orbit_count)
-
-
-def degenerate_subcomplex(X: FiniteNRack, C: ChainComplex) -> ChainComplex:
-    """Subcomplex spanned by tuples with two consecutive equal entries.
-
-    Requires X to be an n-quandle (AxiomError, a ValueError, otherwise).
-    Closure under the boundary is verified, not assumed; in degree 2 it is
-    the quandle identity a.a = a on the reduced rack C lives on, as the
-    boundary of (a, a) is (a) - (a.a) and D_1 is empty.
-    """
-    if C.variant != "R":
-        raise SubcomplexError("degenerate subcomplex is taken inside the rack complex")
-    if C.carrier_size != X.size ** (X.arity - 1):
-        raise SubcomplexError("complex does not belong to the given n-rack")
-    require(X, "degenerate subcomplex", nquandle=True)
-    degenerate, _ = _degenerate_split(C)
-    return _restrict(C, degenerate, "D", closed=True)
+    return ChainComplex(C.rack, cols, "D", C.orbit_count)
 
 
 def quandle_quotient_complex(C: ChainComplex, D: ChainComplex) -> ChainComplex:
-    """Quotient of the rack complex by the degenerate subcomplex: its
-    chains are the non-degenerate tuples, and its boundary is followed by
-    projection.  D is checked, not read: it must be C's degenerate
-    subcomplex by rack, top degree and ranks."""
+    """Quotient of the rack complex by the degenerate subcomplex: the
+    quandle complex on the non-degenerate tuples, built on C's reduced rack
+    up to C's top degree by the recursion of rack_chain_complex, with C's
+    orbit count; C's columns are not read.  D is checked, not read: it
+    must be C's degenerate subcomplex by rack, top degree and ranks, those
+    of C less those of Q."""
     if C.variant != "R" or D.variant != "D":
         raise SubcomplexError("quotient takes the rack complex and its degenerate subcomplex")
     if D.rack != C.rack or D.max_degree != C.max_degree:
         raise SubcomplexError("subcomplex does not match the ambient complex")
-    degenerate, nondegenerate = _degenerate_split(C)
-    if D.ranks != [len(kept) for kept in degenerate]:
+    M = C.carrier_size
+    if D.ranks != [r - (M * (M - 1) ** (k - 1) if k else 1) for k, r in enumerate(C.ranks)]:
         raise SubcomplexError("subcomplex basis is not the degenerate sub-basis")
-    return _restrict(C, nondegenerate, "Q", closed=False)
+    rows = [C.rack.row(x) for x in range(M)]
+    return _split_complex(C.rack, rows, [[list(range(M))]], C.max_degree, "Q", C.orbit_count)
 
 
 def _group_from_matrices(rank: int, out_factors, in_factors, A: CoefficientGroup):

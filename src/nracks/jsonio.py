@@ -8,6 +8,7 @@ i+1 and its inverse -(i+1).  Tensors are sparse with exact "p/q" values.
 """
 
 import json
+import sys
 from fractions import Fraction
 
 from .constructions import FiniteGroup, GroupModule, GroupPresentation
@@ -46,6 +47,23 @@ def _ints(values, what: str) -> tuple[int, ...]:
     if not isinstance(values, list) or not all(_is_int(v) for v in values):
         raise ValueError(f"{what} must contain integers")
     return tuple(values)
+
+
+def _rational(text: str) -> Fraction:
+    """The exact rational written as text, as Fraction reads it.  A value
+    whose decimal exponent passes sys.get_int_max_str_digits(), the limit
+    Python puts on the digits of an integer written out, is refused before
+    Fraction forms 10**exponent, which for 1e1000000000 takes hours; a
+    limit of 0 sets no bound, as for integers."""
+    try:
+        _, e, exponent = text.lower().partition("e")
+        # Python before 3.10.7 has no such limit.
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if e and limit and abs(int(exponent)) > limit:
+            raise ValueError(f"decimal exponent past the {limit}-digit limit")
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"bad rational value {text!r}: {exc}") from exc
 
 
 def nrack_to_json(R: FiniteNRack) -> dict:
@@ -152,11 +170,7 @@ def tensor_from_json(doc) -> LeibnizNAlgebra:
     for item in constants:
         args = _ints(_require(item, "args", list), "tensor args")
         out = _require(item, "out", int)
-        value = _require(item, "value", str)
-        try:
-            entries.append((args, out, Fraction(value)))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"bad rational value {value!r}: {exc}") from exc
+        entries.append((args, out, _rational(_require(item, "value", str))))
         if not (0 <= out < dimension):
             raise ValueError(f"output index {out} out of range")
     # Each vector the multilinearity probe draws is as long as a structure
@@ -177,11 +191,7 @@ def operator_from_json(doc) -> LinearOperator:
         not isinstance(row, list) or len(row) != dimension for row in matrix
     ):
         raise ValueError("operator matrix must be dimension x dimension")
-    try:
-        rows = tuple(tuple(Fraction(str(v)) for v in row) for row in matrix)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad rational entry in operator matrix: {exc}") from exc
-    return LinearOperator(rows)
+    return LinearOperator(tuple(tuple(_rational(str(v)) for v in row) for row in matrix))
 
 
 def module_group_from_json(doc):

@@ -76,11 +76,13 @@ class LeibnizNAlgebra(Frozen):
 
     @classmethod
     def from_entries(cls, dimension: int, arity: int, entries) -> "LeibnizNAlgebra":
-        """entries: iterable of (args, out, value) triples, zero elsewhere."""
+        """entries: iterable of (args, out, value) triples, zero elsewhere;
+        an output index out outside 0..dimension-1 raises ValueError."""
         table: dict[tuple, list[Fraction]] = {}
         for args, out, value in entries:
-            args = tuple(args)
-            vec = table.setdefault(args, [Fraction(0)] * dimension)
+            if not 0 <= out < dimension:
+                raise ValueError(f"output index {out} out of range")
+            vec = table.setdefault(tuple(args), [Fraction(0)] * dimension)
             vec[out] += _as_fraction(value)
         return cls(dimension, arity, {a: tuple(v) for a, v in table.items()})
 

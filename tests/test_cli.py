@@ -546,7 +546,10 @@ WIDE_CONSTANT = {"args": [0, 1], "out": 0, "value": "1"}
     ({"dimension": 10**9, "arity": 2,
       "constants": [WIDE_CONSTANT, {"args": [0], "out": 0, "value": "1"}]}, 2,
      "input error: argument tuple (0,) out of range"),
-], ids=["one-vector", "thousand-vectors", "malformed"])
+    ({"dimension": 10**9, "arity": 2,
+      "constants": [{"args": [0, 1], "out": 10**9, "value": "1"}]}, 2,
+     "input error: output index 1000000000 out of range"),
+], ids=["one-vector", "thousand-vectors", "malformed", "malformed-output"])
 def test_a_tensor_too_wide_to_hold_is_refused_before_it_is_built(tmp_path, doc, code, message):
     # The loader checks the tensor's shape and the multilinearity probe's
     # budget before it builds a structure vector, so the command answers
@@ -566,6 +569,36 @@ def test_a_tensor_too_wide_to_hold_is_refused_before_it_is_built(tmp_path, doc, 
     assert result.returncode == code, result.stderr
     assert result.stdout == ""
     assert result.stderr == message + "\n"
+
+
+@pytest.mark.parametrize("value, where", [
+    ("1" + "0" * 5000, "tensor"),
+    ("1e100000", "tensor"),
+    ("1e1000000000", "tensor"),
+    ("-1e-1000000000", "tensor"),
+    ("1e1_000_000_000", "tensor"),
+    ("1e1000000000", "operator"),
+], ids=["5001-digits", "exponent-1e5", "exponent-1e9", "negative-exponent",
+        "underscored-exponent", "operator-exponent-1e9"])
+def test_a_rational_too_long_to_write_out_is_refused_at_load(tmp_path, value, where):
+    # Past sys.get_int_max_str_digits() digits, written out or as a decimal
+    # exponent: Fraction would form 10**exponent first, which takes hours
+    # for an exponent of 10**9.
+    tensor = {"dimension": 2, "arity": 2, "constants": []}
+    operator = {"dimension": 2, "matrix": [["0", "0"], ["0", "0"]]}
+    if where == "tensor":
+        tensor["constants"] = [{"args": [0, 1], "out": 0, "value": value}]
+    else:
+        operator["matrix"][0][1] = value
+    (tmp_path / "tensor.json").write_text(json.dumps(tensor))
+    (tmp_path / "operator.json").write_text(json.dumps(operator))
+    start = time.perf_counter()
+    result = run_cli("leibniz", "--input", str(tmp_path / "tensor.json"),
+                     "--operator", str(tmp_path / "operator.json"), timeout=10)
+    assert time.perf_counter() - start < 5
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith(f"input error: bad rational value {value!r}: ")
 
 
 def test_enumerate_command():
@@ -947,18 +980,18 @@ def test_variant_d_checks_the_quandle_identity_by_closure(monkeypatch, capsys, w
 def test_the_quandle_complex_is_built_without_the_rack_complex(monkeypatch, capsys, workspace):
     counted = [
         _count_calls(monkeypatch, "nracks.homology", name)
-        for name in ("degenerate_subcomplex", "quandle_quotient_complex", "_degenerate_split")
+        for name in ("degenerate_subcomplex", "quandle_quotient_complex")
     ]
     argv = ["homology", "--input", str(workspace["dihedral"]), "--variant", "Q",
             "--degrees", "1-3"]
     assert main(argv) == 0
     capsys.readouterr()
-    assert counted == [[], [], []]
-    # The counters do see the restriction path, which variant D still takes.
+    assert counted == [[], []]
+    # The counters do see variant D, which takes the degenerate columns of R.
     argv[argv.index("Q")] = "D"
     assert main(argv) == 0
     capsys.readouterr()
-    assert [len(calls) for calls in counted] == [1, 0, 1]
+    assert [len(calls) for calls in counted] == [1, 0]
 
 
 @pytest.mark.parametrize(

@@ -152,6 +152,13 @@ def test_leibniz_but_not_filippov():
     assert not check_filippov(L)
 
 
+@pytest.mark.parametrize("out", [-1, 2])
+def test_from_entries_refuses_an_output_index_out_of_range(out):
+    # -1 would store the value at index 1, and 2 would fail as an IndexError.
+    with pytest.raises(ValueError, match=f"^output index {out} out of range$"):
+        LeibnizNAlgebra.from_entries(2, 2, [((0, 1), out, 1)])
+
+
 def test_filippov_implies_vanishing_on_repeats():
     L = nambu()
     for args in product(range(4), repeat=3):

@@ -1,0 +1,95 @@
+"""Homology does not depend on how the carrier is labelled.  Renaming the
+elements of an n-quandle by a permutation of its carrier gives an
+isomorphic n-quandle, so its rack complex R, degenerate subcomplex D and
+quandle complex Q have the same homology and cohomology, over Z and over
+Z/d for d = 2, 3, 4 and 6.  Each relabeled table also has
+quandle_quotient_complex equal to the Q built directly on it.  The
+quandles are drawn from the binary censuses of order at most 4, the
+arity-3 census of order at most 3, the arity-4 census of order 2, and the
+n-quandle fixtures."""
+
+from functools import cache
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import axiom_fixture_set
+from oracle_enumeration import _relabel
+from nracks import (
+    CoefficientGroup,
+    FiniteNRack,
+    classify,
+    cohomology,
+    degenerate_subcomplex,
+    enumerate_nracks,
+    homology,
+    quandle_quotient_complex,
+    rack_chain_complex,
+)
+
+QUANDLES = [
+    (f"census(n={n},m={m})#{i}", FiniteNRack(n, m, table))
+    for n, top in ((2, 4), (3, 3), (4, 2))
+    for m in range(1, top + 1)
+    for i, table in enumerate(enumerate_nracks(n, m, "n-quandle").representatives)
+]
+QUANDLES += [(name, X) for name, X in axiom_fixture_set() if classify(X).is_nquandle]
+COEFFICIENTS = [CoefficientGroup(d) for d in (0, 2, 3, 4, 6)]
+# Complexes go up to degree 4 while the chain rank stays within this many
+# columns.
+CHAIN_RANK_CAP = 1000
+
+
+def _top(X: FiniteNRack) -> int:
+    M = X.size ** (X.arity - 1)
+    top = 2
+    while top < 4 and M ** (top + 1) <= CHAIN_RANK_CAP:
+        top += 1
+    return top
+
+
+def _relabeled(X: FiniteNRack, sigma) -> FiniteNRack:
+    """X with each element a renamed sigma[a]."""
+    basepoint = None if X.basepoint is None else sigma[X.basepoint]
+    return FiniteNRack(X.arity, X.size, _relabel(X.table, X.size, X.arity, sigma), basepoint)
+
+
+def _groups(X: FiniteNRack, top: int) -> list:
+    """Every homology and cohomology group of R, D and Q below the top
+    degree, over each coefficient group."""
+    C = rack_chain_complex(X, top)
+    D = degenerate_subcomplex(X, C)
+    Q = quandle_quotient_complex(C, D)
+    assert Q.cols == rack_chain_complex(X, top, variant="Q").cols
+    return [
+        f(CX, k, A).invariants
+        for CX in (C, D, Q)
+        for f in (homology, cohomology)
+        for A in COEFFICIENTS
+        for k in range(1, top)
+    ]
+
+
+@cache
+def _groups_of(name: str) -> list:
+    X = dict(QUANDLES)[name]
+    return _groups(X, _top(X))
+
+
+def test_the_draws_cover_the_censuses_and_the_fixtures():
+    # 1 + 1 + 3 + 7 binary quandles of order 1 to 4, 1 + 1 + 3 arity-3
+    # ones of order 1 to 3, and 1 + 1 arity-4 ones of order 1 and 2.
+    names = [name for name, _ in QUANDLES]
+    assert len(names) == len(set(names))
+    assert [name.startswith("census(n=2,") for name in names].count(True) == 12
+    assert [name.startswith("census(n=3,") for name in names].count(True) == 5
+    assert [name.startswith("census(n=4,") for name in names].count(True) == 2
+    assert {"conj(S3,n=2)", "conj(D4,n=2)", "lift(trivial3,3)"} <= set(names)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_relabeling_the_carrier_leaves_r_d_and_q_unchanged(data):
+    name, X = data.draw(st.sampled_from(QUANDLES), label="quandle")
+    sigma = data.draw(st.permutations(range(X.size)), label="sigma")
+    assert _groups(_relabeled(X, sigma), _top(X)) == _groups_of(name)

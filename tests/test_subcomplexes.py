@@ -2,8 +2,9 @@
 entry against the classical oracle, as is the rack complex of every small
 rack that is not a quandle, and the checks on the sub-basis that
 quandle_quotient_complex is given.  The quandle complex built directly on
-the non-degenerate tuples is checked against the restriction of the rack
-complex, and the three complexes against the Litherland-Nelson splitting."""
+the non-degenerate tuples is checked entry for entry against the classical
+oracle and against quandle_quotient_complex, and the three complexes
+against the Litherland-Nelson splitting."""
 
 import pytest
 
@@ -29,7 +30,7 @@ from nracks import (
     symmetric_group,
 )
 from nracks.cli import main
-from nracks.homology import ChainComplex, CoefficientGroup, _degenerate_split, reduced_rack_table
+from nracks.homology import ChainComplex, CoefficientGroup, reduced_rack_table
 from nracks.jsonio import dump_document, nrack_to_json
 from nracks.snf import invariants_from_cyclic_orders
 
@@ -89,15 +90,19 @@ def test_degenerate_and_quotient_bases_partition_the_tuples(R):
     while top < 4 and M ** (top + 1) <= RANK_CAP:
         top += 1
     spaces = _complexes(R, top)
-    D, Q = spaces["D"], spaces["Q"]
-    degenerate, nondegenerate = _degenerate_split(spaces["R"])
+    C, D, Q = spaces["R"], spaces["D"], spaces["Q"]
+    position: dict[int, int] = {}
     for k in range(top + 1):
         # Tuple t of degree k read digit by digit, base M, first entry first.
         tuples = [[t // M ** (k - 1 - i) % M for i in range(k)] for t in range(M**k)]
         flags = [any(a == b for a, b in zip(t, t[1:])) for t in tuples]
-        assert degenerate[k] == [t for t, f in enumerate(flags) if f], k
-        assert nondegenerate[k] == [t for t, f in enumerate(flags) if not f], k
-        assert (D.rank(k), Q.rank(k)) == (len(degenerate[k]), len(nondegenerate[k])), k
+        degenerate = [t for t, f in enumerate(flags) if f]
+        assert (D.rank(k), Q.rank(k)) == (len(degenerate), len(flags) - len(degenerate)), k
+        # D's columns are R's at the degenerate tuples, rows renumbered.
+        assert D.cols[k] == [
+            {position[r]: v for r, v in C.cols[k][t].items()} for t in degenerate
+        ], k
+        position = {t: p for p, t in enumerate(degenerate)}
     assert [Q.ranks[k] for k in range(1, top + 1)] == [
         M * (M - 1) ** (k - 1) for k in range(1, top + 1)
     ]
@@ -164,16 +169,31 @@ QUANDLES += [
 @pytest.mark.parametrize(
     "R, top", [(R, top) for _, R, top in QUANDLES], ids=[n for n, _, _ in QUANDLES]
 )
-def test_the_direct_quandle_complex_is_the_restriction(R, top):
+def test_the_direct_quandle_complex_matches_the_classical_oracle(R, top):
+    Q = rack_chain_complex(R, top, variant="Q")
+    table = reduced_rack_table(R)
+    for k in range(1, top + 1):
+        assert boundary_dense(Q, k) == boundary_matrix(table, k, "Q"), k
     for d in range(top + 1):
         C = rack_chain_complex(R, d)
-        expected = quandle_quotient_complex(C, degenerate_subcomplex(R, C))
-        Q = rack_chain_complex(R, d, variant="Q")
-        assert (Q.variant, Q.rack) == ("Q", C.rack)
-        assert Q.cols == expected.cols, d
+        quotient = quandle_quotient_complex(C, degenerate_subcomplex(R, C))
+        direct = rack_chain_complex(R, d, variant="Q")
+        assert (direct.variant, direct.rack) == ("Q", C.rack)
+        assert direct.cols == Q.cols[: d + 1], d
+        assert (quotient.variant, quotient.rack) == ("Q", C.rack)
+        assert quotient.orbit_count == C.orbit_count
+        assert quotient.cols == direct.cols, d
 
 
-def test_the_direct_quandle_complex_dumps_the_restricted_matrices(tmp_path):
+def _oracle_triplets(table, k, variant):
+    """The oracle's d_k in the format of ChainComplex.boundary_triplets."""
+    dense = boundary_matrix(table, k, variant)
+    lines = [f"{len(dense)} {len(dense[0]) if dense else 0}"]
+    lines += [f"{i} {j} {v}" for i, row in enumerate(dense) for j, v in enumerate(row) if v]
+    return "\n".join(lines) + "\n"
+
+
+def test_the_direct_quandle_complex_dumps_the_oracle_matrices(tmp_path):
     R = build_conjugation_nrack(symmetric_group(3), 2)
     path = tmp_path / "conj.json"
     path.write_text(dump_document(nrack_to_json(R)))
@@ -181,11 +201,10 @@ def test_the_direct_quandle_complex_dumps_the_restricted_matrices(tmp_path):
     argv = ["homology", "--input", str(path), "--variant", "Q", "--degrees", "1-3",
             "--dump-matrices", str(out), "--output", str(tmp_path / "answer.jsonl")]
     assert main(argv) == 0
-    C = rack_chain_complex(R, 4)
-    expected = quandle_quotient_complex(C, degenerate_subcomplex(R, C))
+    table = reduced_rack_table(R)
     assert sorted(p.name for p in out.iterdir()) == [f"boundary_Q_{k}.txt" for k in range(1, 5)]
     for k in range(1, 5):
-        assert (out / f"boundary_Q_{k}.txt").read_text() == expected.boundary_triplets(k), k
+        assert (out / f"boundary_Q_{k}.txt").read_text() == _oracle_triplets(table, k, "Q"), k
 
 
 def test_the_quandle_complex_refuses_a_rack_that_is_not_a_quandle():
