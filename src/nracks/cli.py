@@ -1,12 +1,15 @@
-"""Command-line front end.
+"""Command-line front end: it parses the arguments, calls the library and
+writes the answer; what a command computes and refuses is decided by the
+library functions it calls.
 
 Subcommands: check, construct, reduce, homology, cohomology, assoc-group,
 leibniz, enumerate, inner.  All I/O uses the JSON formats of jsonio.
 Exit codes: 0 pass, 1 axiom failure (a table that fails the axioms a
 command needs is answered by its validation report), 2 input error,
-3 budget exceeded, 4 internal error (a failed internal certificate, such
-as the invariant factors' rank check or d.d = 0, a D/Q subcomplex failing
-its own verification, or running out of memory or recursion depth).
+3 budget exceeded, 4 internal error (a failed internal certificate, raised
+as AssertionError: the invariant factors' rank check, d.d = 0, or a D/Q
+subcomplex failing its closure check; or running out of memory or
+recursion depth).
 """
 
 import argparse
@@ -29,12 +32,11 @@ from .constructions import (
 )
 from .core import inner_map, orbits, require, validate
 from .enumeration import DEFAULT_CANDIDATE_BUDGET, FILTERS, enumerate_nracks
-from .errors import AxiomError, BudgetExceededError, SubcomplexError
+from .errors import AxiomError, BudgetExceededError
 from .homology import (
     DEFAULT_COLUMN_BUDGET,
     CoefficientGroup,
     cohomology,
-    degenerate_subcomplex,
     homology,
     rack_chain_complex,
 )
@@ -82,36 +84,32 @@ def cmd_check(args) -> int:
     return 0 if report.is_nrack else 1
 
 
+# The options each construction kind requires, in the order they are
+# checked; --n and --m have defaults.
+CONSTRUCT_OPTIONS = {"z4": (), "gamma": ("t", "s"), "conj": ("group",), "lift": ("input",),
+                     "reduce": ("input",), "module-group": ("input",)}
+
+
 def _construct_table(args):
     kind = args.kind
     if kind == "z4":
         return build_z4_module_nrack(args.n, args.m)
     if kind == "gamma":
-        for name in ("t", "s"):
-            if getattr(args, name) is None:
-                raise ValueError(f"construct gamma requires --{name}")
         return build_gamma_module_nrack(args.n, args.m, args.t, args.s)
     if kind == "conj":
-        if args.group is None:
-            raise ValueError("construct conj requires --group")
         G = jsonio.group_from_json(jsonio.load_json(args.group))
         return build_conjugation_nrack(G, args.n)
     if kind == "lift":
-        if args.input is None:
-            raise ValueError("construct lift requires --input")
         Q = FiniteRack.from_nrack(_load_table(args.input))
         return lift_rack_to_nrack(Q, args.n)
-    if kind == "reduce":
-        if args.input is None:
-            raise ValueError("construct reduce requires --input")
-        return reduce_nrack_to_rack(_load_table(args.input))
-    raise ValueError(f"unknown construction kind {kind!r}")
+    return reduce_nrack_to_rack(_load_table(args.input))
 
 
 def cmd_construct(args) -> int:
+    for name in CONSTRUCT_OPTIONS[args.kind]:
+        if getattr(args, name) is None:
+            raise ValueError(f"construct {args.kind} requires --{name}")
     if args.kind == "module-group":
-        if args.input is None:
-            raise ValueError("construct module-group requires --input")
         H, bracket, module, arity = jsonio.module_group_from_json(
             jsonio.load_json(args.input)
         )
@@ -130,14 +128,6 @@ def cmd_construct(args) -> int:
     return 0
 
 
-def _build_variant_complex(R, variant: str, max_degree: int, budget: int):
-    if variant != "D":
-        return rack_chain_complex(R, max_degree, budget=budget, variant=variant)
-    # A table that is not an n-quandle is refused before R is built.
-    require(R, "degenerate subcomplex", nquandle=True)
-    return degenerate_subcomplex(R, rack_chain_complex(R, max_degree, budget=budget))
-
-
 def _cmd_homology_common(args, compute) -> int:
     R = _load_table(args.input)
     ranges = _parse_degrees(args.degrees)
@@ -147,7 +137,7 @@ def _cmd_homology_common(args, compute) -> int:
     top = max(hi for _, hi in ranges)
     # Built before the ranges are expanded: the column budget refuses a
     # huge top degree before a set of that many degrees exists.
-    complex_ = _build_variant_complex(R, args.variant, top + 1, args.budget)
+    complex_ = rack_chain_complex(R, top + 1, budget=args.budget, variant=args.variant)
     degrees = sorted({k for lo, hi in ranges for k in range(lo, hi + 1)})
     lines = [
         jsonio.dump_line(jsonio.homology_result_to_json(compute(complex_, k, coeffs)))
@@ -186,19 +176,24 @@ def cmd_assoc_group(args) -> int:
     return 0
 
 
+def _witness_to_json(prefix, arguments, lhs, rhs) -> dict:
+    """A fundamental-identity witness with its sides in exact "p/q" form.
+    A side holding an integer of more digits than Python writes out is an
+    input error that names the witness."""
+    try:
+        return {"prefix": list(prefix), "arguments": list(arguments),
+                "lhs": [str(v) for v in lhs], "rhs": [str(v) for v in rhs]}
+    except ValueError as exc:
+        raise ValueError(f"witness at prefix {list(prefix)}, arguments {list(arguments)}: "
+                         f"a side cannot be written out: {exc}") from exc
+
+
 def cmd_leibniz(args) -> int:
     L = jsonio.tensor_from_json(jsonio.load_json(args.input))
     ok, witness = check_fundamental_identity(L)
     doc = {
         "fundamental_identity": ok,
-        "witness": None
-        if witness is None
-        else {
-            "prefix": list(witness[0]),
-            "arguments": list(witness[1]),
-            "lhs": [str(v) for v in witness[2]],
-            "rhs": [str(v) for v in witness[3]],
-        },
+        "witness": None if witness is None else _witness_to_json(*witness),
         "filippov": check_filippov(L),
         # Every basis adjoint is a derivation exactly when the fundamental
         # identity holds on the basis: the same equations, so one pass.
@@ -247,66 +242,54 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", help="classify an operation table")
-    p.add_argument("--input", required=True)
-    p.add_argument("--output")
-    p.set_defaults(func=cmd_check)
+    def command(name: str, func, help: str, **defaults) -> argparse.ArgumentParser:
+        """A subcommand that reads its input from a required --input."""
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--input", required=True)
+        p.set_defaults(func=func, **defaults)
+        return p
+
+    command("check", cmd_check, "classify an operation table")
 
     p = sub.add_parser("construct", help="build a table and write it as JSON")
-    p.add_argument(
-        "kind", choices=["z4", "gamma", "conj", "lift", "reduce", "module-group"]
-    )
+    p.add_argument("kind", choices=list(CONSTRUCT_OPTIONS))
     p.add_argument("--n", type=int, default=2, help="arity of the result")
     p.add_argument("--m", type=int, default=4, help="modulus for z4/gamma")
     p.add_argument("--t", type=int, help="twist unit for gamma")
     p.add_argument("--s", type=int, help="shift coefficient for gamma")
     p.add_argument("--group", help="group JSON file for conj")
     p.add_argument("--input", help="table or bundle JSON file for lift/reduce/module-group")
-    p.add_argument("--output")
     p.set_defaults(func=cmd_construct)
 
-    p = sub.add_parser("reduce", help="alias of construct reduce")
-    p.add_argument("--input", required=True)
-    p.add_argument("--output")
-    p.set_defaults(func=cmd_construct, kind="reduce")
+    command("reduce", cmd_construct, "alias of construct reduce", kind="reduce")
 
     for name, func in (("homology", cmd_homology), ("cohomology", cmd_cohomology)):
-        p = sub.add_parser(name, help=f"compute {name} groups of a table")
-        p.add_argument("--input", required=True)
+        p = command(name, func, f"compute {name} groups of a table")
         p.add_argument("--variant", choices=["R", "D", "Q"], default="R")
         p.add_argument("--degrees", required=True, help='e.g. "2", "1,3", "1-3"')
         p.add_argument("--coefficients", default="Z", help='"Z" or "Z/d"')
         p.add_argument("--budget", type=int, default=DEFAULT_COLUMN_BUDGET)
         p.add_argument("--dump-matrices", help="directory for triplet-text boundary matrices")
-        p.add_argument("--output")
-        p.set_defaults(func=func)
 
-    p = sub.add_parser("assoc-group", help="associated group presentation and abelianization")
-    p.add_argument("--input", required=True)
+    p = command("assoc-group", cmd_assoc_group, "associated group presentation and abelianization")
     p.add_argument("--paper-relator", action="store_true",
                    help="use the alternative relator prefix ordering")
-    p.add_argument("--output")
-    p.set_defaults(func=cmd_assoc_group)
 
-    p = sub.add_parser("leibniz", help="verify a structure-constant tensor")
-    p.add_argument("--input", required=True)
+    p = command("leibniz", cmd_leibniz, "verify a structure-constant tensor")
     p.add_argument("--operator", help="optional linear operator JSON to test as derivation")
     p.add_argument("--seed", type=int, default=0, help="seed for the multilinearity probe")
-    p.add_argument("--output")
-    p.set_defaults(func=cmd_leibniz)
 
     p = sub.add_parser("enumerate", help="enumerate tables up to isomorphism")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--filter", choices=list(FILTERS), default="nrack")
     p.add_argument("--budget", type=int, default=DEFAULT_CANDIDATE_BUDGET)
-    p.add_argument("--output")
     p.set_defaults(func=cmd_enumerate)
 
-    p = sub.add_parser("inner", help="inner-map permutations and orbits")
-    p.add_argument("--input", required=True)
-    p.add_argument("--output")
-    p.set_defaults(func=cmd_inner)
+    command("inner", cmd_inner, "inner-map permutations and orbits")
+
+    for p in sub.choices.values():
+        p.add_argument("--output")
 
     return parser
 
@@ -325,9 +308,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
-    # Before ValueError: past the axiom gate, a SubcomplexError can only
-    # come from our own D/Q construction, not from the input.
-    except (AssertionError, RecursionError, MemoryError, SubcomplexError) as exc:
+    except (AssertionError, RecursionError, MemoryError) as exc:
         print(f"internal error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 4
     except (OSError, json.JSONDecodeError, ValueError) as exc:

@@ -16,7 +16,10 @@ class ConstructionError(ValueError):
 
 
 class SubcomplexError(ValueError):
-    """A claimed subcomplex failed closure or compatibility verification."""
+    """The arguments of degenerate_subcomplex or quandle_quotient_complex do
+    not fit together: a complex of the wrong variant, of another rack, or
+    of another top degree or basis.  A subcomplex that fails its closure
+    check raises AssertionError, as the other certificates do."""
 
 
 class BudgetExceededError(RuntimeError):

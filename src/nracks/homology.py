@@ -415,23 +415,29 @@ def rack_chain_complex(
     X: FiniteNRack, max_degree: int, budget: int = DEFAULT_COLUMN_BUDGET, variant: str = "R"
 ) -> ChainComplex:
     """The chain complex of X up to the given degree: the rack complex R,
-    or with variant "Q" the quandle complex of an n-quandle, on the
-    non-degenerate tuples.  One recursion builds both, R being the case in
-    which no tuple is skipped (see the module docstring).
+    or for an n-quandle, with variant "D", its degenerate subcomplex, or
+    with variant "Q" the quandle complex, on the non-degenerate tuples.
+    One recursion builds R and Q, R being the case in which no tuple is
+    skipped (see the module docstring); D is degenerate_subcomplex of R.
 
-    X must be an n-rack, and for Q an n-quandle; a table that is not is
-    refused with AxiomError (a ValueError) carrying its report.
+    X must be an n-rack, and for D and Q an n-quandle; a table that is not
+    is refused with AxiomError (a ValueError) carrying its report, before
+    anything is built.  Any other variant is refused with ValueError.
     Construction refuses degrees whose rank exceeds the column budget, the
-    rank of the complex being built: M**k for R and M*(M-1)**(k-1) for Q,
-    k >= 1, split into blocks or not.  Q raises SubcomplexError when the
-    degenerate tuples fail to span a subcomplex.  d.d = 0 is asserted
-    before returning.  The complex keeps the orbit count of the reduced
-    rack, one union-find over its rows, which fixes the rank of every
-    boundary map (see ChainComplex).  R is built one block per class of
-    isomorphic orbits when two orbits are isomorphic (see the module
-    docstring); otherwise, and always for Q, one block is seeded with all
-    of Y.
+    rank of the complex built by the recursion: M**k for R, and so for D,
+    which is restricted from R, and M*(M-1)**(k-1) for Q, k >= 1, split
+    into blocks or not.  D and Q raise AssertionError when the degenerate
+    tuples fail to span a subcomplex, which on an n-quandle only a fault
+    brings about.  d.d = 0 is asserted before returning.  The complex
+    keeps the orbit count of the reduced rack, one union-find over its
+    rows, which fixes the rank of every boundary map (see ChainComplex).
+    R is built one block per class of isomorphic orbits when two orbits
+    are isomorphic (see the module docstring); otherwise, and always for
+    Q, one block is seeded with all of Y.
     """
+    if variant == "D":
+        require(X, "degenerate subcomplex", nquandle=True)
+        return degenerate_subcomplex(X, rack_chain_complex(X, max_degree, budget))
     if variant not in ("R", "Q"):
         raise ValueError(f"unknown complex variant {variant!r}")
     if max_degree < 0:
@@ -521,7 +527,7 @@ def _boundary_columns(rows, seed, max_degree: int, quandle: bool = False):
                 if x != last:
                     degree_cols.append(col)
                 elif col:
-                    raise SubcomplexError(
+                    raise AssertionError(
                         f"degenerate basis not closed under the boundary in degree {k}"
                     )
         cols.append(degree_cols)
@@ -623,12 +629,16 @@ def degenerate_subcomplex(X: FiniteNRack, C: ChainComplex) -> ChainComplex:
     columns of the rack complex C at their positions, renumbered in the
     same order.
 
-    Requires X to be an n-quandle (AxiomError, a ValueError, otherwise).
-    Closure under the boundary is verified, not assumed: a boundary row at
-    a non-degenerate position raises SubcomplexError.  In degree 2 it is
-    the quandle identity a.a = a on the reduced rack C lives on, as the
-    boundary of (a, a) is (a) - (a.a) and D_1 is empty.  The orbit count of
-    C is passed on, so D has its ranks certified by its own free ranks.
+    Requires X to be an n-quandle (AxiomError, a ValueError, otherwise),
+    and C to be a rack complex of X (SubcomplexError, a ValueError,
+    otherwise).  Closure under the boundary is verified, not assumed: a
+    boundary row at a non-degenerate position raises AssertionError, as
+    the other certificates on a complex do.  In degree 2 it is the quandle
+    identity a.a = a on the reduced rack C lives on, as the boundary of
+    (a, a) is (a) - (a.a) and D_1 is empty.  The orbit count of C is passed
+    on, so D has its ranks certified by its own free ranks.
+    rack_chain_complex(X, k, variant="D") is this subcomplex of
+    rack_chain_complex(X, k).
     """
     if C.variant != "R":
         raise SubcomplexError("degenerate subcomplex is taken inside the rack complex")
@@ -650,7 +660,7 @@ def degenerate_subcomplex(X: FiniteNRack, C: ChainComplex) -> ChainComplex:
             col = {}
             for row, v in C.cols[k][full].items():
                 if row not in position:
-                    raise SubcomplexError(
+                    raise AssertionError(
                         f"degenerate basis not closed under the boundary in degree {k}"
                     )
                 col[position[row]] = v

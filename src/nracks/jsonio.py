@@ -51,17 +51,22 @@ def _ints(values, what: str) -> tuple[int, ...]:
 
 def _rational(text: str) -> Fraction:
     """The exact rational written as text, as Fraction reads it.  A value
-    whose decimal exponent passes sys.get_int_max_str_digits(), the limit
-    Python puts on the digits of an integer written out, is refused before
-    Fraction forms 10**exponent, which for 1e1000000000 takes hours; a
-    limit of 0 sets no bound, as for integers."""
+    whose numerator or denominator has more digits than
+    sys.get_int_max_str_digits(), the limit Python puts on the digits of an
+    integer written out, is refused, as it could not be written out again;
+    a decimal exponent past the limit is refused before Fraction forms
+    10**exponent, which for 1e1000000000 takes hours.  A limit of 0 sets no
+    bound, as for integers."""
     try:
         _, e, exponent = text.lower().partition("e")
         # Python before 3.10.7 has no such limit.
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
         if e and limit and abs(int(exponent)) > limit:
             raise ValueError(f"decimal exponent past the {limit}-digit limit")
-        return Fraction(text)
+        value = Fraction(text)
+        # str raises ValueError on a numerator or denominator past the limit.
+        str(value)
+        return value
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad rational value {text!r}: {exc}") from exc
 

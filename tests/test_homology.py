@@ -2,12 +2,19 @@ import json
 import os
 import time
 import tracemalloc
+from math import gcd
 
 import pytest
 from sympy import Matrix
 from sympy.matrices.normalforms import invariant_factors as sympy_invariant_factors
 
-from helpers import boundary_dense, dihedral_nrack, one_element_nrack, trivial_nrack
+from helpers import (
+    axiom_fixture_set,
+    boundary_dense,
+    dihedral_nrack,
+    one_element_nrack,
+    trivial_nrack,
+)
 from oracle_cjkls import _rank_mod_p, rack_homology_oracle
 from nracks import (
     BudgetExceededError,
@@ -26,7 +33,12 @@ from nracks import (
 )
 from nracks.constructions import FiniteRack
 from nracks.homology import ChainComplex, CoefficientGroup, reduced_rack_table
-from nracks.snf import invariant_factors, sparse_invariant_factors
+from nracks.snf import (
+    AbelianGroupInvariants,
+    invariant_factors,
+    invariants_from_cyclic_orders,
+    sparse_invariant_factors,
+)
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "homology_tables.json")
 
@@ -398,26 +410,50 @@ def test_mod_p_agrees_with_direct_gaussian_elimination():
                     assert len(co.torsion) == dim and co.free_rank == 0
 
 
-def test_universal_coefficient_order_consistency():
-    # |H_k(X; Z/d)| = |H_k tensor Z/d| * |Tor(H_{k-1}, Z/d)| on fixtures.
-    from math import gcd
+# The n-quandles of the censuses (binary of order at most 4, arity 3 of
+# order at most 3, arity 4 of order at most 2) and the n-quandle fixtures,
+# each with the top degree of its complexes: at most 4, while the chain
+# rank stays within 1,000 columns.
+UCT_QUANDLES = [
+    FiniteNRack(n, m, table)
+    for n, top in ((2, 4), (3, 3), (4, 2))
+    for m in range(1, top + 1)
+    for table in enumerate_nracks(n, m, "n-quandle").representatives
+] + [X for _, X in axiom_fixture_set() if classify(X).is_nquandle]
 
-    R = dihedral_nrack(3)
-    C = rack_chain_complex(R, 4)
-    for k in (2, 3):
-        for d in (2, 3, 4, 6):
-            inv_d = homology(C, k, CoefficientGroup.cyclic(d)).invariants
-            hk = homology(C, k, Z).invariants
-            hk1 = homology(C, k - 1, Z).invariants if k >= 2 else None
-            order = d**hk.free_rank
-            for t in hk.torsion:
-                order *= gcd(t, d)
-            if hk1 is not None:
-                for t in hk1.torsion:
-                    order *= gcd(t, d)
-            else:
-                pass
-            assert inv_d.order == order
+
+def _uct_top(X: FiniteNRack) -> int:
+    M = X.size ** (X.arity - 1)
+    top = 2
+    while top < 4 and M ** (top + 1) <= 1000:
+        top += 1
+    return top
+
+
+def test_universal_coefficient_order_consistency():
+    # Whole groups, not only orders, in R, D and Q:
+    #   H_k(Z/d) = (Z/d)^b + sum Z/gcd(d, t) + sum Z/gcd(d, u),
+    # b the free rank and t the torsion of H_k, u the torsion of H_{k-1}
+    # (H_0 = Z); H^k(Z) has the free rank of H_k and the torsion of
+    # H_{k-1}; and H^k(Z/d) = H_k(Z/d).
+    assert len(UCT_QUANDLES) == 28
+    for X in UCT_QUANDLES:
+        top = _uct_top(X)
+        for variant in "RDQ":
+            C = rack_chain_complex(X, top, variant=variant)
+            integral = [AbelianGroupInvariants(1, ())] + [
+                homology(C, k, Z).invariants for k in range(1, top)
+            ]
+            for k in range(1, top):
+                here, below = integral[k], integral[k - 1]
+                assert cohomology(C, k, Z).invariants == AbelianGroupInvariants(
+                    here.free_rank, below.torsion), (X, variant, k)
+                for d in (2, 3, 4, 6):
+                    A = CoefficientGroup.cyclic(d)
+                    orders = [d] * here.free_rank + [gcd(d, t) for t in here.torsion + below.torsion]
+                    expected = AbelianGroupInvariants(0, invariants_from_cyclic_orders(orders))
+                    assert homology(C, k, A).invariants == expected, (X, variant, k, d)
+                    assert cohomology(C, k, A).invariants == expected, (X, variant, k, d)
 
 
 def test_rank_bookkeeping_against_sympy():

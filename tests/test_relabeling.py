@@ -1,7 +1,15 @@
-"""Homology does not depend on how the carrier is labelled.  Renaming the
-elements of an n-quandle by a permutation of its carrier gives an
-isomorphic n-quandle, so its rack complex R, degenerate subcomplex D and
-quandle complex Q have the same homology and cohomology, over Z and over
+"""Answers do not depend on how the carrier is labelled.  Renaming the
+elements of a table by a permutation of its carrier gives an isomorphic
+table.
+
+check: a table drawn from the rack censuses (binary of order at most 4,
+arity 3 of order at most 3, arity 4 of order at most 2) or the fixtures,
+or a one-entry mutant of one, with a basepoint drawn, has the
+classification of its relabeled copy, whose basepoint is relabeled too;
+each witness of the copy, mapped back, is a violation of the original.
+
+Homology: the rack complex R, degenerate subcomplex D and quandle complex
+Q of an n-quandle have the same homology and cohomology, over Z and over
 Z/d for d = 2, 3, 4 and 6.  Each relabeled table also has
 quandle_quotient_complex equal to the Q built directly on it.  The
 quandles are drawn from the binary censuses of order at most 4, the
@@ -25,7 +33,15 @@ from nracks import (
     homology,
     quandle_quotient_complex,
     rack_chain_complex,
+    validate,
 )
+
+RACKS = [
+    FiniteNRack(n, m, table)
+    for n, top in ((2, 4), (3, 3), (4, 2))
+    for m in range(1, top + 1)
+    for table in enumerate_nracks(n, m, "nrack").representatives
+] + [X for _, X in axiom_fixture_set()]
 
 QUANDLES = [
     (f"census(n={n},m={m})#{i}", FiniteNRack(n, m, table))
@@ -93,3 +109,32 @@ def test_relabeling_the_carrier_leaves_r_d_and_q_unchanged(data):
     name, X = data.draw(st.sampled_from(QUANDLES), label="quandle")
     sigma = data.draw(st.permutations(range(X.size)), label="sigma")
     assert _groups(_relabeled(X, sigma), _top(X)) == _groups_of(name)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_relabeling_the_carrier_leaves_check_unchanged(data):
+    X = data.draw(st.sampled_from(RACKS), label="table")
+    table = list(X.table)
+    if X.size > 1 and data.draw(st.booleans(), label="mutant"):
+        i = data.draw(st.integers(0, len(table) - 1), label="entry")
+        table[i] = (table[i] + data.draw(st.integers(1, X.size - 1), label="shift")) % X.size
+    basepoint = data.draw(st.sampled_from([None, *range(X.size)]), label="basepoint")
+    X = FiniteNRack(X.arity, X.size, table, basepoint)
+    sigma = data.draw(st.permutations(range(X.size)), label="sigma")
+    before, after = validate(X), validate(_relabeled(X, sigma))
+    assert after.classification == before.classification
+    inverse = sorted(range(X.size), key=sigma.__getitem__)
+
+    def back(xs):
+        return tuple(inverse[a] for a in xs)
+
+    witness = after.distributivity_witness
+    assert (witness is None) == (before.distributivity_witness is None)
+    if witness is not None:
+        xs, ys = back(witness[0]), back(witness[1])
+        assert X.bracket(*xs, X.bracket(*ys)) != X.bracket(*(X.bracket(*xs, y) for y in ys))
+    witness = after.bijectivity_witness
+    assert (witness is None) == (before.bijectivity_witness is None)
+    if witness is not None:
+        assert len(set(X.translation(back(witness)))) < X.size

@@ -3,8 +3,11 @@ entry against the classical oracle, as is the rack complex of every small
 rack that is not a quandle, and the checks on the sub-basis that
 quandle_quotient_complex is given.  The quandle complex built directly on
 the non-degenerate tuples is checked entry for entry against the classical
-oracle and against quandle_quotient_complex, and the three complexes
+oracle and against quandle_quotient_complex, D built by
+rack_chain_complex against the restriction of R, and the three complexes
 against the Litherland-Nelson splitting."""
+
+import importlib
 
 import pytest
 
@@ -33,6 +36,9 @@ from nracks.cli import main
 from nracks.homology import ChainComplex, CoefficientGroup, reduced_rack_table
 from nracks.jsonio import dump_document, nrack_to_json
 from nracks.snf import invariants_from_cyclic_orders
+
+# nracks.homology the module, which the function of that name shadows.
+homology_module = importlib.import_module("nracks.homology")
 
 # Binary quandles small enough for dense oracle matrices in degrees 1-4
 # (at most 6**4 = 1296 columns).
@@ -207,11 +213,30 @@ def test_the_direct_quandle_complex_dumps_the_oracle_matrices(tmp_path):
         assert (out / f"boundary_Q_{k}.txt").read_text() == _oracle_triplets(table, k, "Q"), k
 
 
-def test_the_quandle_complex_refuses_a_rack_that_is_not_a_quandle():
+def test_the_quandle_complex_refuses_a_rack_that_is_not_a_quandle(monkeypatch):
     with pytest.raises(ValueError, match="requires an n-quandle"):
         rack_chain_complex(shift_nrack(3), 2, variant="Q")
-    with pytest.raises(ValueError, match="unknown complex variant"):
-        rack_chain_complex(dihedral_nrack(3), 2, variant="D")
+    with pytest.raises(ValueError, match="unknown complex variant 'X'"):
+        rack_chain_complex(dihedral_nrack(3), 2, variant="X")
+
+    # D's gate refuses the table before any column is built.
+    def fail(*args, **kwargs):
+        raise AssertionError("a column was built")
+
+    monkeypatch.setattr(homology_module, "_boundary_columns", fail)
+    with pytest.raises(ValueError, match="degenerate subcomplex requires an n-quandle"):
+        rack_chain_complex(shift_nrack(3), 2, variant="D")
+
+
+@pytest.mark.parametrize(
+    "R, top", [(R, top) for _, R, top in QUANDLES], ids=[n for n, _, _ in QUANDLES]
+)
+def test_variant_d_is_the_degenerate_subcomplex_of_the_rack_complex(R, top):
+    D = rack_chain_complex(R, top, variant="D")
+    restricted = degenerate_subcomplex(R, rack_chain_complex(R, top))
+    assert D.variant == "D"
+    assert (D.cols, D.ranks, D.orbit_count) == (
+        restricted.cols, restricted.ranks, restricted.orbit_count)
 
 
 # Litherland & Nelson, J. Pure Appl. Algebra 178 (2003): for a quandle the
