@@ -42,9 +42,11 @@ def _check_table_budget(size: int, arity: int) -> None:
 def _fold(maps, last, arity: int) -> tuple[int, ...]:
     """The arity-ary table whose entry for (x_1,...,x_n) is
     maps[x_1](maps[x_2](...maps[x_{n-1}](last[x_n])...)), each map an
-    image sequence: every pass prepends one argument, most significant."""
+    image sequence: every pass prepends one argument, most significant.  A
+    one-element carrier's table is its one entry at every arity, and it
+    takes no pass."""
     table = last
-    for _ in range(arity - 1):
+    for _ in range(arity - 1 if len(maps) > 1 else 0):
         table = [f[v] for f in maps for v in table]
     return tuple(table)
 
@@ -303,6 +305,9 @@ def check_antisymmetric_bracket(H: FiniteGroup, bracket: tuple[int, ...], arity:
         raise ConstructionError(f"bracket table must have {k ** arity} entries")
     if any(not (0 <= v < k) for v in bracket):
         raise ConstructionError("bracket values must lie in the group")
+    if k == 1:
+        # The identity is its own inverse: nothing to check, at any arity.
+        return
     strides = [k ** (arity - 1 - i) for i in range(arity)]
     for xs in product(range(k), repeat=arity):
         idx = sum(x * st for x, st in zip(xs, strides))
@@ -344,8 +349,9 @@ def build_module_group_nrack(
     size = V.size * k
     conj = build_conjugation_nrack(H, arity).table
     # As[j]: the index in H^arity of the H parts of the j-th carrier tuple,
-    # whose last entry is j % size, with V part j % size // k.
-    As = entrywise([c % k for c in range(size)], arity, k)
+    # whose last entry is j % size, with V part j % size // k.  A
+    # one-element carrier has one tuple at every arity, as it has at arity 0.
+    As = entrywise([c % k for c in range(size)], arity if size > 1 else 0, k)
     table = tuple(
         module.action[bracket[a]][j % size // k] * k + conj[a] for j, a in enumerate(As)
     )

@@ -38,8 +38,9 @@ def first_product_past(factors, limit: int) -> int | None:
 def first_power_past(base: int, exponent: int, limit: int) -> int | None:
     """first_product_past of exponent copies of base; an astronomically large
     exponent costs nothing, as 1**k is 1 and a larger base passes any limit
-    within limit.bit_length() + 1 factors."""
-    return first_product_past(repeat(base, exponent if base > 1 else min(exponent, 1)), limit)
+    within limit.bit_length() + 1 factors, so no more are drawn."""
+    count = min(exponent, limit.bit_length() + 1 if base > 1 else 1)
+    return first_product_past(repeat(base, count), limit)
 
 
 def entrywise(phi, length: int, base: int) -> list[int]:

@@ -10,15 +10,19 @@ size r: its long-side vectors are inserted into an echelon basis of Z^r by
 exact division and 2x2 extended-gcd steps, and only that basis, at most
 r x r, goes to the dense smith_normal_form (after Dumas, Saunders &
 Villard, J. Symb. Comp. 32, 2001, and Cohen, A Course in Computational
-Algebraic Number Theory, 1993, section 2.4).  Every answer is certified
-before it is returned: the unit-pivot steps are unimodular by
-construction, every residual vector must reduce to zero against the basis
-by exact division, and the basis's S = U*B*V is checked exactly.  The
-number of factors, the rank, is certified against a second source:
-sparse_invariant_factors takes the rank of its input modulo
-CERTIFICATE_PRIME from a separate elimination (_rank_mod_p) in another
-order and another arithmetic: columns shortest first, each reduced by its
-highest row, with residues held in the symmetric range [-p/2, p/2].
+Algebraic Number Theory, 1993, section 2.4).  The basis is Hermite-reduced
+after every vector that changes it, which keeps its entries near the size
+of its pivots: reduced only once an entry passed 64 bits, the basis for
+d_13 of the quandle complex of the dihedral quandle R3 grew entries of
+12,406 bits.  Every answer is certified before it is returned: the
+unit-pivot steps are unimodular by construction, every residual vector
+must reduce to zero against the basis by exact division, and the basis's
+S = U*B*V is checked exactly.  The number of factors, the rank, is
+certified against a second source: sparse_invariant_factors takes the
+rank of its input modulo CERTIFICATE_PRIME from a separate elimination
+(_rank_mod_p) in another order and another arithmetic: columns shortest
+first, each reduced by its highest row, with residues held in the
+symmetric range [-p/2, p/2].
 
 certified_factors is the same engine without that rank, and it returns the
 keys of the +-1 pivots.  A chain complex uses it to factor d_k from fewer
@@ -319,13 +323,6 @@ def _eliminate_unit_pivots(columns):
     return pivots, list(cols.values())
 
 
-# A basis vector whose largest entry passes this many bits triggers a
-# Hermite reduction of the basis; the limit then rises to twice the bits of
-# the largest entry left, so entries that the reduction cannot shrink do
-# not trigger it again until they double.
-_HERMITE_BITS = 64
-
-
 def _residual_factors(residual) -> tuple[int, ...]:
     """Invariant factors of the residual columns, from an echelon basis of
     the lattice on their short side.
@@ -367,13 +364,17 @@ def _echelon_basis(vectors) -> dict:
     division where that pivot divides the lead entry (_reduce), otherwise
     by the 2x2 step of _gcd_step, which leaves the gcd in the basis.
     Either step has determinant 1, so the lattice never changes.  A vector
-    whose lead no basis vector has joins the basis.  The input is not
-    modified.
+    whose lead no basis vector has joins the basis.  After each vector
+    that changes the basis, _hermite_reduce brings every entry above a
+    pivot into [0, pivot), so the gcd steps never compound entries that
+    a pivot could have cut down; a vector that reduces to zero changes
+    nothing and is skipped.  The input is not modified.
     """
     basis: dict = {}
-    limit = _HERMITE_BITS
     for vector in vectors:
         v = _reduce(dict(vector), basis)
+        if not v:
+            continue
         while v:
             lead = min(v)
             b = basis.get(lead)
@@ -383,9 +384,7 @@ def _echelon_basis(vectors) -> dict:
                 (s, t), (x, y) = _gcd_step(b[lead], v[lead])
                 basis[lead] = _combination(s, b, t, v)
                 v = _reduce(_combination(x, b, y, v), basis)
-            if _bits(basis[lead]) > limit:
-                _hermite_reduce(basis)
-                limit = max(limit, 2 * max(_bits(w) for w in basis.values()))
+        _hermite_reduce(basis)
     return basis
 
 
@@ -451,10 +450,6 @@ def _combination(s, b, t, v) -> dict:
         if w:
             out[key] = w
     return out
-
-
-def _bits(v) -> int:
-    return max(abs(x) for x in v.values()).bit_length()
 
 
 def _rank_mod_p(columns, p: int = CERTIFICATE_PRIME) -> set:

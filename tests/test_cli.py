@@ -257,6 +257,46 @@ def test_check_one_element_table_does_not_grow_with_the_arity(capsys, tmp_path, 
     assert elapsed < 1.0 and peak < 8 * 2**20
 
 
+@pytest.mark.parametrize("kind", ["conj", "lift", "module-group"])
+def test_construct_one_element_does_not_grow_with_the_arity(capsys, tmp_path, kind):
+    # At arity 10**30 the one-element table is built without a pass per
+    # argument: by conjugation in the trivial group, by lifting the
+    # one-element rack, and from a bundle of trivial groups, whose bracket
+    # is antisymmetric at every arity.
+    trivial = group_to_json(cyclic_group(1))
+    docs = {
+        "conj": ("--group", trivial),
+        "lift": ("--input", {"arity": 2, "size": 1, "table": [0]}),
+        "module-group": ("--input", {"arity": 10**30, "group": trivial, "module": trivial,
+                                     "action": [[0]], "bracket": [0]}),
+    }
+    option, doc = docs[kind]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code = main(["construct", kind, option, str(path), "--n", str(10**30)])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    basepoint = None if kind == "lift" else 0
+    expected = dump_document(nrack_to_json(FiniteNRack(10**30, 1, (0,), basepoint)))
+    assert capsys.readouterr().out == expected
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("argv, doc, code", [
+    (["check", "--input"], {"arity": 10**30, "size": 2, "table": [0]}, 2),
+    (["construct", "conj", "--n", str(10**30), "--group"], group_to_json(cyclic_group(2)), 3),
+], ids=["check", "conj"])
+def test_an_astronomical_arity_is_refused_without_a_traceback(capsys, tmp_path, argv, doc, code):
+    # Two elements at arity 10**30: a table too short for size**arity, or
+    # past the table budget, found within a few factors of the power.
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    assert main(argv + [str(path)]) == code
+    err = capsys.readouterr().err
+    assert "2**" + str(10**30) in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("degrees, top", [("1-3", 3), ("1-800", 800), ("1-40000", 40000)])
 def test_homology_one_element_all_degrees(tmp_path, degrees, top):
     # Every chain rank is 1, so the column budget never trips: the build

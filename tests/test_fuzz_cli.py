@@ -2,13 +2,16 @@
 
 `check` and `homology` read a table document and, for homology, a degree
 specification, coefficients, a variant and a budget; `leibniz` reads a
-structure-constant tensor and, optionally, a linear operator.  Whatever
+structure-constant tensor and, optionally, a linear operator; `construct
+conj` reads a group and `construct module-group` a bundle of two groups,
+an action and a bracket.  Whatever
 the input, cli.main must end with a documented exit code, 0 to 3 (4 is an
 internal error and needs an injected fault), and never with a traceback:
 wrong types, bools where integers belong, negative or huge arity, size and
 dimension, tables too short or too long, entries outside the carrier or
 the dimension, values that are not rationals, operator matrices of the
-wrong shape, documents that are not objects or not JSON, and degree
+wrong shape, groups, actions and brackets with a field missing, mistyped
+or out of range, documents that are not objects or not JSON, and degree
 specifications of every spelling.
 """
 
@@ -21,7 +24,9 @@ import tempfile
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nracks import cyclic_group, dihedral_group, symmetric_group
 from nracks.cli import main
+from nracks.jsonio import group_to_json
 
 HUGE = [10**7, 10**30, -(10**30)]
 SCALARS = st.one_of(
@@ -229,5 +234,107 @@ def test_leibniz_exits_with_a_documented_code_on_any_tensor(text, seed):
 @given(tensor=st.sampled_from([CROSS, BROKEN]), text=operator_documents())
 def test_leibniz_exits_with_a_documented_code_on_any_operator(tensor, text):
     argv, (code, err) = _leibniz([("--input", json.dumps(tensor)), ("--operator", text)])
+    assert code in (0, 1, 2, 3), (argv, text, code, err)
+    assert "Traceback" not in err
+
+
+# Groups of order at most 6, as the Cayley table's associativity check
+# costs k**3: the cyclic groups, S3 and the Klein four-group.
+GROUPS = [cyclic_group(k) for k in range(1, 7)] + [symmetric_group(3), dihedral_group(2)]
+ABELIAN = [G for G in GROUPS if G.is_abelian()]
+WILD = st.one_of(SCALARS, st.integers(-1, 7))
+
+
+def _spoiled(draw, value):
+    """A copy of the JSON value with one thing wrong at some depth: a field
+    dropped or given a wild value, or a list item dropped, added or
+    spoiled in turn."""
+    if isinstance(value, dict) and value:
+        out, key = dict(value), draw(st.sampled_from(sorted(value)))
+        how = draw(st.sampled_from(["drop", "wild", "inner"]))
+        if how == "drop":
+            del out[key]
+        else:
+            out[key] = draw(WILD) if how == "wild" else _spoiled(draw, value[key])
+        return out
+    if isinstance(value, list) and value:
+        out, i = list(value), draw(st.integers(0, len(value) - 1))
+        how = draw(st.sampled_from(["drop", "add", "inner"]))
+        if how == "drop":
+            del out[i]
+        elif how == "add":
+            out.insert(i, draw(WILD))
+        else:
+            out[i] = _spoiled(draw, value[i])
+        return out
+    return draw(WILD)
+
+
+def _text(draw, valid: dict) -> str:
+    """The valid document (two kinds in five), spoiled, wild or not JSON."""
+    kind = draw(st.integers(0, 4))
+    if kind == 4:
+        return draw(st.text(max_size=12))
+    if kind == 3:
+        return json.dumps(draw(st.one_of(SCALARS, st.lists(SCALARS, max_size=3))))
+    return json.dumps(valid if kind < 2 else _spoiled(draw, valid))
+
+
+@st.composite
+def group_documents(draw):
+    return _text(draw, group_to_json(draw(st.sampled_from(GROUPS))))
+
+
+def _bracket(k: int, arity: int, twisted: bool) -> list[int]:
+    """An antisymmetric bracket on the cyclic group of order k written
+    additively: the identity 0 everywhere, or the product of the pairwise
+    differences of the arguments, which changes sign under any swap."""
+    if not twisted:
+        return [0] * k**arity
+    if arity == 2:
+        return [(a - b) % k for a in range(k) for b in range(k)]
+    return [(a - b) * (b - c) * (a - c) % k for a in range(k) for b in range(k) for c in range(k)]
+
+
+@st.composite
+def module_group_documents(draw):
+    """The text of a module-group bundle on groups of order at most 6 and
+    arity 2 or 3: an action of H on V that is trivial, or for H of order 2
+    negation, and a bracket that is trivial, or twisted on a cyclic H."""
+    arity = draw(st.integers(2, 3))
+    H, V = draw(st.sampled_from(GROUPS)), draw(st.sampled_from(ABELIAN))
+    identity = list(range(V.size))
+    negation = [V.inv(v) for v in identity]
+    negate = H.size == 2 and draw(st.booleans())
+    action = [identity if h == H.identity or not negate else negation for h in range(H.size)]
+    cyclic = H.cayley == cyclic_group(H.size).cayley
+    bracket = _bracket(H.size, arity, cyclic and draw(st.booleans()))
+    valid = {"arity": arity, "group": group_to_json(H), "module": group_to_json(V),
+             "action": action, "bracket": bracket}
+    return _text(draw, valid)
+
+
+def _construct(argv, text):
+    """Run argv with the path of a file holding text appended."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "input.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        argv = argv + [path]
+        return argv, _run(argv)
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=group_documents(), arity=st.integers(2, 3))
+def test_construct_conj_exits_with_a_documented_code_on_any_group(text, arity):
+    argv, (code, err) = _construct(["construct", "conj", "--n", str(arity), "--group"], text)
+    assert code in (0, 1, 2, 3), (argv, text, code, err)
+    assert "Traceback" not in err
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=module_group_documents())
+def test_construct_module_group_exits_with_a_documented_code_on_any_bundle(text):
+    argv, (code, err) = _construct(["construct", "module-group", "--input"], text)
     assert code in (0, 1, 2, 3), (argv, text, code, err)
     assert "Traceback" not in err

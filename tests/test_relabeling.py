@@ -8,6 +8,13 @@ or a one-entry mutant of one, with a basepoint drawn, has the
 classification of its relabeled copy, whose basepoint is relabeled too;
 each witness of the copy, mapped back, is a violation of the original.
 
+inner and assoc-group: an n-rack drawn from the same censuses and
+fixtures has the sorted orbit sizes and the multiset of cycle types of
+the inner-map permutations of its relabeled copy, and, in both relator
+forms, its relator count and abelianization.  The abelianization is
+Z^o for o the number of orbits: every abelianized relator is
+e_[xs] - e_{x_n}, which identifies exactly the elements of an orbit.
+
 Homology: the rack complex R, degenerate subcomplex D and quandle complex
 Q of an n-quandle have the same homology and cohomology, over Z and over
 Z/d for d = 2, 3, 4 and 6.  Each relabeled table also has
@@ -24,13 +31,18 @@ from hypothesis import strategies as st
 from helpers import axiom_fixture_set
 from oracle_enumeration import _relabel
 from nracks import (
+    AbelianGroupInvariants,
     CoefficientGroup,
     FiniteNRack,
+    abelianization,
+    associated_group_presentation,
     classify,
     cohomology,
     degenerate_subcomplex,
     enumerate_nracks,
     homology,
+    inner_map,
+    orbits,
     quandle_quotient_complex,
     rack_chain_complex,
     validate,
@@ -138,3 +150,46 @@ def test_relabeling_the_carrier_leaves_check_unchanged(data):
     assert (witness is None) == (before.bijectivity_witness is None)
     if witness is not None:
         assert len(set(X.translation(back(witness)))) < X.size
+
+
+def _cycle_type(permutation) -> tuple[int, ...]:
+    seen, lengths = set(), []
+    for start in range(len(permutation)):
+        length, x = 0, start
+        while x not in seen:
+            seen.add(x)
+            x, length = permutation[x], length + 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths))
+
+
+def _inner_and_assoc_group(X: FiniteNRack, paper_form: bool) -> tuple:
+    """What inner and assoc-group report, up to labels: the sorted orbit
+    sizes, the sorted cycle types of the inner maps, the relator count and
+    the abelianization."""
+    P = associated_group_presentation(X, paper_form=paper_form)
+    return (
+        sorted(len(o) for o in orbits(X)),
+        sorted(_cycle_type(inner_map(X, xs).permutation) for xs in X.prefixes()),
+        len(P.relators),
+        abelianization(P),
+    )
+
+
+@cache
+def _inner_and_assoc_group_of(index: int, paper_form: bool) -> tuple:
+    return _inner_and_assoc_group(RACKS[index], paper_form)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_relabeling_the_carrier_leaves_inner_and_assoc_group_unchanged(data):
+    index = data.draw(st.integers(0, len(RACKS) - 1), label="rack")
+    paper_form = data.draw(st.booleans(), label="paper_form")
+    X = RACKS[index]
+    sigma = data.draw(st.permutations(range(X.size)), label="sigma")
+    before = _inner_and_assoc_group_of(index, paper_form)
+    assert _inner_and_assoc_group(_relabeled(X, sigma), paper_form) == before
+    orbit_sizes, _, _, abelian = before
+    assert abelian == AbelianGroupInvariants(len(orbit_sizes), ())

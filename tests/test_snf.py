@@ -15,6 +15,7 @@ from nracks import (
     associated_group_presentation,
     build_conjugation_nrack,
     build_z4_module_nrack,
+    homology,
     invariant_factors,
     rack_chain_complex,
     smith_normal_form,
@@ -231,16 +232,25 @@ def test_dense_smith_form_sees_at_most_the_short_side(M, transpose):
 
 
 @st.composite
-def _residual_matrices(draw):
-    """[A 0; 0 B] with rows and columns shuffled, B of any shape with no
-    +-1 entry and at least one nonzero one, so the residual is never empty.
-    B's entries share factors 2, 3 and 5 in part, so the echelon basis
-    takes gcd steps, and B may have dependent rows and columns."""
-    A = draw(_sparse_matrices())
+def _residual_blocks(draw):
+    """A matrix of any shape up to 5 x 5 with no +-1 entry and at least one
+    nonzero one.  Its entries share factors 2, 3 and 5 in part, so the
+    echelon basis takes gcd steps, and its rows and columns may be
+    dependent."""
     rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     entries = st.sampled_from([0, 0, 2, -2, 3, 4, -6, 9, 10, -15])
     B = [[draw(entries) for _ in range(cols)] for _ in range(rows)]
     B[0][0] = draw(st.sampled_from([2, -3, 6, 10]))
+    return B
+
+
+@st.composite
+def _residual_matrices(draw):
+    """[A 0; 0 B] with rows and columns shuffled, B a _residual_blocks
+    matrix, so the residual is never empty."""
+    A = draw(_sparse_matrices())
+    B = draw(_residual_blocks())
+    cols = len(B[0])
     a_cols = len(A[0])
     M = [row + [0] * cols for row in A] + [[0] * a_cols + row for row in B]
     row_order = draw(st.permutations(range(len(M))))
@@ -249,17 +259,14 @@ def _residual_matrices(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_residual_matrices(), st.booleans(), st.booleans())
-def test_echelon_residual_matches_sympy(M, transpose, hermite_always):
-    # Wide and tall residuals.  Hermite reduction is normally reached only
-    # when entries grow; a limit of 0 bits runs it from the first basis
-    # vector on.
+@given(_residual_matrices(), st.booleans())
+def test_echelon_residual_matches_sympy(M, transpose):
+    # Wide and tall residuals.
     if transpose:
         M = _transposed(M)
     _, residual = snf._eliminate_unit_pivots(_columns(M))
     assert residual
-    with mock.patch.object(snf, "_HERMITE_BITS", 0 if hermite_always else snf._HERMITE_BITS):
-        assert invariant_factors(M) == _sympy_factors(M)
+    assert invariant_factors(M) == _sympy_factors(M)
 
 
 def test_hermite_reduction_keeps_entries_above_pivots_below_them():
@@ -270,6 +277,39 @@ def test_hermite_reduction_keeps_entries_above_pivots_below_them():
     dense = [[b.get(t, 0) for t in range(3)] for _, b in sorted(basis.items())]
     assert abs(determinant(dense)) == 30
     assert _sympy_factors(dense) == _sympy_factors([[2, 7, -5], [0, -3, 4], [0, 0, 5]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_residual_blocks(), st.booleans())
+def test_echelon_basis_is_hermite_reduced(B, transpose):
+    # The rows, or the columns, of a residual-like block: the basis comes
+    # back Hermite-reduced however small its entries, and every input
+    # vector reduces to zero against it.
+    if transpose:
+        B = _transposed(B)
+    vectors = [{j: v for j, v in enumerate(row) if v} for row in B]
+    basis = _echelon_basis(vectors)
+    assert basis and all(b[p] > 0 for p, b in basis.items())
+    assert all(0 <= basis[lead].get(p, 0) < basis[p][p]
+               for p in basis for lead in basis if lead < p)
+    assert not any(snf._reduce(dict(v), basis) for v in vectors)
+
+
+def test_echelon_basis_entries_stay_small_on_dihedral_r4():
+    # H_5 of the rack complex of R4 (x o y = 2x - y mod 4) leaves residuals
+    # whose basis entries reached 102 bits when the basis was reduced only
+    # past 64; reduced after every change, they stay at a few bits.
+    bits = []
+
+    def spy(vectors):
+        basis = _echelon_basis(vectors)
+        bits.extend(abs(x).bit_length() for b in basis.values() for x in b.values())
+        return basis
+
+    with mock.patch.object(snf, "_echelon_basis", spy):
+        H = homology(rack_chain_complex(dihedral_nrack(4), 6), 5)
+    assert H.invariants == AbelianGroupInvariants(32, (2,) * 66)
+    assert bits and max(bits) <= 64
 
 
 # Residuals that need gcd steps, wide and tall: no entry is +-1.
