@@ -21,6 +21,7 @@ import sys
 from . import jsonio
 from .constructions import (
     FiniteRack,
+    _check_table_budget,
     abelianization,
     associated_group_presentation,
     build_conjugation_nrack,
@@ -219,6 +220,9 @@ def cmd_enumerate(args) -> int:
 
 def cmd_inner(args) -> int:
     R = _load_table(args.input)
+    width = R.arity - 1
+    _check_table_budget(R.size, width, width,
+                        f"listing {R.size}**{width} prefixes of {width} entries")
     require(R, "inner map")
     doc = {
         "inner_maps": [

@@ -26,17 +26,22 @@ from .errors import BudgetExceededError, ConstructionError
 from .snf import AbelianGroupInvariants, group_from_diagonal, sparse_invariant_factors
 
 
-# The most table entries a builder makes.  A larger table is refused before
-# anything is allocated or iterated; a table this size builds and validates
-# in a few seconds.
+# The most entries a builder's table, or the prefixes that the inner maps
+# of one table list, may hold.  More are refused before anything is
+# allocated or iterated; a table this size builds and validates in a few
+# seconds.
 TABLE_BUDGET = 2_000_000
 
 
-def _check_table_budget(size: int, arity: int) -> None:
-    reached = first_power_past(size, arity, TABLE_BUDGET)
+def _check_table_budget(size: int, power: int, width: int = 1, what: str = "") -> None:
+    """Refuse width * size**power entries, what (by default a table of
+    size**power entries), with BudgetExceededError when they pass
+    TABLE_BUDGET; the power is multiplied out only until it does."""
+    reached = first_power_past(size, power, TABLE_BUDGET // width)
     if reached is not None:
-        message = f"a table of {size}**{arity} entries exceeds the {TABLE_BUDGET}-entry budget"
-        raise BudgetExceededError(message, limit=TABLE_BUDGET, reached=reached)
+        what = what or f"a table of {size}**{power} entries"
+        raise BudgetExceededError(f"{what} exceeds the {TABLE_BUDGET}-entry budget",
+                                  limit=TABLE_BUDGET, reached=reached * width)
 
 
 def _fold(maps, last, arity: int) -> tuple[int, ...]:
@@ -58,14 +63,8 @@ class FiniteRack(FiniteNRack):
     def __init__(self, size: int, table, basepoint: int | None = None):
         super().__init__(2, size, table, basepoint)
 
-    def op(self, x: int, y: int) -> int:
-        return self.table[x * self.size + y]
-
     def row(self, x: int) -> tuple[int, ...]:
         return self.table[x * self.size : (x + 1) * self.size]
-
-    def to_nrack(self) -> FiniteNRack:
-        return self
 
     @classmethod
     def from_nrack(cls, R: FiniteNRack) -> "FiniteRack":
@@ -308,14 +307,13 @@ def check_antisymmetric_bracket(H: FiniteGroup, bracket: tuple[int, ...], arity:
     if k == 1:
         # The identity is its own inverse: nothing to check, at any arity.
         return
-    strides = [k ** (arity - 1 - i) for i in range(arity)]
-    for xs in product(range(k), repeat=arity):
-        idx = sum(x * st for x, st in zip(xs, strides))
-        for i in range(arity - 1):
-            swapped = list(xs)
-            swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-            jdx = sum(x * st for x, st in zip(swapped, strides))
-            if bracket[jdx] != H.inv(bracket[idx]):
+    # Swapping entries i and i+1 of the tuple at index idx moves it to
+    # idx + (x_{i+1} - x_i) * (k - 1) * k**(arity - 2 - i).
+    steps = [(k - 1) * k ** (arity - 2 - i) for i in range(arity - 1)]
+    for idx, xs in enumerate(product(range(k), repeat=arity)):
+        inverse = H.inverse[bracket[idx]]
+        for i, step in enumerate(steps):
+            if bracket[idx + (xs[i + 1] - xs[i]) * step] != inverse:
                 raise ConstructionError(
                     f"bracket is not antisymmetric: swap at positions {i},{i + 1} "
                     f"of {xs} does not invert the value"
@@ -415,6 +413,10 @@ def associated_group_presentation(R: FiniteNRack, paper_form: bool = False) -> G
     sorted; trivial relators are dropped.
     """
     require(R, "associated group")
+    if R.size == 1:
+        # The one relator, of x_0 alone, free-reduces to the empty word in
+        # both forms: no relator, and no tuple as long as the arity.
+        return GroupPresentation(1, ())
     words = set()
     for xs in product(range(R.size), repeat=R.arity):
         word = _relator_word(xs, R.bracket(*xs), paper_form)

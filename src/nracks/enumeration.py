@@ -45,12 +45,6 @@ class EnumerationReport(Frozen):
     _fields = ("arity", "size", "filter", "count_total", "count_up_to_iso", "representatives")
 
 
-def _passes_budget(factors, budget: int) -> bool:
-    """Whether the product of factors passes budget, multiplied out only
-    until a partial product does."""
-    return first_product_past(factors, budget) is not None
-
-
 def _budget_error(budget: int, reached: int) -> BudgetExceededError:
     return BudgetExceededError(
         f"enumeration exceeded the budget of {budget} candidates",
@@ -89,8 +83,11 @@ def enumerate_nracks(
         raise ValueError("need arity >= 2 and size >= 1")
     # Every search reaches the all-identity table, so it enters each of the
     # m^(n-1) prefixes at least once, and each entry counts m! placements:
-    # if m! * m^(n-1) passes the budget, so does the search.
-    if _passes_budget(chain(range(2, m + 1), repeat(m, n - 1 if m > 1 else 0)), budget):
+    # if m! * m^(n-1) passes the budget, so does the search.  Past
+    # budget.bit_length() + 1 factors m >= 2 the product has passed it, so
+    # no more are drawn, as in first_power_past.
+    powers = min(n - 1, budget.bit_length() + 1) if m > 1 else 0
+    if first_product_past(chain(range(2, m + 1), repeat(m, powers)), budget) is not None:
         raise _budget_error(budget, max(budget, 0) + 1)
     # On one element the only prefix is (0,...,0); the prefix (0,) has the
     # same entries, fixed points and index, and costs nothing in n.

@@ -136,24 +136,16 @@ class CoefficientGroup(Frozen):
         self._store(modulus)
 
     @classmethod
-    def integers(cls) -> "CoefficientGroup":
-        return cls(0)
-
-    @classmethod
-    def cyclic(cls, d: int) -> "CoefficientGroup":
-        return cls(d)
-
-    @classmethod
     def parse(cls, text: str) -> "CoefficientGroup":
         """Accepts only the canonical spelling, so str(parse(text)) == text:
         "Z", or "Z/" followed by the ASCII digits of some d >= 2 with no
         leading zero."""
         if text == "Z":
-            return cls.integers()
+            return cls(0)
         digits = text[2:]
         if (text.startswith("Z/") and digits.isascii() and digits.isdigit()
                 and digits[0] != "0" and int(digits) >= 2):
-            return cls.cyclic(int(digits))
+            return cls(int(digits))
         raise ValueError(f"cannot parse coefficient group {text!r}: expected Z or Z/d, d >= 2")
 
     def __str__(self) -> str:
@@ -223,10 +215,6 @@ class ChainComplex:
         self._boundary_ranks = _theorem_ranks(self)
 
     @property
-    def carrier_size(self) -> int:
-        return self.rack.size
-
-    @property
     def max_degree(self) -> int:
         return len(self._ranks) - 1
 
@@ -240,12 +228,12 @@ class ChainComplex:
     @property
     def cols(self) -> list[list[dict[int, int]]]:
         if self._cols is None:
-            M = self.carrier_size
+            M = self.rack.size
             cols = [[{}], [{} for _ in range(M)]][: self.max_degree + 1]
             for k in range(2, self.max_degree + 1):
                 # Block-local position i * P + r in degree k is the tuple
-                # with first entry order[i] and the rest r, P = M**(k-1).
-                P, Q = M ** (k - 1), M ** (k - 2)
+                # with first entry order[i] and the rest r, P = rank(k) / M.
+                P, Q = self.rank(k) // M, self.rank(k - 1) // M
                 degree: list[dict[int, int]] = [{}] * (M * P)
                 for block, orders, _ in self._blocks:
                     for order in orders:
@@ -289,8 +277,9 @@ class ChainComplex:
             if theorem is None:
                 # Built by hand: one block, with every row built.
                 certify_rank_mod_p([row for row in rows if row], f.factors)
-            else:
-                _certify_rank(m, count, theorem)
+            elif count != theorem[m]:
+                raise AssertionError(f"rank certificate failed: d_{m} has {count} invariant "
+                                     f"factors, and {theorem[m]} by its orbit count")
             for (_, _, done), f in zip(self._blocks, found):
                 done[m] = f
             if m not in self._factors:
@@ -365,12 +354,6 @@ def _theorem_ranks(C: ChainComplex) -> list[int] | None:
     return s
 
 
-def _certify_rank(m: int, count: int, theorem: list[int]) -> None:
-    if count != theorem[m]:
-        raise AssertionError(f"rank certificate failed: d_{m} has {count} "
-                             f"invariant factors, and {theorem[m]} by its orbit count")
-
-
 def _next_factorization(cols, done: dict[int, Factorization], drop_units: bool):
     """Factor d_m of the columns cols, m = len(done) + 1, the maps below it
     factored in done.  Returns the rows of d_m it built and its factors,
@@ -424,9 +407,9 @@ def rack_chain_complex(
     is refused with AxiomError (a ValueError) carrying its report, before
     anything is built.  Any other variant is refused with ValueError.
     Construction refuses degrees whose rank exceeds the column budget, the
-    rank of the complex built by the recursion: M**k for R, and so for D,
-    which is restricted from R, and M*(M-1)**(k-1) for Q, k >= 1, split
-    into blocks or not.  D and Q raise AssertionError when the degenerate
+    rank of the complex built by the recursion, _free_rank over the M
+    elements of Y: that of R for D, which is restricted from R, split into
+    blocks or not.  D and Q raise AssertionError when the degenerate
     tuples fail to span a subcomplex, which on an n-quandle only a fault
     brings about.  d.d = 0 is asserted before returning.  The complex
     keeps the orbit count of the reduced rack, one union-find over its
@@ -445,9 +428,7 @@ def rack_chain_complex(
     require(X, "quandle complex" if variant == "Q" else "chain complex", nquandle=variant == "Q")
     M = X.size ** (X.arity - 1)
     for k in range(max_degree + 1):
-        # M times the children each tuple keeps, per degree above the first
-        # (see the width of _boundary_columns).
-        r = M * (M - (variant == "Q")) ** (k - 1) if k else 1
+        r = _free_rank(variant, M, k)
         if r > budget:
             raise BudgetExceededError(
                 f"chain rank {r} in degree {k} exceeds the {budget}-column budget",
@@ -457,15 +438,15 @@ def rack_chain_complex(
     rack = reduce_nrack_to_rack(X)
     rows = [rack.row(x) for x in range(M)]
     orbs = orbits(rack)
-    # Q is not split (see the module docstring): each orbit is a class.
-    classes = _orbit_classes(rows, orbs) if variant == "R" else [[o] for o in orbs]
-    if len(classes) == len(orbs):
-        # No class holds two orbits: one block seeded with all of Y.
-        classes = [[list(range(M))]]
+    # One block seeded with all of Y, unless a class of R holds two orbits;
+    # Q is not split (see the module docstring).
+    classes = [[list(range(M))]]
+    if variant == "R" and len(split := _orbit_classes(rows, orbs)) < len(orbs):
+        classes = split
     return _split_complex(rack, rows, classes, max_degree, variant, len(orbs))
 
 
-def _boundary_columns(rows, seed, max_degree: int, quandle: bool = False):
+def _boundary_columns(rows, seed, max_degree: int, quandle: bool):
     """Columns of d_0 .. d_max_degree on the tuples whose first entry lies
     in seed, a subset of Y closed under its action, by the recursion of the
     module docstring: R, or with quandle the non-degenerate tuples for Q.
@@ -614,14 +595,17 @@ def _split_complex(rack: FiniteRack, rows, classes, max_degree: int, variant: st
     return C
 
 
-def _free_rank(variant: str, orbit_count: int, k: int) -> int:
-    """Free rank of H_k, k >= 1, of the complex R, D or Q of a finite rack
-    with orbit_count orbits, D and Q taken of a quandle (see the module
-    docstring).  Only what the variant needs is evaluated: o^k gains a
-    digit every few degrees, so evaluating it for Q as well would make a
-    long range of degrees quadratic."""
-    quandle = 0 if variant == "R" else orbit_count * (orbit_count - 1) ** (k - 1)
-    return quandle if variant == "Q" else orbit_count**k - quandle
+def _free_rank(variant: str, size: int, k: int) -> int:
+    """The number of k-tuples of the variant over a set of the given size:
+    all of them for R, the degenerate ones for D, the non-degenerate ones
+    for Q, and in degree 0 the empty tuple, non-degenerate.  Over the M
+    elements of Y it is the rank of C_k; over the o orbits of Y, for
+    k >= 1, the free rank of H_k of a finite rack, D and Q taken of a
+    quandle (see the module docstring).  Only what the variant needs is
+    evaluated: o^k gains a digit every few degrees, so evaluating it for
+    Q as well would make a long range of degrees quadratic."""
+    quandle = 0 if variant == "R" else size * (size - 1) ** (k - 1) if k else 1
+    return quandle if variant == "Q" else size**k - quandle
 
 
 def degenerate_subcomplex(X: FiniteNRack, C: ChainComplex) -> ChainComplex:
@@ -642,7 +626,7 @@ def degenerate_subcomplex(X: FiniteNRack, C: ChainComplex) -> ChainComplex:
     """
     if C.variant != "R":
         raise SubcomplexError("degenerate subcomplex is taken inside the rack complex")
-    M = C.carrier_size
+    M = C.rack.size
     if M != X.size ** (X.arity - 1):
         raise SubcomplexError("complex does not belong to the given n-rack")
     require(X, "degenerate subcomplex", nquandle=True)
@@ -681,8 +665,8 @@ def quandle_quotient_complex(C: ChainComplex, D: ChainComplex) -> ChainComplex:
         raise SubcomplexError("quotient takes the rack complex and its degenerate subcomplex")
     if D.rack != C.rack or D.max_degree != C.max_degree:
         raise SubcomplexError("subcomplex does not match the ambient complex")
-    M = C.carrier_size
-    if D.ranks != [r - (M * (M - 1) ** (k - 1) if k else 1) for k, r in enumerate(C.ranks)]:
+    M = C.rack.size
+    if D.ranks != [r - _free_rank("Q", M, k) for k, r in enumerate(C.ranks)]:
         raise SubcomplexError("subcomplex basis is not the degenerate sub-basis")
     rows = [C.rack.row(x) for x in range(M)]
     return _split_complex(C.rack, rows, [[list(range(M))]], C.max_degree, "Q", C.orbit_count)

@@ -98,9 +98,6 @@ class LeibnizNAlgebra(Frozen):
             for args, vec in self.constants.items()
         }
 
-    def structure_vector(self, args) -> tuple[Fraction, ...]:
-        return self.constants.get(tuple(args), (Fraction(0),) * self.dimension)
-
 
 class LinearOperator(Frozen):
     """A d x d exact-rational matrix; matrix[i][j] is the e_i coefficient
@@ -117,10 +114,6 @@ class LinearOperator(Frozen):
     @property
     def dimension(self) -> int:
         return len(self.matrix)
-
-    @classmethod
-    def zero(cls, dimension: int) -> "LinearOperator":
-        return cls(tuple((Fraction(0),) * dimension for _ in range(dimension)))
 
 
 def bracket(L: LeibnizNAlgebra, *vectors) -> tuple[Fraction, ...]:

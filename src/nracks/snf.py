@@ -62,16 +62,6 @@ class AbelianGroupInvariants(Frozen):
             raise ValueError("torsion factors must be >= 2")
         self._store(free_rank, torsion)
 
-    @property
-    def order(self) -> int | None:
-        """Group order, or None when infinite."""
-        if self.free_rank > 0:
-            return None
-        prod = 1
-        for d in self.torsion:
-            prod *= d
-        return prod
-
 
 def smith_normal_form(M):
     """Diagonalize an integer matrix by unimodular row and column operations.

@@ -62,7 +62,7 @@ def lift(Q, arity):
     for xs in product(range(Q.size), repeat=arity):
         acc = xs[-1]
         for x in reversed(xs[:-1]):
-            acc = Q.op(x, acc)
+            acc = Q.bracket(x, acc)
         table.append(acc)
     return tuple(table), Q.basepoint
 
@@ -112,7 +112,7 @@ def rack_boundary_columns(rack, max_degree):
             for i in range(2, k + 1):
                 sign = 1 if i % 2 == 0 else -1
                 kept = t[: i - 1] + t[i:]
-                acted = tuple(rack.op(t[i - 1], x) for x in t[: i - 1]) + t[i:]
+                acted = tuple(rack.bracket(t[i - 1], x) for x in t[: i - 1]) + t[i:]
                 for target, s in ((kept, sign), (acted, -sign)):
                     idx = _index(target, M)
                     col[idx] = col.get(idx, 0) + s

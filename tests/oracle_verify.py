@@ -14,6 +14,12 @@ from fractions import Fraction
 from itertools import product
 
 
+def structure_vector(L, args):
+    """The coefficient vector of [e_{i_1},...,e_{i_n}], zero where L has no
+    constant."""
+    return L.constants.get(tuple(args), (Fraction(0),) * L.dimension)
+
+
 def left_distributive(R):
     """(True, None) or (False, the lex-first violating (xs, ys))."""
     m, n = R.size, R.arity
@@ -34,9 +40,9 @@ def fundamental_identity(L):
     violating basis tuples, with both sides as dense vectors."""
     d, n = L.dimension, L.arity
     for xs in product(range(d), repeat=n - 1):
-        ad = [L.structure_vector(xs + (j,)) for j in range(d)]
+        ad = [structure_vector(L, xs + (j,)) for j in range(d)]
         for ys in product(range(d), repeat=n):
-            inner = L.structure_vector(ys)
+            inner = structure_vector(L, ys)
             lhs = [sum(inner[j] * ad[j][i] for j in range(d)) for i in range(d)]
             rhs = [Fraction(0)] * d
             for pos in range(n):
@@ -44,7 +50,7 @@ def fundamental_identity(L):
                 for j in range(d):
                     if not z[j]:
                         continue
-                    term = L.structure_vector(ys[:pos] + (j,) + ys[pos + 1 :])
+                    term = structure_vector(L, ys[:pos] + (j,) + ys[pos + 1 :])
                     for i in range(d):
                         rhs[i] += z[j] * term[i]
             if lhs != rhs:
@@ -57,7 +63,7 @@ def derivation(L, D):
     d, n = L.dimension, L.arity
     M = D.matrix
     for ys in product(range(d), repeat=n):
-        inner = L.structure_vector(ys)
+        inner = structure_vector(L, ys)
         lhs = [sum(M[i][j] * inner[j] for j in range(d)) for i in range(d)]
         rhs = [Fraction(0)] * d
         for pos in range(n):
@@ -65,7 +71,7 @@ def derivation(L, D):
                 coeff = M[j][ys[pos]]
                 if not coeff:
                     continue
-                term = L.structure_vector(ys[:pos] + (j,) + ys[pos + 1 :])
+                term = structure_vector(L, ys[:pos] + (j,) + ys[pos + 1 :])
                 for i in range(d):
                     rhs[i] += coeff * term[i]
         if lhs != rhs:
@@ -77,12 +83,12 @@ def filippov(L):
     """Whether every swap of two argument slots negates every structure vector."""
     d, n = L.dimension, L.arity
     for args in product(range(d), repeat=n):
-        vec = L.structure_vector(args)
+        vec = structure_vector(L, args)
         for p in range(n):
             for q in range(p + 1, n):
                 swapped = list(args)
                 swapped[p], swapped[q] = swapped[q], swapped[p]
-                other = L.structure_vector(swapped)
+                other = structure_vector(L, swapped)
                 if any(other[i] != -vec[i] for i in range(d)):
                     return False
     return True

@@ -106,7 +106,7 @@ def _check_along_the_chain(C, monkeypatch):
 
 def _variants(R, top):
     C = rack_chain_complex(R, top)
-    if any(C.rack.op(a, a) != a for a in range(C.carrier_size)):
+    if any(C.rack.bracket(a, a) != a for a in range(C.rack.size)):
         return [("R", C)]
     D = degenerate_subcomplex(R, C)
     return [("R", C), ("D", D), ("Q", quandle_quotient_complex(C, D))]

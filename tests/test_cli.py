@@ -10,12 +10,14 @@ import pytest
 
 from helpers import dihedral_nrack
 from nracks import (
+    BudgetExceededError,
     FiniteNRack,
     FiniteRack,
     build_z4_module_nrack,
     check_self_derivation,
     cyclic_group,
     degenerate_subcomplex,
+    enumerate_nracks,
     levi_civita_nalgebra,
     rack_chain_complex,
     symmetric_group,
@@ -295,6 +297,52 @@ def test_an_astronomical_arity_is_refused_without_a_traceback(capsys, tmp_path, 
     assert main(argv + [str(path)]) == code
     err = capsys.readouterr().err
     assert "2**" + str(10**30) in err and "Traceback" not in err
+
+
+def test_enumerate_at_an_astronomical_arity_is_refused_as_at_a_large_one(capsys):
+    # The budget check multiplies out no more factors m than it takes to
+    # pass the budget, so n = 10**30 is refused with the error of n = 10**5.
+    errors = []
+    for n in (10**5, 10**30):
+        with pytest.raises(BudgetExceededError) as err:
+            enumerate_nracks(n, 2)
+        errors.append((err.value.limit, err.value.reached, str(err.value)))
+        assert main(["enumerate", "--n", str(n), "--m", "2"]) == 3
+        assert capsys.readouterr() == ("", f"budget exceeded: {errors[-1][2]}\n")
+    assert errors[0] == errors[1]
+
+
+@pytest.mark.parametrize("paper", [False, True], ids=["default", "paper"])
+@pytest.mark.parametrize("arity", [10**5, 10**30], ids=["1e5", "1e30"])
+def test_assoc_group_of_one_element_at_a_huge_arity(capsys, tmp_path, arity, paper):
+    # The one relator, x_0 against x_0^n x_0^-n or its paper form, reduces
+    # to the empty word: the free group on x_0, abelianized to Z.
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"arity": arity, "size": 1, "table": [0]}))
+    start = time.perf_counter()
+    code = main(["assoc-group", "--input", str(path)] + ["--paper-relator"] * paper)
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "presentation": {"generators": 1, "relators": []},
+        "abelianization": {"free_rank": 1, "torsion": []},
+    }
+    assert elapsed < 1.0
+
+
+def test_inner_lists_prefixes_within_the_table_budget(capsys, tmp_path):
+    # inner prints a prefix of arity - 1 entries: 99,999 fit the table
+    # budget, and 10**30 - 1 are refused before a tuple is built.
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"arity": 10**5, "size": 1, "table": [0]}))
+    assert main(["inner", "--input", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc == {"inner_maps": [{"args": [0] * (10**5 - 1), "permutation": [0]}],
+                   "orbits": [[0]]}
+    path.write_text(json.dumps({"arity": 10**30, "size": 1, "table": [0]}))
+    assert main(["inner", "--input", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("budget exceeded: ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("degrees, top", [("1-3", 3), ("1-800", 800), ("1-40000", 40000)])
@@ -874,7 +922,6 @@ def test_variant_d_refuses_a_table_before_building_the_rack_complex(
 def test_a_rack_is_its_own_arity_two_nrack():
     Q = FiniteRack(3, tuple((2 * x - y) % 3 for x in range(3) for y in range(3)))
     assert isinstance(Q, FiniteNRack) and Q.arity == 2
-    assert Q.to_nrack() is Q
     assert validate_rack(Q) is validate(Q)
 
 

@@ -1,6 +1,8 @@
 import json
 import os
 import random
+import subprocess
+import sys
 from itertools import product
 
 import pytest
@@ -37,6 +39,7 @@ from nracks import (
 from nracks.cli import main
 from nracks.constructions import (
     TABLE_BUDGET,
+    _relator_word,
     check_antisymmetric_bracket,
     evaluate_word,
     free_reduce,
@@ -184,7 +187,7 @@ def test_lift_functoriality():
     # A rack homomorphism stays a homomorphism of the lifted n-racks.
     Q = FiniteRack.from_nrack(build_z4_module_nrack(2, 4))
     f = [(3 * x) % 4 for x in range(4)]
-    assert is_homomorphism(f, Q.to_nrack(), Q.to_nrack())
+    assert is_homomorphism(f, Q, Q)
     for n in (3, 4):
         L = lift_rack_to_nrack(Q, n)
         assert is_homomorphism(f, L, L)
@@ -207,7 +210,7 @@ def test_reduce_z4_three_rack():
     # Spot check against the defining formula: tuple (x1,x2) o (y1,y2)
     # = (2x1+2x2+y1, 2x1+2x2+y2) with index 4*first + second.
     for x1, x2, y1, y2 in product(range(4), repeat=4):
-        got = rack.op(x1 * 4 + x2, y1 * 4 + y2)
+        got = rack.bracket(x1 * 4 + x2, y1 * 4 + y2)
         t = (2 * x1 + 2 * x2) % 4
         assert got == ((t + y1) % 4) * 4 + (t + y2) % 4
 
@@ -233,7 +236,7 @@ def test_reduce_preserves_quandle():
         flags = validate_rack(rack).classification
         assert flags.is_nquandle
         for a in range(rack.size):
-            assert rack.op(a, a) == a
+            assert rack.bracket(a, a) == a
 
 
 def test_reduce_after_lift_is_valid_rack():
@@ -368,6 +371,51 @@ def test_module_group_rejects_asymmetric_bracket():
         check_antisymmetric_bracket(H, bad, 3)
 
 
+def _first_antisymmetry_failure(H, bracket, arity):
+    """The message for the first tuple, then the first adjacent swap of it,
+    that does not invert the value, each swapped tuple indexed from its
+    entries; None when every swap does."""
+    k = H.size
+    index = {xs: i for i, xs in enumerate(product(range(k), repeat=arity))}
+    for xs, i in index.items():
+        for p in range(arity - 1):
+            ys = xs[:p] + (xs[p + 1], xs[p]) + xs[p + 2 :]
+            if bracket[index[ys]] != H.inv(bracket[i]):
+                return (f"bracket is not antisymmetric: swap at positions {p},{p + 1} "
+                        f"of {xs} does not invert the value")
+    return None
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_antisymmetry_reports_the_first_failing_swap(seed):
+    # The identity bracket with a few entries moved: the swapped entry is
+    # read through its index offset, and the first failure is the one the
+    # tuple-by-tuple reading finds.
+    rng = random.Random(seed)
+    H = rng.choice([cyclic_group(2), cyclic_group(3), symmetric_group(3)])
+    arity = rng.randint(2, 4)
+    bracket = [H.identity] * H.size**arity
+    for _ in range(rng.randint(0, 2)):
+        bracket[rng.randrange(len(bracket))] = rng.randrange(H.size)
+    expected = _first_antisymmetry_failure(H, bracket, arity)
+    if expected is None:
+        check_antisymmetric_bracket(H, tuple(bracket), arity)
+    else:
+        with pytest.raises(ConstructionError) as err:
+            check_antisymmetric_bracket(H, tuple(bracket), arity)
+        assert str(err.value) == expected
+
+
+def test_antisymmetry_costs_one_read_per_swap():
+    # C2 at arity 20, 2**20 entries within the table budget: 19 swaps per
+    # entry, each one read.  Recomputing each swapped index from its
+    # entries costs arity times more, far past the timeout.
+    code = ("from nracks import cyclic_group\n"
+            "from nracks.constructions import check_antisymmetric_bracket\n"
+            "check_antisymmetric_bracket(cyclic_group(2), (0,) * 2**20, 20)\n")
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=15)
+
+
 def test_free_reduce():
     assert free_reduce([1, -1]) == ()
     assert free_reduce([2, 1, -1, -2]) == ()
@@ -390,6 +438,10 @@ def test_one_element_nrack_presents_free_group_of_rank_one():
         assert P.generators == 1 and P.relators == ()
         inv = abelianization(P)
         assert inv.free_rank == 1 and inv.torsion == ()
+        # What the presentation of one element takes without a word: its
+        # one relator reduces to the empty word in both forms.
+        for paper_form in (False, True):
+            assert _relator_word((0,) * n, 0, paper_form) == ()
 
 
 def test_trivial_three_rack_abelianization():

@@ -266,7 +266,7 @@ def test_early_refusal_is_the_error_the_search_raises(
     # passes the budget exactly where the early refusal says it will.
     with pytest.raises(BudgetExceededError) as early:
         enumerate_nracks(arity, size, filter_name, budget=budget)
-    monkeypatch.setattr(nracks.enumeration, "_passes_budget", lambda factors, budget: False)
+    monkeypatch.setattr(nracks.enumeration, "first_product_past", lambda factors, limit: None)
     with pytest.raises(BudgetExceededError) as searched:
         enumerate_nracks(arity, size, filter_name, budget=budget)
     assert (early.value.limit, early.value.reached, str(early.value)) == (

@@ -4,10 +4,12 @@
 specification, coefficients, a variant and a budget; `leibniz` reads a
 structure-constant tensor and, optionally, a linear operator; `construct
 conj` reads a group and `construct module-group` a bundle of two groups,
-an action and a bracket.  Whatever
-the input, cli.main must end with a documented exit code, 0 to 3 (4 is an
-internal error and needs an injected fault), and never with a traceback:
-wrong types, bools where integers belong, negative or huge arity, size and
+an action and a bracket; `construct` z4, gamma, lift and reduce,
+`enumerate`, `assoc-group` and `inner` take sizes, arities and budgets
+as arguments, and some a table.  Whatever the input, cli.main must end
+with a documented exit code, 0 to 3 (4 is an internal error and needs an
+injected fault), and never with a traceback: wrong types, bools where
+integers belong, negative or huge arity (2**63 and past), size and
 dimension, tables too short or too long, entries outside the carrier or
 the dimension, values that are not rationals, operator matrices of the
 wrong shape, groups, actions and brackets with a field missing, mistyped
@@ -336,5 +338,55 @@ def test_construct_conj_exits_with_a_documented_code_on_any_group(text, arity):
 @given(text=module_group_documents())
 def test_construct_module_group_exits_with_a_documented_code_on_any_bundle(text):
     argv, (code, err) = _construct(["construct", "module-group", "--input"], text)
+    assert code in (0, 1, 2, 3), (argv, text, code, err)
+    assert "Traceback" not in err
+
+
+# Sizes and arities of every order: small ones that answer, 2**63 and
+# past, where a count no longer fits a machine word, and 10**30.
+ORDERS = st.one_of(st.integers(-1, 4), st.sampled_from([10**4, 2**63 - 1, 2**63, 10**30]))
+# Budgets small enough that no search or complex they allow is large work.
+BUDGETS = st.one_of(st.integers(-1, 2000), st.sampled_from([-(10**30)]))
+# One element at every arity, valid racks and a 3-rack, and a table whose
+# rows are not bijections.
+TABLES = st.one_of(
+    ORDERS.map(lambda n: {"arity": n, "size": 1, "table": [0]}),
+    st.sampled_from(VALID[1:4] + [{"arity": 2, "size": 2, "table": [0, 0, 1, 1]}]),
+)
+
+
+@st.composite
+def construct_argv(draw):
+    """construct z4, gamma, lift or reduce with drawn sizes, arities and
+    parameters; lift and reduce read a drawn table."""
+    kind = draw(st.sampled_from(["z4", "gamma", "lift", "reduce"]))
+    argv = ["construct", kind, "--n", str(draw(ORDERS)), "--m", str(draw(ORDERS))]
+    if kind == "gamma":
+        argv += ["--t", str(draw(st.integers(-3, 5))), "--s", str(draw(st.integers(-3, 5)))]
+    text = json.dumps(draw(TABLES)) if kind in ("lift", "reduce") else None
+    return argv, text
+
+
+@st.composite
+def table_command_argv(draw):
+    """enumerate with drawn arity, size, filter and budget, or assoc-group
+    or inner on a drawn table."""
+    command = draw(st.sampled_from(["enumerate", "assoc-group", "inner"]))
+    if command == "enumerate":
+        filter_name = draw(st.sampled_from(["nrack", "weak-n-quandle", "n-quandle", "n-kei"]))
+        return ["enumerate", "--n", str(draw(ORDERS)), "--m", str(draw(ORDERS)),
+                "--filter", filter_name, "--budget", str(draw(BUDGETS))], None
+    argv = [command] + (["--paper-relator"] if draw(st.booleans()) else [])
+    return argv, json.dumps(draw(TABLES))
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn=st.one_of(construct_argv(), table_command_argv()))
+def test_size_and_arity_arguments_exit_with_a_documented_code(drawn):
+    argv, text = drawn
+    if text is None:
+        code, err = _run(argv)
+    else:
+        argv, (code, err) = _construct(argv + ["--input"], text)
     assert code in (0, 1, 2, 3), (argv, text, code, err)
     assert "Traceback" not in err

@@ -42,7 +42,7 @@ from nracks.snf import (
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "homology_tables.json")
 
-Z = CoefficientGroup.integers()
+Z = CoefficientGroup(0)
 
 
 def load_golden():
@@ -62,7 +62,7 @@ def fixture_table(name):
 def test_coefficient_group_parse():
     assert CoefficientGroup.parse("Z").modulus == 0
     assert CoefficientGroup.parse("Z/6").modulus == 6
-    assert str(CoefficientGroup.cyclic(3)) == "Z/3"
+    assert str(CoefficientGroup(3)) == "Z/3"
     with pytest.raises(ValueError):
         CoefficientGroup.parse("Q")
     for text in ("Z", "Z/2", "Z/6", "Z/10", "Z/2305843009213693951"):
@@ -71,7 +71,7 @@ def test_coefficient_group_parse():
         with pytest.raises(ValueError, match="cannot parse coefficient group"):
             CoefficientGroup.parse(text)
     with pytest.raises(ValueError):
-        CoefficientGroup.cyclic(1)
+        CoefficientGroup(1)
 
 
 def test_one_element_complex_all_boundaries_vanish():
@@ -305,7 +305,7 @@ def test_cohomology_dihedral_quandle_mod3():
     R = dihedral_nrack(3)
     C = rack_chain_complex(R, 4)
     Q = quandle_quotient_complex(C, degenerate_subcomplex(R, C))
-    A3 = CoefficientGroup.cyclic(3)
+    A3 = CoefficientGroup(3)
     assert cohomology(Q, 2, A3).invariants.torsion == ()
     got = cohomology(Q, 3, A3).invariants
     assert got.free_rank == 0 and got.torsion == (3,)
@@ -396,7 +396,7 @@ def test_mod_p_agrees_with_direct_gaussian_elimination():
         for variant, CX in spaces.items():
             for k in (1, 2, 3):
                 for p in (2, 3):
-                    inv = homology(CX, k, CoefficientGroup.cyclic(p)).invariants
+                    inv = homology(CX, k, CoefficientGroup(p)).invariants
                     dim = len(inv.torsion)
                     assert all(d == p for d in inv.torsion)
                     direct = (
@@ -406,7 +406,7 @@ def test_mod_p_agrees_with_direct_gaussian_elimination():
                     )
                     assert dim == direct, (variant, k, p)
                     # Over a field, cohomology has the same dimension.
-                    co = cohomology(CX, k, CoefficientGroup.cyclic(p)).invariants
+                    co = cohomology(CX, k, CoefficientGroup(p)).invariants
                     assert len(co.torsion) == dim and co.free_rank == 0
 
 
@@ -449,7 +449,7 @@ def test_universal_coefficient_order_consistency():
                 assert cohomology(C, k, Z).invariants == AbelianGroupInvariants(
                     here.free_rank, below.torsion), (X, variant, k)
                 for d in (2, 3, 4, 6):
-                    A = CoefficientGroup.cyclic(d)
+                    A = CoefficientGroup(d)
                     orders = [d] * here.free_rank + [gcd(d, t) for t in here.torsion + below.torsion]
                     expected = AbelianGroupInvariants(0, invariants_from_cyclic_orders(orders))
                     assert homology(C, k, A).invariants == expected, (X, variant, k, d)
@@ -612,7 +612,7 @@ def test_n2_pipeline_matches_cjkls_oracle_on_small_racks():
             for variant, CX in spaces.items():
                 for k in (1, 2, 3):
                     for mod in (0, 2, 3):
-                        A = Z if mod == 0 else CoefficientGroup.cyclic(mod)
+                        A = Z if mod == 0 else CoefficientGroup(mod)
                         inv = homology(CX, k, A).invariants
                         free, tor = rack_homology_oracle(rows, variant, k, mod)
                         assert (inv.free_rank, inv.torsion) == (free, tor), (

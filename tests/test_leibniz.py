@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import RATIONALS
+from oracle_verify import structure_vector
 from nracks import (
     LeibnizNAlgebra,
     LinearOperator,
@@ -112,16 +113,14 @@ def test_fundamental_identity_mutant_fails_with_witness():
     d, n = M.dimension, M.arity
     for cand_xs in product(range(d), repeat=n - 1):
         for cand_ys in product(range(d), repeat=n):
-            ad = [M.structure_vector(cand_xs + (j,)) for j in range(d)]
-            inner = M.structure_vector(cand_ys)
+            ad = [structure_vector(M, cand_xs + (j,)) for j in range(d)]
+            inner = structure_vector(M, cand_ys)
             lhs2 = [sum(inner[j] * ad[j][i] for j in range(d)) for i in range(d)]
             rhs2 = [Fraction(0)] * d
             for pos in range(n):
                 z = ad[cand_ys[pos]]
                 for j in range(d):
-                    term = M.structure_vector(
-                        cand_ys[:pos] + (j,) + cand_ys[pos + 1 :]
-                    )
+                    term = structure_vector(M, cand_ys[:pos] + (j,) + cand_ys[pos + 1 :])
                     for i in range(d):
                         rhs2[i] += z[j] * term[i]
             if lhs2 != rhs2:
@@ -163,11 +162,11 @@ def test_filippov_implies_vanishing_on_repeats():
     L = nambu()
     for args in product(range(4), repeat=3):
         if len(set(args)) < 3:
-            assert L.structure_vector(args) == (Fraction(0),) * 4
+            assert structure_vector(L, args) == (Fraction(0),) * 4
 
 
 def test_derivation_zero_operator():
-    assert check_derivation(nambu(), LinearOperator.zero(4))
+    assert check_derivation(nambu(), LinearOperator(((0,) * 4,) * 4))
 
 
 def test_derivation_identity_fails_for_ternary_bracket():
@@ -192,12 +191,12 @@ def test_adjoint_matrix_nambu():
 
 def test_adjoint_of_zero_vectors():
     z = (Fraction(0),) * 4
-    assert adjoint(nambu(), z, z).matrix == LinearOperator.zero(4).matrix
+    assert adjoint(nambu(), z, z).matrix == LinearOperator(((0,) * 4,) * 4).matrix
 
 
 def test_adjoint_on_zero_algebra():
     L = zero_algebra()
-    assert adjoint(L, basis(3, 0), basis(3, 1)).matrix == LinearOperator.zero(3).matrix
+    assert adjoint(L, basis(3, 0), basis(3, 1)).matrix == LinearOperator(((0,) * 3,) * 3).matrix
 
 
 def test_self_derivation_nambu_and_zero():
@@ -214,9 +213,9 @@ def test_sl2_is_lie_algebra():
     for x, y, z in product(range(3), repeat=3):
         total = [Fraction(0)] * 3
         for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
-            inner = L.structure_vector((b, c))
+            inner = structure_vector(L, (b, c))
             for j in range(3):
-                term = L.structure_vector((a, j))
+                term = structure_vector(L, (a, j))
                 for i in range(3):
                     total[i] += inner[j] * term[i]
         assert all(v == 0 for v in total)

@@ -65,7 +65,7 @@ def _variants(X):
     M = X.size ** (X.arity - 1)
     top = max(k for k in range(1, 5) if M**k <= CHAIN_RANK_CAP)
     C = rack_chain_complex(X, top)
-    if any(C.rack.op(a, a) != a for a in range(M)):
+    if any(C.rack.bracket(a, a) != a for a in range(M)):
         return [C]
     D = degenerate_subcomplex(X, C)
     return [C, D, quandle_quotient_complex(C, D)]

@@ -15,6 +15,18 @@ forms, its relator count and abelianization.  The abelianization is
 Z^o for o the number of orbits: every abelianized relator is
 e_[xs] - e_{x_n}, which identifies exactly the elements of an orbit.
 
+construct lift then construct reduce on a relabeled binary rack of the
+censuses or the fixtures give the original's tables relabeled, by sigma
+on the lift and by sigma on each entry of a tuple on the reduced rack;
+construct conj on a relabeled copy of a group of order at most 8 gives the
+original's table relabeled, pointed at the relabeled identity.  Both are
+checked with is_homomorphism, with no isomorphism search.
+
+leibniz: the fundamental-identity, Filippov and derivation verdicts of a
+bracket and an operator are those of the same bracket and operator
+written in another basis, drawn as a product of elementary integer
+matrices (a unimodular change of basis, not only a permutation).
+
 Homology: the rack complex R, degenerate subcomplex D and quandle complex
 Q of an n-quandle have the same homology and cohomology, over Z and over
 Z/d for d = 2, 3, 4 and 6.  Each relabeled table also has
@@ -23,7 +35,12 @@ quandles are drawn from the binary censuses of order at most 4, the
 arity-3 census of order at most 3, the arity-4 census of order 2, and the
 n-quandle fixtures."""
 
+import json
+import os
+import tempfile
 from functools import cache
+from itertools import product
+from math import prod
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,19 +50,36 @@ from oracle_enumeration import _relabel
 from nracks import (
     AbelianGroupInvariants,
     CoefficientGroup,
+    FiniteGroup,
     FiniteNRack,
+    LeibnizNAlgebra,
     abelianization,
+    adjoint,
     associated_group_presentation,
     classify,
     cohomology,
+    cyclic_group,
     degenerate_subcomplex,
+    dihedral_group,
     enumerate_nracks,
     homology,
     inner_map,
+    is_homomorphism,
+    levi_civita_nalgebra,
     orbits,
     quandle_quotient_complex,
     rack_chain_complex,
+    symmetric_group,
     validate,
+)
+from nracks.cli import main
+from nracks.core import entrywise
+from nracks.jsonio import (
+    dump_document,
+    group_to_json,
+    nrack_from_json,
+    nrack_to_json,
+    tensor_to_json,
 )
 
 RACKS = [
@@ -193,3 +227,178 @@ def test_relabeling_the_carrier_leaves_inner_and_assoc_group_unchanged(data):
     assert _inner_and_assoc_group(_relabeled(X, sigma), paper_form) == before
     orbit_sizes, _, _, abelian = before
     assert abelian == AbelianGroupInvariants(len(orbit_sizes), ())
+
+
+def _cli(argv, inputs: dict) -> tuple:
+    """The exit code of cli.main on argv and the JSON document it writes,
+    each value of inputs written to a file whose path follows its option."""
+    with tempfile.TemporaryDirectory() as directory:
+        for option, doc in inputs.items():
+            path = os.path.join(directory, option.strip("-") + ".json")
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(dump_document(doc))
+            argv = argv + [option, path]
+        out = os.path.join(directory, "out.json")
+        code = main(argv + ["--output", out])
+        with open(out, encoding="utf-8") as handle:
+            return code, json.load(handle)
+
+
+BINARY = [X for X in RACKS if X.arity == 2]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_lift_then_reduce_of_a_relabeled_rack_is_relabeled(data):
+    # construct lift and construct reduce on a relabeled rack give the
+    # original's tables relabeled: sigma on the lift, and sigma on each
+    # entry of a tuple on the reduced rack of the lift.
+    Q = data.draw(st.sampled_from(BINARY), label="rack")
+    n = data.draw(st.integers(2, 3), label="arity")
+    sigma = data.draw(st.permutations(range(Q.size)), label="sigma")
+    tables = []
+    for rack in (Q, _relabeled(Q, sigma)):
+        code, lifted = _cli(["construct", "lift", "--n", str(n)], {"--input": nrack_to_json(rack)})
+        assert code == 0
+        code, reduced = _cli(["construct", "reduce"], {"--input": lifted})
+        assert code == 0
+        tables.append((nrack_from_json(lifted), nrack_from_json(reduced)))
+    (lifted, reduced), (lifted_copy, reduced_copy) = tables
+    assert is_homomorphism(sigma, lifted, lifted_copy)
+    assert is_homomorphism(entrywise(sigma, n - 1, Q.size), reduced, reduced_copy)
+
+
+GROUPS = [cyclic_group(k) for k in range(1, 7)] + [symmetric_group(3), dihedral_group(2),
+                                                   dihedral_group(4)]
+
+
+def _relabeled_group(G: FiniteGroup, sigma) -> FiniteGroup:
+    """G with each element a renamed sigma[a]."""
+    cayley = [0] * len(G.cayley)
+    for a in range(G.size):
+        for b in range(G.size):
+            cayley[sigma[a] * G.size + sigma[b]] = sigma[G.mul(a, b)]
+    return FiniteGroup(G.size, cayley, sigma[G.identity])
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_conj_of_a_relabeled_group_is_relabeled(data):
+    # construct conj on a relabeled copy of a group gives the original's
+    # table relabeled, pointed at the relabeled identity.
+    G = data.draw(st.sampled_from(GROUPS), label="group")
+    n = data.draw(st.integers(2, 3), label="arity")
+    sigma = data.draw(st.permutations(range(G.size)), label="sigma")
+    racks = []
+    for group in (G, _relabeled_group(G, sigma)):
+        code, doc = _cli(["construct", "conj", "--n", str(n)], {"--group": group_to_json(group)})
+        assert code == 0
+        racks.append(nrack_from_json(doc))
+    assert is_homomorphism(sigma, *racks, pointed=True)
+
+
+# Brackets with the fundamental identity and with Filippov antisymmetry
+# (the cross product and sl2, Lie algebras, and the Levi-Civita 3-bracket
+# on Q^4), with the identity alone ([e_0, e_0] = e_1), with antisymmetry
+# alone, and with neither (the Levi-Civita bracket with one constant
+# moved, and [e_0, e_0] = e_1, [e_1, e_1] = e_0).
+CROSS = LeibnizNAlgebra.from_entries(3, 2, [
+    (args, out, sign) for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+    for args, out, sign in (((i, j), k, 1), ((j, i), k, -1))
+])
+SL2 = LeibnizNAlgebra.from_entries(3, 2, [
+    ((0, 1), 2, 1), ((1, 0), 2, -1), ((2, 0), 0, 2), ((0, 2), 0, -2),
+    ((2, 1), 1, -2), ((1, 2), 1, 2),
+])
+LEVI_CIVITA = levi_civita_nalgebra(4)
+ALGEBRAS = [
+    CROSS,
+    SL2,
+    LEVI_CIVITA,
+    LeibnizNAlgebra.from_entries(2, 2, [((0, 0), 1, 1)]),
+    LeibnizNAlgebra.from_entries(3, 2, [((0, 1), 2, 1), ((1, 0), 2, -1),
+                                        ((1, 2), 1, 1), ((2, 1), 1, -1)]),
+    LeibnizNAlgebra(4, 3, {**LEVI_CIVITA.constants, (0, 1, 2): (1, 0, 0, 1)}),
+    LeibnizNAlgebra.from_entries(2, 2, [((0, 0), 1, 1), ((1, 1), 0, 1)]),
+]
+
+
+@st.composite
+def unimodular(draw, d: int):
+    """(P, P^-1): a product of a few elementary integer matrices, adding a
+    multiple of one column to another, swapping two or negating one."""
+    P = [[int(i == j) for j in range(d)] for i in range(d)]
+    inverse = [row[:] for row in P]
+    for _ in range(draw(st.integers(0, 4))):
+        i, j = draw(st.lists(st.integers(0, d - 1), min_size=2, max_size=2, unique=True))
+        how = draw(st.sampled_from(["add", "swap", "negate"]))
+        if how == "add":
+            a = draw(st.sampled_from([-2, -1, 1, 2]))
+            for row in P:
+                row[j] += a * row[i]
+            inverse[i] = [x - a * y for x, y in zip(inverse[i], inverse[j])]
+        elif how == "swap":
+            for row in P:
+                row[i], row[j] = row[j], row[i]
+            inverse[i], inverse[j] = inverse[j], inverse[i]
+        else:
+            for row in P:
+                row[j] = -row[j]
+            inverse[j] = [-x for x in inverse[j]]
+    return P, inverse
+
+
+def _matmul(A, B):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
+
+
+def _in_basis(L: LeibnizNAlgebra, P, inverse) -> LeibnizNAlgebra:
+    """L written in the basis f_j = sum_i P[i][j] e_i: the constants of
+    [f_{j_1},...,f_{j_n}], expanded multilinearly in e and taken back to f
+    by P^-1."""
+    d = L.dimension
+    entries = []
+    for js in product(range(d), repeat=L.arity):
+        image = [0] * d
+        for args, vec in L.constants.items():
+            coefficient = prod(P[i][j] for i, j in zip(args, js))
+            for k, c in enumerate(vec):
+                if coefficient and c:
+                    for out in range(d):
+                        image[out] += coefficient * c * inverse[out][k]
+        entries += [(js, out, v) for out, v in enumerate(image) if v]
+    return LeibnizNAlgebra.from_entries(d, L.arity, entries)
+
+
+def _verdicts(L: LeibnizNAlgebra, D) -> tuple:
+    """fundamental_identity, filippov and derivation of the leibniz command
+    on L with the operator D."""
+    operator = {"dimension": L.dimension, "matrix": [[str(v) for v in row] for row in D]}
+    _, doc = _cli(["leibniz"], {"--input": tensor_to_json(L), "--operator": operator})
+    return doc["fundamental_identity"], doc["filippov"], doc["derivation"]
+
+
+def test_the_algebras_give_every_verdict():
+    verdicts = {_verdicts(L, [[0] * L.dimension] * L.dimension)[:2] for L in ALGEBRAS}
+    assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_a_unimodular_change_of_basis_leaves_the_leibniz_verdicts(data):
+    # The verdicts of the leibniz command are properties of the bracket
+    # and the operator, not of the basis: over Z, P and P^-1 integral.
+    L = data.draw(st.sampled_from(ALGEBRAS), label="algebra")
+    d = L.dimension
+    P, inverse = data.draw(unimodular(d), label="P")
+    assert _matmul(P, inverse) == [[int(i == j) for j in range(d)] for i in range(d)]
+    # An adjoint of basis vectors (a derivation when the identity holds),
+    # or an integer matrix.
+    if data.draw(st.booleans(), label="adjoint"):
+        xs = data.draw(st.lists(st.integers(0, d - 1), min_size=L.arity - 1,
+                                max_size=L.arity - 1), label="xs")
+        D = adjoint(L, *([int(i == x) for i in range(d)] for x in xs)).matrix
+    else:
+        D = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=d, max_size=d),
+                               min_size=d, max_size=d), label="D")
+    assert _verdicts(_in_basis(L, P, inverse), _matmul(_matmul(inverse, D), P)) == _verdicts(L, D)

@@ -18,7 +18,6 @@ from nracks import (
     homology,
     invariant_factors,
     rack_chain_complex,
-    smith_normal_form,
     sparse_invariant_factors,
     symmetric_group,
 )
@@ -32,6 +31,7 @@ from nracks.snf import (
     determinant,
     group_from_diagonal,
     invariants_from_cyclic_orders,
+    smith_normal_form,
 )
 
 
@@ -481,8 +481,7 @@ def test_group_from_diagonal():
     inv = group_from_diagonal((1, 1, 2, 6), ambient_rank=6)
     assert inv.free_rank == 2
     assert inv.torsion == (2, 6)
-    assert inv.order is None
-    assert group_from_diagonal((2,), 1).order == 2
+    assert group_from_diagonal((2,), 1) == AbelianGroupInvariants(0, (2,))
 
 
 def test_abelian_invariants_validation():
@@ -492,4 +491,3 @@ def test_abelian_invariants_validation():
         AbelianGroupInvariants(0, (1,))
     with pytest.raises(ValueError):
         AbelianGroupInvariants(-1, ())
-    assert AbelianGroupInvariants(0, (2, 4)).order == 8

@@ -134,7 +134,7 @@ def one_constant_mutant(L, rng):
     """L with one structure constant changed: a seeded entry, zero or not,
     moved by a nonzero amount."""
     args = tuple(rng.randrange(L.dimension) for _ in range(L.arity))
-    vec = list(L.structure_vector(args))
+    vec = list(oracle_verify.structure_vector(L, args))
     vec[rng.randrange(L.dimension)] += rng.choice((-2, -1, 1, 2))
     constants = dict(L.constants)
     constants[args] = tuple(vec)
