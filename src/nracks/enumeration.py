@@ -33,6 +33,7 @@ from itertools import chain, permutations, product, repeat
 from math import factorial
 
 from ._frozen import Frozen
+from .constructions import _check_table_budget
 from .core import entrywise, first_product_past
 from .errors import BudgetExceededError
 
@@ -89,6 +90,11 @@ def enumerate_nracks(
     powers = min(n - 1, budget.bit_length() + 1) if m > 1 else 0
     if first_product_past(chain(range(2, m + 1), repeat(m, powers)), budget) is not None:
         raise _budget_error(budget, max(budget, 0) + 1)
+    # A larger budget does not make room for a table of m^n entries past
+    # the one every builder refuses, and the search allocates per-prefix
+    # lists before it counts a placement.  At the default budget the check
+    # above fires first, as m! * m^(n-1) >= m^n.
+    _check_table_budget(m, n)
     # On one element the only prefix is (0,...,0); the prefix (0,) has the
     # same entries, fixed points and index, and costs nothing in n.
     length = n - 1 if m > 1 else 1

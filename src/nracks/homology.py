@@ -14,9 +14,10 @@ empty tuple) with d_1 = 0, so H_0 = A.  A complex is held as its boundary
 columns alone (ChainComplex): column j of d_k is the boundary of the j-th
 chain of degree k, degree 0 keeping one empty column per chain, and no
 tuple is stored; the ranks are the column counts.  The columns are kept in
-blocks, d_k being their direct sum, each block counted once per orbit of
-its class (below); a complex given by its columns is one block counted
-once.
+blocks, d_k being their direct sum, each block counted once per orbit it
+stands for (below).  A complex is made only by its builders,
+rack_chain_complex, degenerate_subcomplex and quandle_quotient_complex;
+an arbitrary integer matrix is factored by snf.sparse_invariant_factors.
 
 For an n-quandle, the degenerate tuples (two consecutive entries equal)
 span a subcomplex D, and the quandle complex Q = C/D has the
@@ -67,7 +68,7 @@ C^R = C^D + C^Q and determine the degenerate homology by the quandle
 homology; with the rack Betti numbers this gives the quandle Betti numbers
 o(o-1)^(k-1), as conjectured by Carter, Jelsovsky, Kamada & Saito, and D
 has the difference.  Each d_k of a complex built here must have exactly
-s_k invariant factors (ChainComplex._factorization), so a wrong column,
+s_k invariant factors (ChainComplex.factors), so a wrong column,
 orbit count or elimination that changes a rank raises instead of
 answering.  The tests check every s_k against an independent rank modulo
 a prime on the small censuses and the fixtures.
@@ -92,8 +93,10 @@ isomorphic the recursion is seeded with all of Y at once: one block,
 counted once.  Q and D are not split this way: phi need not keep a = x_2,
 so it does not carry degenerate tuples to degenerate tuples.  Q is always
 one block seeded with all of Y, by the recursion alone, also when it is
-asked for as the quotient of R by D; D is the subcomplex of R on the
-degenerate positions, its columns those of R renumbered.
+asked for as the quotient of R by D.  D is the subcomplex of R on the
+degenerate positions, restricted from each block of R once per orbit of
+its class, with that orbit's own entries deciding which tuples are
+degenerate: one block of D per orbit, counted once.
 
 Homology with Z/d coefficients is computed from the integral Smith normal
 form data by universal-coefficient reduction:
@@ -108,6 +111,7 @@ elimination on all fixtures.
 """
 
 from collections import Counter
+from itertools import cycle
 from math import gcd
 
 from ._frozen import Frozen
@@ -118,7 +122,6 @@ from .snf import (
     AbelianGroupInvariants,
     Factorization,
     certified_factors,
-    certify_rank_mod_p,
     invariants_from_cyclic_orders,
 )
 
@@ -153,66 +156,62 @@ class CoefficientGroup(Frozen):
 
 
 class ChainComplex:
-    """Free chain groups given by their sparse integer boundary columns.
+    """Free chain groups held as blocks of sparse integer boundary columns.
 
-    rack is the reduced rack Y the complex lives on, of size M.  cols[k][j]
-    is column j of d_k as a map from row position in degree k-1 to its
-    integer coefficient; cols[0] holds one empty column per degree-0
-    chain, as d_0 = 0.  So rank(k) = len(cols[k]) in every degree, ranks
-    lists every rank, and max_degree = len(cols) - 1.  Position p in degree
-    k is the p-th k-tuple over Y in lexicographic order (first entry most
-    significant) among all tuples for variant "R", the degenerate ones
-    (two consecutive entries equal) for "D", and the non-degenerate ones
-    for "Q"; degree 0 is the empty tuple, non-degenerate.
-    orbit_count is the number of orbits of Y, given by the builders: with
-    it, the rank of every d_k follows from the variant's free ranks (see
-    the module docstring) and is computed once, on construction.  A
-    complex built by hand leaves it None, and each map's rank is then
-    certified modulo a prime instead (see _factorization).
-    Every instance has d_{k-1} d_k = 0, checked exactly on construction;
-    factors relies on it.  The invariant factors of each d_k are computed
-    on first use (see factors) and kept with the complex; the boundary
-    columns must not change afterwards.
+    rack is the reduced rack Y the complex lives on, of size M, and variant
+    is "R", "D" or "Q" (ValueError otherwise).  Position p in degree k is
+    the p-th k-tuple over Y in lexicographic order (first entry most
+    significant) among all tuples for variant "R", the degenerate ones (two
+    consecutive entries equal) for "D", and the non-degenerate ones for
+    "Q"; degree 0 is the empty tuple, non-degenerate.  cols[k][j] is column
+    j of d_k as a map from row position in degree k-1 to its integer
+    coefficient, cols[0] holding one empty column per degree-0 chain, as
+    d_0 = 0.  So rank(k) = len(cols[k]) in every degree, ranks lists every
+    rank, and max_degree = len(cols) - 1.
 
-    A complex is held as blocks (cols, orders, factors), d_k being the
-    direct sum of each block's map counted len(orders) times: cols are the
-    block's boundary columns, in block-local positions (see
-    _boundary_columns), and factors keeps its own factorizations, with the
-    row keys they pivoted on.  A complex given by its columns, by hand or
-    as D (see degenerate_subcomplex), is one block counted once, orders
-    [None], and cols is that block's own list.  rack_chain_complex builds
-    R with one block per class of isomorphic orbits (see the module
-    docstring and _split_complex): orders lists the orbits of the class,
-    each as the images of the first, sorted, under an isomorphism of
-    Y-sets, so that its block has the same columns.  Degree 0 is the empty
-    tuple of the whole complex, in no block.  cols is then assembled from
-    the blocks on first read and kept; ranks and factors read the blocks.
-    Unlike the value types, a ChainComplex compares by identity, and its
-    repr reads no columns.
+    Each of the blocks is (cols, orders, factors), d_k being the direct
+    sum of each block's map counted len(orders) times.  Every order lists
+    the first entries of an orbit the block stands for, and the block's
+    cols are in block-local positions: i * P + r in degree k >= 1 is the
+    tuple with first entry order[i] and the rest ranked r, P = rank(k) / M,
+    the same columns for every order of the block (see the module
+    docstring).  A block seeded with all of Y has orders
+    [list(range(M))].  Degree 0 is the empty tuple of the whole complex,
+    in no block; each block's cols[0] is the complex's own, [{}], or []
+    for D.  factors keeps the block's own factorizations, with the row
+    keys they pivoted on.  cols is assembled from the blocks on first read
+    and kept; ranks and factors read the blocks.
+
+    orbit_count is the number of orbits of Y: the rank of every d_k
+    follows from it and the variant's free ranks (see the module
+    docstring), computed once, on construction.  Every block has
+    d_{k-1} d_k = 0, checked exactly on construction; factors relies on
+    it.  The invariant factors of each d_k are computed on first use and
+    kept with the complex; the boundary columns must not change
+    afterwards.  The builders are rack_chain_complex, degenerate_subcomplex
+    and quandle_quotient_complex.  Unlike the value types, a ChainComplex
+    compares by identity, and its repr reads no columns.
     """
 
-    def __init__(self, rack: FiniteRack, cols: list[list[dict[int, int]]],
-                 variant: str = "R", orbit_count: int | None = None):
-        self._hold(rack, [(cols, [None], {})], variant, orbit_count)
-
-    def _hold(self, rack: FiniteRack, blocks, variant: str, orbit_count: int | None) -> None:
+    def __init__(self, rack: FiniteRack, blocks, variant: str, orbit_count: int):
         if variant not in ("R", "D", "Q"):
             raise ValueError(f"unknown complex variant {variant!r}")
         self.rack, self.variant, self.orbit_count = rack, variant, orbit_count
         self._blocks = blocks
-        first, orders, done = blocks[0]
-        # One block counted once is the whole complex: its columns and its
-        # factorizations are the complex's own.
-        alone = len(blocks) == 1 and len(orders) == 1
-        self._cols = first if alone else None
-        self._factors: dict[int, Factorization] = done if alone else {}
-        self._ranks = [len(c) for c in first[:1]] + [
+        self._cols = None
+        self._factors: dict[int, tuple[int, ...]] = {}
+        first = blocks[0][0]
+        self._ranks = [len(first[0])] + [
             sum(len(cols[k]) * len(orders) for cols, orders, _ in blocks)
             for k in range(1, len(first))
         ]
         for cols, _, _ in blocks:
             _check_square_zero(cols)
-        self._boundary_ranks = _theorem_ranks(self)
+        # The rank s_k of every d_k from the free ranks b_k of the variant:
+        # s_1 = 0 and s_{k+1} = r_k - s_k - b_k.
+        s = self._boundary_ranks = [0, 0]
+        for k in range(1, self.max_degree):
+            s.append(self._ranks[k] - s[k] - _free_rank(variant, orbit_count, k))
 
     @property
     def max_degree(self) -> int:
@@ -229,65 +228,46 @@ class ChainComplex:
     def cols(self) -> list[list[dict[int, int]]]:
         if self._cols is None:
             M = self.rack.size
-            cols = [[{}], [{} for _ in range(M)]][: self.max_degree + 1]
-            for k in range(2, self.max_degree + 1):
-                # Block-local position i * P + r in degree k is the tuple
-                # with first entry order[i] and the rest r, P = rank(k) / M.
-                P, Q = self.rank(k) // M, self.rank(k - 1) // M
-                degree: list[dict[int, int]] = [{}] * (M * P)
+            self._cols = []
+            for k, rank in enumerate(self._ranks):
+                # Block-local position i * P + r is order[i] * P + r.
+                P, Q = rank // M, self._ranks[k - 1] // M if k else 0
+                degree: list[dict[int, int]] = [{}] * rank
                 for block, orders, _ in self._blocks:
                     for order in orders:
                         to_row = [a * Q + r for a in order for r in range(Q)]
                         to_col = [a * P + r for a in order for r in range(P)]
                         for j, col in zip(to_col, block[k]):
                             degree[j] = {to_row[i]: v for i, v in col.items()}
-                cols.append(degree)
-            self._cols = cols
+                self._cols.append(degree)
         return self._cols
 
     def factors(self, k: int) -> tuple[int, ...]:
-        """Invariant factors of d_k, factored once per complex."""
-        return self._factorization(k).factors
-
-    def _factorization(self, k: int) -> Factorization:
-        """Factors of d_k from those of the blocks, with their number
-        certified.
+        """Invariant factors of d_k, factored once per complex, with their
+        number certified.
 
         d_k is block-diagonal: each block is factored along its own chain
-        (see _next_factorization), and its factors count once per orbit of
-        its class.  That number is the rank of d_k, and it is certified
-        from outside the elimination.  A complex with an orbit count must
-        have exactly the rank s_k that the free ranks give (see the module
-        docstring).  A complex built by hand, one block, has its whole map,
-        every nonzero row, ranked modulo snf.CERTIFICATE_PRIME.  Either
-        failure raises AssertionError, and no factors are kept.  A block
-        counted once alone keeps the complex's factors (see _hold).
-        Otherwise the factors other than 1 are folded into one divisibility
-        chain, so nothing is factored twice, and the result keeps no unit
-        keys, as the blocks keep their own.
+        (see _next_factorization), and its factors count once per orbit it
+        stands for.  That number is the rank of d_k, and it must be the rank
+        s_k that the free ranks give (see the module docstring), from
+        outside the elimination; otherwise AssertionError is raised and no
+        factors are kept.  The factors other than 1 are folded into one
+        divisibility chain, so nothing is factored twice.
         """
-        theorem = self._boundary_ranks
         while len(self._factors) < k:
             m = len(self._factors) + 1
-            count, found = 0, []
-            for cols, orders, done in self._blocks:
-                rows, f = _next_factorization(cols, done, theorem is not None)
-                count += len(orders) * len(f.factors)
-                found.append(f)
-            if theorem is None:
-                # Built by hand: one block, with every row built.
-                certify_rank_mod_p([row for row in rows if row], f.factors)
-            elif count != theorem[m]:
+            found = [(orders, _next_factorization(cols, done), done)
+                     for cols, orders, done in self._blocks]
+            count = sum(len(orders) * len(f.factors) for orders, f, _ in found)
+            if count != self._boundary_ranks[m]:
                 raise AssertionError(f"rank certificate failed: d_{m} has {count} invariant "
-                                     f"factors, and {theorem[m]} by its orbit count")
-            for (_, _, done), f in zip(self._blocks, found):
+                                     f"factors, and {self._boundary_ranks[m]} by its orbit count")
+            for _, f, done in found:
                 done[m] = f
-            if m not in self._factors:
-                chain = invariants_from_cyclic_orders(
-                    [d for (_, orders, _), f in zip(self._blocks, found)
-                     for d in f.factors if d > 1 for _ in orders]
-                )
-                self._factors[m] = Factorization((1,) * (count - len(chain)) + chain, set())
+            chain = invariants_from_cyclic_orders(
+                [d for orders, f, _ in found for d in f.factors if d > 1 for _ in orders]
+            )
+            self._factors[m] = (1,) * (count - len(chain)) + chain
         return self._factors[k]
 
     def boundary_triplets(self, k: int) -> str:
@@ -342,22 +322,10 @@ def _check_square_zero(cols: list[list[dict[int, int]]]) -> None:
                 raise AssertionError("boundary does not square to zero")
 
 
-def _theorem_ranks(C: ChainComplex) -> list[int] | None:
-    """The rank s_k of every d_k of C from the free ranks of its variant, or
-    None for a complex with no orbit count: s_1 = 0 and
-    s_{k+1} = r_k - s_k - b_k, b_k the free rank of H_k."""
-    if C.orbit_count is None:
-        return None
-    s = [0, 0]
-    for k in range(1, C.max_degree):
-        s.append(C.rank(k) - s[k] - _free_rank(C.variant, C.orbit_count, k))
-    return s
-
-
-def _next_factorization(cols, done: dict[int, Factorization], drop_units: bool):
+def _next_factorization(cols, done: dict[int, Factorization]) -> Factorization:
     """Factor d_m of the columns cols, m = len(done) + 1, the maps below it
-    factored in done.  Returns the rows of d_m it built and its factors,
-    not yet certified (see ChainComplex._factorization).
+    factored in done; the factors are not yet certified (see
+    ChainComplex.factors).
 
     The factors are those of the coboundary d_m^T: its columns are the
     nonzero rows of d_m, indexed by column position.  d_m is at least as
@@ -369,19 +337,16 @@ def _next_factorization(cols, done: dict[int, Factorization], drop_units: bool):
     B': d_m[B, :] = -d_{m-1}[A, B]^-1 d_{m-1}[A, B'] d_m[B', :].  So d_{m-1}
     is factored first, and the elimination is handed d_m without the rows
     at the keys of its +-1 pivots on d_{m-1}: a unimodular block, so the
-    invariant factors do not change.  drop_units leaves those rows out of
-    the rows returned too; otherwise every row is built, for a certificate
-    that ranks the whole map.
+    invariant factors do not change.
     """
     m = len(done) + 1
     units = done[m - 1].unit_keys if m > 1 else ()
-    drop = units if drop_units else ()
-    rows = [None if i in drop else {} for i in range(len(cols[m - 1]))]
+    rows = [None if i in units else {} for i in range(len(cols[m - 1]))]
     for j, col in enumerate(cols[m]):
         for i, v in col.items():
             if rows[i] is not None:
                 rows[i][j] = v
-    return rows, certified_factors([row for i, row in enumerate(rows) if row and i not in units])
+    return certified_factors([row for row in rows if row])
 
 
 class HomologyResult(Frozen):
@@ -590,9 +555,7 @@ def _split_complex(rack: FiniteRack, rows, classes, max_degree: int, variant: st
         raise AssertionError("an orbit map is not an isomorphism of Y-sets")
     blocks = [(_boundary_columns(rows, cls[0], max_degree, variant == "Q"), cls, {})
               for cls in classes]
-    C = ChainComplex.__new__(ChainComplex)
-    C._hold(rack, blocks, variant, orbit_count)
-    return C
+    return ChainComplex(rack, blocks, variant, orbit_count)
 
 
 def _free_rank(variant: str, size: int, k: int) -> int:
@@ -611,7 +574,8 @@ def _free_rank(variant: str, size: int, k: int) -> int:
 def degenerate_subcomplex(X: FiniteNRack, C: ChainComplex) -> ChainComplex:
     """Subcomplex spanned by tuples with two consecutive equal entries: the
     columns of the rack complex C at their positions, renumbered in the
-    same order.
+    same order, restricted from each block of C once per orbit of its
+    class (see _degenerate_block).
 
     Requires X to be an n-quandle (AxiomError, a ValueError, otherwise),
     and C to be a rack complex of X (SubcomplexError, a ValueError,
@@ -630,28 +594,43 @@ def degenerate_subcomplex(X: FiniteNRack, C: ChainComplex) -> ChainComplex:
     if M != X.size ** (X.arity - 1):
         raise SubcomplexError("complex does not belong to the given n-rack")
     require(X, "degenerate subcomplex", nquandle=True)
-    cols: list[list[dict[int, int]]] = []
+    blocks = [(_degenerate_block(cols, order, M), [order], {})
+              for cols, orders, _ in C._blocks for order in orders]
+    return ChainComplex(C.rack, blocks, "D", C.orbit_count)
+
+
+def _degenerate_block(cols, order, M: int) -> list[list[dict[int, int]]]:
+    """The columns of the rack complex block cols at its degenerate tuples
+    for the orbit whose first entries are order, renumbered in the same
+    order: a block of D, in block-local positions (see ChainComplex).
+
+    The child (t, x) of a tuple t is degenerate iff t is, or x is the last
+    entry of t, read from the orbit's own entries: order[t] for a 1-tuple
+    t, and t mod M for a longer one; the empty tuple and the 1-tuples are
+    not degenerate.  A boundary row at a non-degenerate position raises
+    AssertionError.
+    """
+    block: list[list[dict[int, int]]] = [[]]
+    flags, lasts = [False] * len(order), order
     position: dict[int, int] = {}
-    flags = [False]
-    for k in range(C.max_degree + 1):
-        # (t, x) is degenerate iff t is, or x = last(t) = t mod M; the empty
-        # tuple has no last entry.
-        if k:
-            flags = [f or (k > 1 and x == t % M) for t, f in enumerate(flags) for x in range(M)]
+    for k in range(1, len(cols)):
+        if k > 1:
+            flags = [f or x == last for f, last in zip(flags, lasts) for x in range(M)]
+            lasts = cycle(range(M))
         kept = [j for j, f in enumerate(flags) if f]
         degree_cols = []
         for full in kept:
             col = {}
-            for row, v in C.cols[k][full].items():
+            for row, v in cols[k][full].items():
                 if row not in position:
                     raise AssertionError(
                         f"degenerate basis not closed under the boundary in degree {k}"
                     )
                 col[position[row]] = v
             degree_cols.append(col)
-        cols.append(degree_cols)
+        block.append(degree_cols)
         position = {full: pos for pos, full in enumerate(kept)}
-    return ChainComplex(C.rack, cols, "D", C.orbit_count)
+    return block
 
 
 def quandle_quotient_complex(C: ChainComplex, D: ChainComplex) -> ChainComplex:

@@ -27,10 +27,9 @@ symmetric range [-p/2, p/2].
 certified_factors is the same engine without that rank, and it returns the
 keys of the +-1 pivots.  A chain complex uses it to factor d_k from fewer
 columns than d_k^T has, leaving out those that the pivots on d_{k-1} make
-dependent, and certifies the rank another way: a complex built from a
-rack knows the rank of every d_k from the orbit count of the rack, and a
-complex built by hand takes the mod-p rank of the whole map (see
-homology.ChainComplex).
+dependent, and certifies the rank another way: every complex is built
+from a rack, and it knows the rank of every d_k from the orbit count of
+the rack (see homology.ChainComplex).
 """
 
 from collections import defaultdict, namedtuple
@@ -196,15 +195,11 @@ def sparse_invariant_factors(columns) -> tuple[int, ...]:
     Rows are arbitrary hashable, orderable keys; rows that no column
     mentions are zero rows and change nothing.  The columns are not
     modified.  Raises AssertionError, and returns nothing, when the
-    residual's membership or product check or the rank certificate fails.
+    residual's membership or product check fails, or when the rank modulo
+    CERTIFICATE_PRIME is not the number of factors the prime does not
+    divide.
     """
-    return certify_rank_mod_p(columns, certified_factors(columns).factors)
-
-
-def certify_rank_mod_p(columns, factors) -> tuple[int, ...]:
-    """The factors, once the rank modulo CERTIFICATE_PRIME of the matrix with
-    the given columns is the number of them that the prime does not divide;
-    AssertionError otherwise."""
+    factors = certified_factors(columns).factors
     rank = len(_rank_mod_p(columns))
     if rank != sum(1 for d in factors if d % CERTIFICATE_PRIME):
         raise AssertionError(f"rank certificate failed: rank {rank} modulo {CERTIFICATE_PRIME} "
@@ -230,9 +225,9 @@ def certified_factors(columns) -> Factorization:
     The elimination's steps are unimodular, and the residual's membership
     and product checks raise AssertionError, returning nothing, when they
     fail.  The number of factors is not checked here: the caller
-    certifies the rank, by certify_rank_mod_p on the same columns
-    (sparse_invariant_factors) or by a rank it knows on other grounds
-    (homology.ChainComplex).
+    certifies the rank, by the rank modulo CERTIFICATE_PRIME of the same
+    columns (sparse_invariant_factors) or by a rank it knows on other
+    grounds (homology.ChainComplex).
     """
     unit_keys, residual = _eliminate_unit_pivots(columns)
     return Factorization((1,) * len(unit_keys) + _residual_factors(residual), unit_keys)

@@ -7,6 +7,9 @@ package builds the same tables from row maps and entrywise index maps.
 Builders return (table, basepoint).  rack_boundary_faces is the chain
 complex's earlier face-by-face builder, which finds each face by index
 arithmetic; the package now builds d_k from d_{k-1}.
+degenerate_restriction is the earlier degenerate subcomplex, restricted
+from the assembled columns of the whole rack complex; the package now
+restricts each orbit block of R on its own.
 """
 
 from itertools import product
@@ -119,6 +122,32 @@ def rack_boundary_columns(rack, max_degree):
             degree_cols.append({i: v for i, v in col.items() if v != 0})
         cols.append(degree_cols)
     return cols
+
+
+def degenerate_restriction(cols, M):
+    """The columns of the rack complex cols on the M-element reduced rack
+    at the degenerate tuples, rows and columns renumbered in the same
+    order: (t, x) is degenerate iff t is, or x = last(t) = t mod M, and the
+    empty tuple has no last entry.  A row at a non-degenerate position
+    raises AssertionError."""
+    out = []
+    position = {}
+    flags = [False]
+    for k in range(len(cols)):
+        if k:
+            flags = [f or (k > 1 and x == t % M) for t, f in enumerate(flags) for x in range(M)]
+        kept = [j for j, f in enumerate(flags) if f]
+        degree_cols = []
+        for full in kept:
+            col = {}
+            for row, v in cols[k][full].items():
+                if row not in position:
+                    raise AssertionError(f"degenerate basis not closed in degree {k}")
+                col[position[row]] = v
+            degree_cols.append(col)
+        out.append(degree_cols)
+        position = {full: pos for pos, full in enumerate(kept)}
+    return out
 
 
 def rack_boundary_faces(rack, max_degree):

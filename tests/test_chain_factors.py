@@ -4,10 +4,10 @@ ChainComplex.factors hands the engine only the rows of d_k that the pivots
 of d_{k-1} leave independent: it drops the keys of the +-1 pivots on
 d_{k-1}.  A rack complex split into orbit blocks does so on each
 representative block, along the block's own chain.  Checked here against
-the per-map factors of the whole of each d_k, against sympy on random
-integer complexes with torsion, and the number of factors against the rank
-modulo snf.CERTIFICATE_PRIME of the whole map and the rank the orbit count
-gives.
+the per-map factors of the whole of each d_k, the number of factors
+against the rank modulo snf.CERTIFICATE_PRIME of the whole map and the
+rank the orbit count gives, and the chain step itself against sympy on
+random integer complexes with torsion.
 """
 
 import importlib
@@ -161,11 +161,13 @@ def test_torsion_beside_dropped_rows():
 
 
 def test_a_boundary_that_does_not_square_to_zero_is_refused():
-    # d_1 d_2 = 1 on Z <- Z <- Z: no instance is built.
+    # d_1 d_2 = 1 on Z <- Z <- Z: no instance is built.  With d_2 = 0 it is
+    # the complex of the one-element rack, one orbit.
     trivial = FiniteRack(1, (0,))
     with pytest.raises(AssertionError, match="boundary does not square to zero"):
-        ChainComplex(rack=trivial, cols=[[{}], [{0: 1}], [{0: 1}]])
-    assert ChainComplex(rack=trivial, cols=[[{}], [{0: 2}], [{}]]).factors(1) == (2,)
+        ChainComplex(trivial, [([[{}], [{0: 1}], [{0: 1}]], [[0]], {})], "R", 1)
+    C = ChainComplex(trivial, [([[{}], [{}], [{}]], [[0]], {})], "R", 1)
+    assert [C.factors(k) for k in (1, 2)] == [(), ()]
 
 
 # -------------------------------------------------- random integer complexes
@@ -225,10 +227,14 @@ def test_random_complexes_with_torsion_factor_along_the_chain(complex_):
         [{i: row[j] for i, row in enumerate(M) if row[j]} for j in range(ranks[k])]
         for k, M in enumerate(maps[1:], start=1)
     ]
-    C = ChainComplex(rack=FiniteRack(1, (0,)), cols=cols)
-    for k in range(len(ranks) - 1, 0, -1):
-        want = per_map_factors(C, k)
-        assert C.factors(k) == want
+    homology_module._check_square_zero(cols)
+    # Each map factored after the one below it, without the rows at the
+    # unit keys of that one, as ChainComplex.factors does on every block.
+    done = {}
+    for k in range(1, len(ranks)):
+        done[k] = homology_module._next_factorization(cols, done)
+        want = sparse_invariant_factors([row for row in _rows_of(cols, k) if row])
+        assert done[k].factors == want
         if ranks[k - 1] and ranks[k]:
             assert want == tuple(
                 int(x) for x in sympy_invariant_factors(Matrix(maps[k])) if x != 0

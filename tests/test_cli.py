@@ -312,6 +312,30 @@ def test_enumerate_at_an_astronomical_arity_is_refused_as_at_a_large_one(capsys)
     assert errors[0] == errors[1]
 
 
+def test_enumerate_past_the_table_budget_is_refused_before_it_allocates():
+    # 2**26 entries pass the 2,000,000-entry table budget that every
+    # construct uses, and a large --budget does not lift it: refused like
+    # a construct, within 512 MiB of address space and at once, where the
+    # search would allocate per-prefix lists of 2**25 entries first.
+    limit = 512 * 2**20
+    start = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-m", "nracks.cli", "enumerate", "--n", "26", "--m", "2",
+         "--budget", str(10**12)],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert time.perf_counter() - start < 10
+    assert (result.returncode, result.stdout) == (3, "")
+    assert result.stderr == (
+        "budget exceeded: a table of 2**26 entries exceeds the 2000000-entry budget\n")
+    with pytest.raises(BudgetExceededError) as err:
+        enumerate_nracks(26, 2, budget=10**12)
+    assert (err.value.limit, err.value.reached) == (2_000_000, 2**21)
+
+
 @pytest.mark.parametrize("paper", [False, True], ids=["default", "paper"])
 @pytest.mark.parametrize("arity", [10**5, 10**30], ids=["1e5", "1e30"])
 def test_assoc_group_of_one_element_at_a_huge_arity(capsys, tmp_path, arity, paper):

@@ -13,8 +13,8 @@ its own block gives them too.  Then each mutant of what the blocks rest on
 class size off by one, a wrong sign in every block or in a later block
 alone) must raise AssertionError in the library and exit 4 with no answer
 in the CLI.  A split complex answers without reading its global columns,
-and a complex of one block counted once hands out that block's own
-column list.
+and so do D, restricted from it block by block, and D's homology; D's
+columns are checked against the restriction of the whole of R.
 """
 
 import importlib
@@ -22,11 +22,12 @@ import itertools
 
 import pytest
 
+import oracle_constructions as oracle
 from helpers import axiom_fixture_set, dihedral_nrack
 from nracks import (
+    AbelianGroupInvariants,
     CoefficientGroup,
     FiniteNRack,
-    FiniteRack,
     build_conjugation_nrack,
     build_z4_module_nrack,
     cohomology,
@@ -189,23 +190,54 @@ def test_the_answers_of_a_split_complex_read_no_global_columns(monkeypatch):
     assert len(C.cols[3]) == 16**3 and C.cols is C.cols and len(reads) == 3
 
 
-def test_one_block_counted_once_is_held_as_its_own_columns():
-    # A complex of one block counted once hands out that block's column
-    # list itself: R and Q seeded with all of Y, D by restriction, and a
-    # complex built by hand, whose block is the list it was given.
-    R3 = dihedral_nrack(3)
-    R = rack_chain_complex(R3, 3)
-    by_hand = [[{}], [{0: 2}], [{}]]
-    complexes = [
-        R,
-        rack_chain_complex(build_conjugation_nrack(symmetric_group(3), 2), 3, variant="Q"),
-        degenerate_subcomplex(R3, R),
-        ChainComplex(FiniteRack(1, (0,)), by_hand),
-    ]
-    for C in complexes:
-        (block, orders, _), = C._blocks
-        assert len(orders) == 1 and C.cols is block
-    assert complexes[-1].cols is by_hand
+NQUANDLES = [(name, X) for name, X in TABLES if validate(X).classification.is_nquandle]
+
+
+@pytest.mark.parametrize("X", [X for _, X in NQUANDLES], ids=[name for name, _ in NQUANDLES])
+def test_d_restricted_block_by_block_is_the_restriction_of_the_whole(X):
+    # D is restricted from each block of R once per orbit of its class,
+    # each orbit's own entries deciding which tuples are degenerate; the
+    # oracle restricts R's assembled columns.
+    top = _top(X)
+    D = rack_chain_complex(X, top, variant="D")
+    assert D.cols == oracle.degenerate_restriction(rack_chain_complex(X, top).cols, D.rack.size)
+
+
+def test_the_d_oracle_covers_quandles_whose_r_splits():
+    # The trivial quandles of order 2 to 4, the quandles #1 and #3 of the
+    # order-4 quandle census (#1 and #4 of the rack census), conj(D4) and
+    # dihedral(6), among 17 of the 33 n-quandles.
+    split = {name for name, X in NQUANDLES if _split(rack_chain_complex(X, 2))}
+    assert {"census(n=2,m=2)#0", "census(n=2,m=3)#0", "census(n=2,m=4)#0", "census(n=2,m=4)#1",
+            "census(n=2,m=4)#4", "conj(D4,n=2)", "dihedral(6)"} <= split
+    assert (len(split), len(NQUANDLES)) == (17, 33)
+    # Each orbit of a split R gives a block of D of its own: dihedral(6)
+    # has two isomorphic orbits, the second listed as the image of the
+    # first.
+    X = dict(NQUANDLES)["dihedral(6)"]
+    (_, orders, _), = rack_chain_complex(X, 3)._blocks
+    assert orders == [[0, 2, 4], [3, 5, 1]]
+    D = rack_chain_complex(X, 3, variant="D")
+    assert [orders for _, orders, _ in D._blocks] == [[[0, 2, 4]], [[3, 5, 1]]]
+
+
+def test_d_and_its_homology_on_a_split_quandle_read_no_global_columns(monkeypatch):
+    # trivial(3,2) has 4 isomorphic orbits; D reads R's blocks, not the
+    # columns R would assemble from them.
+    def fail(self):
+        raise AssertionError("global columns read")
+
+    monkeypatch.setattr(ChainComplex, "cols", property(fail))
+    X = dict(TABLES)["trivial(3,2)"]
+    C = rack_chain_complex(X, 4)
+    assert _split(C)
+    # A trivial quandle has d = 0: H^D_k is free of rank o^k - o(o-1)^(k-1).
+    for D in (rack_chain_complex(X, 4, variant="D"), degenerate_subcomplex(X, C)):
+        for f in (homology, cohomology):
+            assert [f(D, k).invariants for k in (1, 2, 3)] == [
+                AbelianGroupInvariants(r, ()) for r in (0, 4, 28)]
+    with pytest.raises(AssertionError, match="global columns read"):
+        C.cols
 
 
 # ------------------------------------------------------------------ mutants

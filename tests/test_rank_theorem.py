@@ -10,9 +10,9 @@ of d_k, an elimination that never reads the theorem, over the censuses
 and the fixtures.  Then each mutant of the theorem path (an orbit count
 off by one, Q's free ranks used for R, the free ranks read one degree off,
 one built entry with a flipped sign) must raise AssertionError in the
-library and exit 4 with no answer in the CLI; and a complex built by hand,
-with no orbit count, must still trip the mod-p certificate when the
-elimination loses a unit pivot.
+library and exit 4 with no answer in the CLI.  An elimination that loses a
+unit pivot must fail the theorem too, and no map is ranked modulo the
+prime.
 """
 
 import importlib
@@ -34,7 +34,6 @@ from nracks import (
 )
 from nracks import snf
 from nracks.cli import main
-from nracks.homology import ChainComplex
 from nracks.jsonio import dump_document, nrack_to_json
 
 homology_module = importlib.import_module("nracks.homology")
@@ -194,13 +193,9 @@ def test_the_unmutated_cases_answer():
         )
 
 
-def test_a_hand_built_complex_keeps_the_mod_p_certificate(monkeypatch):
-    # A complex with no orbit count ranks each whole map modulo the prime,
-    # so an elimination that loses one unit pivot, and with it one factor,
-    # is refused there, as it is by the theorem on the built complex.
-    built = rack_chain_complex(CONJ_S3, 3)
-    by_hand = ChainComplex(rack=built.rack, cols=built.cols)
-    assert by_hand.orbit_count is None and by_hand._boundary_ranks is None
+def test_a_lost_unit_pivot_fails_the_theorem_with_no_rank_modulo_a_prime(monkeypatch):
+    # An elimination that loses one unit pivot, and with it one factor, is
+    # refused by the orbit count; no complex ranks a map modulo the prime.
     eliminate = snf._eliminate_unit_pivots
 
     def lose_a_pivot(columns):
@@ -208,18 +203,13 @@ def test_a_hand_built_complex_keeps_the_mod_p_certificate(monkeypatch):
         return set(sorted(units)[1:]), residual
 
     monkeypatch.setattr(snf, "_eliminate_unit_pivots", lose_a_pivot)
-    for C in (by_hand, built):
-        with pytest.raises(AssertionError, match="rank certificate failed"):
-            C.factors(2)
+    with pytest.raises(AssertionError, match="rank certificate failed"):
+        rack_chain_complex(CONJ_S3, 3).factors(2)
     monkeypatch.undo()
     calls = []
     rank = snf._rank_mod_p
     monkeypatch.setattr(snf, "_rank_mod_p", lambda columns: calls.append(columns) or rank(columns))
-    built = rack_chain_complex(CONJ_S3, 3)
-    by_hand = ChainComplex(rack=built.rack, cols=built.cols)
-    assert built.factors(3) == built.factors(3) and calls == []
-    # One mod-p rank per map of the hand-built complex, on every nonzero
-    # row of d_k, that is, all but the row of the tuple of identities:
-    # d_1 = 0 has none, d_2 has 6 - 1 and d_3 has 36 - 1.
-    assert by_hand.factors(3) == built.factors(3)
-    assert [len(columns) for columns in calls] == [0, 5, 35]
+    for variant in "RDQ":
+        C = rack_chain_complex(CONJ_S3, 3, variant=variant)
+        assert len(C.factors(3)) == C._boundary_ranks[3]
+    assert calls == []

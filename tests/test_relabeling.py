@@ -30,10 +30,11 @@ matrices (a unimodular change of basis, not only a permutation).
 Homology: the rack complex R, degenerate subcomplex D and quandle complex
 Q of an n-quandle have the same homology and cohomology, over Z and over
 Z/d for d = 2, 3, 4 and 6.  Each relabeled table also has
-quandle_quotient_complex equal to the Q built directly on it.  The
-quandles are drawn from the binary censuses of order at most 4, the
-arity-3 census of order at most 3, the arity-4 census of order 2, and the
-n-quandle fixtures."""
+quandle_quotient_complex equal to the Q built directly on it, and the
+rack homology of each relabeled table splits as H^R_k = H^D_k + H^Q_k in
+degrees 1-3, over Z and Z/d for d = 2 to 6.  The quandles are drawn from
+the binary censuses of order at most 4, the arity-3 census of order at
+most 3, the arity-4 census of order 2, and the n-quandle fixtures."""
 
 import json
 import os
@@ -81,6 +82,7 @@ from nracks.jsonio import (
     nrack_to_json,
     tensor_to_json,
 )
+from nracks.snf import invariants_from_cyclic_orders
 
 RACKS = [
     FiniteNRack(n, m, table)
@@ -97,15 +99,17 @@ QUANDLES = [
 ]
 QUANDLES += [(name, X) for name, X in axiom_fixture_set() if classify(X).is_nquandle]
 COEFFICIENTS = [CoefficientGroup(d) for d in (0, 2, 3, 4, 6)]
+SPLITTING_COEFFICIENTS = [CoefficientGroup(d) for d in (0, 2, 3, 4, 5, 6)]
 # Complexes go up to degree 4 while the chain rank stays within this many
-# columns.
+# columns; for the splitting of R into D and Q, within the second.
 CHAIN_RANK_CAP = 1000
+SPLITTING_RANK_CAP = 5000
 
 
-def _top(X: FiniteNRack) -> int:
+def _top(X: FiniteNRack, cap: int = CHAIN_RANK_CAP) -> int:
     M = X.size ** (X.arity - 1)
     top = 2
-    while top < 4 and M ** (top + 1) <= CHAIN_RANK_CAP:
+    while top < 4 and M ** (top + 1) <= cap:
         top += 1
     return top
 
@@ -155,6 +159,27 @@ def test_relabeling_the_carrier_leaves_r_d_and_q_unchanged(data):
     name, X = data.draw(st.sampled_from(QUANDLES), label="quandle")
     sigma = data.draw(st.permutations(range(X.size)), label="sigma")
     assert _groups(_relabeled(X, sigma), _top(X)) == _groups_of(name)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_rack_homology_of_a_relabeled_quandle_is_degenerate_plus_quandle_homology(data):
+    # Litherland & Nelson, JPAA 178 (2003): H^R_k = H^D_k + H^Q_k, the free
+    # ranks adding and the torsion of R the divisibility chain of D's and
+    # Q's together.  A relabeling permutes the orbits within a class of
+    # isomorphic orbits, so D's restriction orbit by orbit is drawn anew.
+    name, X = data.draw(st.sampled_from(QUANDLES), label="quandle")
+    sigma = data.draw(st.permutations(range(X.size)), label="sigma")
+    Y = _relabeled(X, sigma)
+    top = _top(X, SPLITTING_RANK_CAP)
+    C = rack_chain_complex(Y, top)
+    complexes = (C, degenerate_subcomplex(Y, C), rack_chain_complex(Y, top, variant="Q"))
+    for A in SPLITTING_COEFFICIENTS:
+        for k in range(1, top):
+            HR, HD, HQ = (homology(CX, k, A).invariants for CX in complexes)
+            assert HR.free_rank == HD.free_rank + HQ.free_rank, (name, A, k)
+            assert HR.torsion == invariants_from_cyclic_orders(HD.torsion + HQ.torsion), (
+                name, A, k)
 
 
 @settings(max_examples=200, deadline=None)

@@ -132,7 +132,8 @@ def test_quotient_refuses_a_sub_basis_other_than_the_degenerate_one():
     D = degenerate_subcomplex(R, C)
     Q = quandle_quotient_complex(C, D)
     with pytest.raises(SubcomplexError, match="degenerate sub-basis"):
-        quandle_quotient_complex(C, ChainComplex(Q.rack, Q.cols, "D", Q.orbit_count))
+        blocks = [(cols, orders, {}) for cols, orders, _ in Q._blocks]
+        quandle_quotient_complex(C, ChainComplex(Q.rack, blocks, "D", Q.orbit_count))
     lower = degenerate_subcomplex(R, rack_chain_complex(R, 2))
     with pytest.raises(SubcomplexError, match="does not match"):
         quandle_quotient_complex(C, lower)
