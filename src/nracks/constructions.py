@@ -81,12 +81,13 @@ def validate_rack(Q: FiniteRack) -> ValidationReport:
 class FiniteGroup(Frozen):
     """A finite group on {0..size-1}: flat Cayley table (entry for (a, b) at
     a*size + b) and identity index.  The group laws are checked exhaustively
-    at construction; inverses are derived, whatever inverse is given."""
+    at construction, associativity in size**3 steps, so a group whose
+    check would pass TABLE_BUDGET steps is refused first; the inverse field
+    is derived from the table."""
 
     _fields = ("size", "cayley", "identity", "inverse")
 
-    def __init__(self, size: int, cayley: tuple[int, ...], identity: int,
-                 inverse: tuple[int, ...] | None = None):
+    def __init__(self, size: int, cayley: tuple[int, ...], identity: int):
         k = size
         if k < 1:
             raise ValueError("group must be nonempty")
@@ -101,6 +102,7 @@ class FiniteGroup(Frozen):
             raise ValueError(f"identity {e} outside carrier")
         if any(cayley[e * k + x] != x or cayley[x * k + e] != x for x in range(k)):
             raise ValueError("identity law fails")
+        _check_table_budget(k, 3, what=f"the associativity check of a group of order {k}")
         for a in range(k):
             for b in range(k):
                 ab = cayley[a * k + b]

@@ -6,23 +6,27 @@ arithmetic is on Python ints; no overflow is possible.
 Invariant factors come from sparse_invariant_factors, which works on sparse
 columns: it eliminates +-1 pivots in Markowitz order, each contributing the
 factor 1.  What is left, the residual, is factored on its short side, of
-size r: its long-side vectors are inserted into an echelon basis of Z^r by
-exact division and 2x2 extended-gcd steps, and only that basis, at most
-r x r, goes to the dense smith_normal_form (after Dumas, Saunders &
-Villard, J. Symb. Comp. 32, 2001, and Cohen, A Course in Computational
-Algebraic Number Theory, 1993, section 2.4).  The basis is Hermite-reduced
-after every vector that changes it, which keeps its entries near the size
-of its pivots: reduced only once an entry passed 64 bits, the basis for
-d_13 of the quandle complex of the dihedral quandle R3 grew entries of
-12,406 bits.  Every answer is certified before it is returned: the
-unit-pivot steps are unimodular by construction, every residual vector
-must reduce to zero against the basis by exact division, and the basis's
-S = U*B*V is checked exactly.  The number of factors, the rank, is
-certified against a second source: sparse_invariant_factors takes the
-rank of its input modulo CERTIFICATE_PRIME from a separate elimination
-(_rank_mod_p) in another order and another arithmetic: columns shortest
-first, each reduced by its highest row, with residues held in the
-symmetric range [-p/2, p/2].
+size r: its long-side vectors, each in Z^r, go to _smith_factors, which
+alternates echelon bases on rows and on columns until the matrix is
+diagonal (after Kannan & Bachem, SIAM J. Comput. 8, 1979, and Cohen, A
+Course in Computational Algebraic Number Theory, 1993, section 2.4).  Each
+echelon basis is built by exact division and 2x2 extended-gcd steps, and
+it is Hermite-reduced after every vector that changes it, which keeps its
+entries near the size of its pivots: reduced only once an entry passed 64
+bits, the basis for d_13 of the quandle complex of the dihedral quandle R3
+grew entries of 12,406 bits.  The diagonal is folded into a divisibility
+chain by gcd and lcm alone.  The dense smith_normal_form is the same
+engine on the rows of a dense matrix.
+
+Every answer is certified before it is returned: the unit-pivot steps are
+unimodular by construction, and each echelon pass takes integer steps
+alone, which keep the lattice, while every vector it was given must reduce
+to zero against its basis by exact division, which proves it.  The number
+of factors, the rank, is certified against a second source:
+sparse_invariant_factors takes the rank of its input modulo
+CERTIFICATE_PRIME from a separate elimination (_rank_mod_p) in another
+order and another arithmetic: columns shortest first, each reduced by its
+highest row, with residues held in the symmetric range [-p/2, p/2].
 
 certified_factors is the same engine without that rank, and it returns the
 keys of the +-1 pivots.  A chain complex uses it to factor d_k from fewer
@@ -63,118 +67,22 @@ class AbelianGroupInvariants(Frozen):
 
 
 def smith_normal_form(M):
-    """Diagonalize an integer matrix by unimodular row and column operations.
+    """Smith normal form of an integer matrix, by _smith_factors on its rows.
 
     Args:
       M: rectangular matrix as a list of rows of ints (rows may be empty).
 
     Returns:
-      (U, S, V) with S = U*M*V, where S is diagonal with nonnegative
-      entries d_1 | d_2 | ..., and U, V are square unimodular matrices of
-      sizes rows(M) and cols(M).  The product identity is re-checked
-      exactly before returning.
+      S, a matrix of M's shape that is zero off the diagonal and holds
+      d_1 | d_2 | ... >= 0 on it.
     """
-    rows = len(M)
-    cols = len(M[0]) if rows else 0
-    S = [list(row) for row in M]
-    if any(len(row) != cols for row in S):
+    cols = len(M[0]) if M else 0
+    if any(len(row) != cols for row in M):
         raise ValueError("ragged matrix")
-    U, V = ([[int(i == j) for j in range(k)] for i in range(k)] for k in (rows, cols))
-
-    def swap_rows(i, j):
-        S[i], S[j] = S[j], S[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for row in S:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, q):
-        # row dst += q * row src
-        S[dst] = [a + q * b for a, b in zip(S[dst], S[src])]
-        U[dst] = [a + q * b for a, b in zip(U[dst], U[src])]
-
-    def add_col(src, dst, q):
-        for row in S:
-            row[dst] += q * row[src]
-        for row in V:
-            row[dst] += q * row[src]
-
-    def pivot(t):
-        """Move the smallest nonzero |entry| of the trailing submatrix to
-        (t, t); False when there is none."""
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if S[i][j] != 0 and (best is None or abs(S[i][j]) < abs(S[best[0]][best[1]])):
-                    best = (i, j)
-        if best is not None:
-            swap_rows(t, best[0])
-            swap_cols(t, best[1])
-        return best is not None
-
-    t = 0
-    while t < min(rows, cols):
-        if not pivot(t):
-            break
-        while True:
-            # Clear the pivot column, then the pivot row; repeat while the
-            # pivot keeps shrinking to a proper divisor.
-            for i in range(t + 1, rows):
-                if S[i][t] != 0:
-                    add_row(t, i, -(S[i][t] // S[t][t]))
-            if any(S[i][t] != 0 for i in range(t + 1, rows)):
-                pivot(t)
-                continue
-            for j in range(t + 1, cols):
-                if S[t][j] != 0:
-                    add_col(t, j, -(S[t][j] // S[t][t]))
-            if any(S[t][j] != 0 for j in range(t + 1, cols)):
-                pivot(t)
-                continue
-            # Pivot must divide every remaining entry; if not, fold the
-            # offending row into the pivot row and restart this block.
-            offender = None
-            for i in range(t + 1, rows):
-                for j in range(t + 1, cols):
-                    if S[i][j] % S[t][t] != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            add_row(offender, t, 1)
-        if S[t][t] < 0:
-            S[t], U[t] = [-a for a in S[t]], [-a for a in U[t]]
-        t += 1
-
-    _assert_product(U, M, V, S)
-    return U, S, V
-
-
-def _sparse_product(A, B):
-    """A*B for matrices given as lists of {column: nonzero entry} rows."""
-    out = []
-    for row in A:
-        acc: dict[int, int] = {}
-        for k, a in row.items():
-            for j, b in B[k].items():
-                acc[j] = acc.get(j, 0) + a * b
-        out.append(acc)
-    return out
-
-
-def _assert_product(U, M, V, S):
-    """Exact check of S = U*(M*V), summing over nonzero entries only."""
-    Us, Ms, Vs = ([{j: a for j, a in enumerate(row) if a} for row in A] for A in (U, M, V))
-    UMV = _sparse_product(Us, _sparse_product(Ms, Vs))
-    for i, row in enumerate(S):
-        for j, s in enumerate(row):
-            if UMV[i].get(j, 0) != s:
-                raise AssertionError("smith normal form verification failed")
+    S = [[0] * cols for _ in M]
+    for t, d in enumerate(_smith_factors([{j: v for j, v in enumerate(row) if v} for row in M])):
+        S[t][t] = d
+    return S
 
 
 def invariant_factors(M) -> tuple[int, ...]:
@@ -194,8 +102,8 @@ def sparse_invariant_factors(columns) -> tuple[int, ...]:
 
     Rows are arbitrary hashable, orderable keys; rows that no column
     mentions are zero rows and change nothing.  The columns are not
-    modified.  Raises AssertionError, and returns nothing, when the
-    residual's membership or product check fails, or when the rank modulo
+    modified.  Raises AssertionError, and returns nothing, when a
+    membership check on the residual fails, or when the rank modulo
     CERTIFICATE_PRIME is not the number of factors the prime does not
     divide.
     """
@@ -222,9 +130,9 @@ def certified_factors(columns) -> Factorization:
     """Invariant factors of the matrix with the given columns, with the keys
     of its +-1 pivots.
 
-    The elimination's steps are unimodular, and the residual's membership
-    and product checks raise AssertionError, returning nothing, when they
-    fail.  The number of factors is not checked here: the caller
+    The elimination's steps are unimodular, and the membership checks on
+    the residual raise AssertionError, returning nothing, when they fail.
+    The number of factors is not checked here: the caller
     certifies the rank, by the rank modulo CERTIFICATE_PRIME of the same
     columns (sparse_invariant_factors) or by a rank it knows on other
     grounds (homology.ChainComplex).
@@ -309,36 +217,61 @@ def _eliminate_unit_pivots(columns):
 
 
 def _residual_factors(residual) -> tuple[int, ...]:
-    """Invariant factors of the residual columns, from an echelon basis of
-    the lattice on their short side.
+    """Invariant factors of the residual columns, by _smith_factors on the
+    vectors of their long side.
 
     With r the smaller of the residual's row and column counts, each
     vector of the long side (a row when the columns are fewer, else a
-    column) lies in Z^r.  Row operations do not change invariant factors,
-    so those of the residual are those of any basis of the lattice the
-    long-side vectors span.  _echelon_basis builds one, at most r vectors,
-    by integer steps alone; every input vector must then reduce to zero
-    against it by exact division, which shows the two lattices are equal.
-    The checked dense smith_normal_form of the basis, at most r x r, gives
-    the factors.  Raises AssertionError when a vector is not a member.
+    column) lies in Z^r, so no echelon basis is ever more than r x r.
     """
     if not residual:
         return ()
-    row_keys = sorted({i for col in residual for i in col})
-    if len(residual) <= len(row_keys):
-        by_row: dict = {}
-        for j, col in enumerate(residual):
-            for i, v in col.items():
-                by_row.setdefault(i, {})[j] = v
-        vectors, short_side = list(by_row.values()), range(len(residual))
-    else:
-        vectors, short_side = residual, row_keys
+    if len(residual) <= len({i for col in residual for i in col}):
+        residual = _transpose(residual)
+    return _smith_factors(residual)
+
+
+def _smith_factors(vectors) -> tuple[int, ...]:
+    """Nonzero invariant factors d_1 | d_2 | ... of the matrix whose rows
+    are the sparse vectors, by alternating echelon bases (after Kannan &
+    Bachem, SIAM J. Comput. 8, 1979).
+
+    Row operations do not change invariant factors, so those of the
+    vectors are those of any basis of the lattice they span, and those of
+    a basis are those of its transpose.  Each pass takes the certified
+    echelon basis (_certified_basis) of the previous pass's transpose,
+    until every basis vector holds one entry: the matrix is then diagonal
+    up to the order of its columns, and its entries, folded into a
+    divisibility chain, are the factors, with a 1 for each entry the fold
+    drops.  Raises AssertionError when a pass fails its check.
+    """
+    basis = _certified_basis(vectors)
+    while any(len(b) > 1 for b in basis.values()):
+        basis = _certified_basis(_transpose([b for _, b in sorted(basis.items())]))
+    chain = invariants_from_cyclic_orders(b[p] for p, b in basis.items())
+    return (1,) * (len(basis) - len(chain)) + chain
+
+
+def _certified_basis(vectors) -> dict:
+    """The _echelon_basis of the vectors, once every vector reduces to zero
+    against it by exact division.  The basis is built by integer steps
+    alone, so it lies in the vectors' lattice, and the vectors lie in its
+    lattice: the two lattices are equal.  Raises AssertionError when a
+    vector is not a member."""
     basis = _echelon_basis(vectors)
     if any(_reduce(dict(vector), basis) for vector in vectors):
         raise AssertionError("echelon residual verification failed")
-    dense = [[b.get(t, 0) for t in short_side] for _, b in sorted(basis.items())]
-    _, S, _ = smith_normal_form(dense)
-    return tuple(S[t][t] for t in range(len(S)) if S[t][t])
+    return basis
+
+
+def _transpose(vectors) -> list:
+    """The transpose of the matrix whose rows are the sparse vectors: one
+    {row number: entry} vector per position that some vector holds."""
+    by_position: dict = {}
+    for j, vector in enumerate(vectors):
+        for t, v in vector.items():
+            by_position.setdefault(t, {})[j] = v
+    return list(by_position.values())
 
 
 def _echelon_basis(vectors) -> dict:

@@ -64,6 +64,33 @@ MUTANTS = {
         "",
         ["tests/test_homology.py::test_universal_coefficient_order_consistency"],
     ),
+    "the Smith form stops after the first echelon pass": (
+        "snf.py",
+        "    while any(len(b) > 1 for b in basis.values()):\n",
+        "    while False:\n",
+        [
+            "tests/test_snf.py::test_smith_form_alternates_until_diagonal[2x2]",
+            "tests/test_snf.py::test_smith_form_alternates_until_diagonal[dihedral-d3]",
+        ],
+    ),
+    "the Smith diagonal read without the gcd/lcm fold": (
+        "snf.py",
+        "chain = invariants_from_cyclic_orders(b[p] for p, b in basis.items())",
+        "chain = tuple(sorted(b[p] for p, b in basis.items() if b[p] > 1))",
+        [
+            "tests/test_snf.py::test_diag_2_3_gives_1_6",
+            "tests/test_snf.py::test_snf_properties",
+        ],
+    ),
+    "the membership check skipped after the first echelon pass": (
+        "snf.py",
+        "basis = _certified_basis(_transpose(",
+        "basis = _echelon_basis(_transpose(",
+        [
+            "tests/test_snf.py::test_a_corrupted_later_pass_is_caught[2x2]",
+            "tests/test_snf.py::test_a_corrupted_later_pass_is_caught[dihedral-d3]",
+        ],
+    ),
     "enumerate's table check removed": (
         "enumeration.py",
         "    _check_table_budget(m, n)\n",

@@ -336,6 +336,26 @@ def test_enumerate_past_the_table_budget_is_refused_before_it_allocates():
     assert (err.value.limit, err.value.reached) == (2_000_000, 2**21)
 
 
+def test_construct_conj_refuses_a_group_past_the_associativity_budget(tmp_path):
+    # A Cayley table of order 600 has 360,000 entries, but its
+    # associativity check takes 600**3 steps, past the 2,000,000 of the
+    # table budget: refused with exit 3 before the check, which took about
+    # 9 s at order 400 and would take about 30 s here.
+    k = 600
+    path = tmp_path / "z600.json"
+    path.write_text(json.dumps(
+        {"size": k, "cayley": [(a + b) % k for a in range(k) for b in range(k)], "identity": 0}))
+    start = time.perf_counter()
+    result = run_cli("construct", "conj", "--n", "2", "--group", str(path), timeout=20)
+    assert time.perf_counter() - start < 10
+    assert (result.returncode, result.stdout) == (3, "")
+    assert result.stderr == ("budget exceeded: the associativity check of a group of order 600 "
+                             "exceeds the 2000000-entry budget\n")
+    with pytest.raises(BudgetExceededError) as err:
+        cyclic_group(126)
+    assert (err.value.limit, err.value.reached) == (2_000_000, 126**3)
+
+
 @pytest.mark.parametrize("paper", [False, True], ids=["default", "paper"])
 @pytest.mark.parametrize("arity", [10**5, 10**30], ids=["1e5", "1e30"])
 def test_assoc_group_of_one_element_at_a_huge_arity(capsys, tmp_path, arity, paper):

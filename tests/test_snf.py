@@ -24,7 +24,6 @@ from nracks import (
 from nracks import snf
 from nracks.snf import (
     CERTIFICATE_PRIME,
-    _assert_product,
     _echelon_basis,
     _gcd_step,
     certified_factors,
@@ -40,15 +39,12 @@ def diagonal(S):
 
 
 def test_diag_2_3_gives_1_6():
-    _, S, _ = smith_normal_form([[2, 0], [0, 3]])
+    S = smith_normal_form([[2, 0], [0, 3]])
     assert diagonal(S) == [1, 6]
 
 
-def test_zero_matrix_keeps_identity_transforms():
-    U, S, V = smith_normal_form([[0] * 3 for _ in range(3)])
-    assert S == [[0] * 3 for _ in range(3)]
-    assert U == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    assert V == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+def test_zero_matrix_gives_zero_smith_form():
+    assert smith_normal_form([[0] * 3 for _ in range(3)]) == [[0] * 3 for _ in range(3)]
 
 
 def test_2468_invariant_factors():
@@ -59,8 +55,9 @@ def test_2468_invariant_factors():
 def test_empty_shapes():
     assert invariant_factors([]) == ()
     assert invariant_factors([[], []]) == ()
-    U, S, V = smith_normal_form([[5]])
-    assert S == [[5]]
+    assert smith_normal_form([[5]]) == [[5]]
+    assert smith_normal_form([[], []]) == [[], []]
+    assert smith_normal_form([]) == []
 
 
 def test_rectangular():
@@ -84,12 +81,9 @@ def _matrices():
 @settings(max_examples=250, deadline=None)
 @given(_matrices())
 def test_snf_properties(M):
-    U, S, V = smith_normal_form(M)
+    S = smith_normal_form(M)
     rows, cols = len(M), len(M[0])
-    # S = U*M*V, recomputed here by naive multiplication.
-    UM = [[sum(U[i][k] * M[k][j] for k in range(rows)) for j in range(cols)] for i in range(rows)]
-    UMV = [[sum(UM[i][k] * V[k][j] for k in range(cols)) for j in range(cols)] for i in range(rows)]
-    assert UMV == S
+    assert len(S) == rows and all(len(row) == cols for row in S)
     # Diagonal, nonnegative, divisibility chain.
     for i in range(rows):
         for j in range(cols):
@@ -102,32 +96,53 @@ def test_snf_properties(M):
             assert b == 0
         else:
             assert b % a == 0
-    # U, V unimodular (fraction-free determinant).
-    assert determinant(U) in (1, -1)
-    assert determinant(V) in (1, -1)
     # Invariant factors agree with an independent implementation.
     ours = tuple(x for x in d if x != 0)
     theirs = tuple(int(x) for x in sympy_invariant_factors(Matrix(M)) if x != 0)
     assert ours == theirs
 
 
-@pytest.mark.parametrize(
-    "M",
-    [
-        [[2, 4, 6, 8, 1], [3, 0, -3, 5, 2], [1, 1, 1, 1, 1], [0, 6, 3, 9, 12]],
-        boundary_dense(rack_chain_complex(dihedral_nrack(3), 3), 3),
-    ],
-    ids=["dense", "dihedral-d3"],
-)
-def test_product_check_catches_any_changed_entry_of_S(M):
-    U, S, V = smith_normal_form(M)
-    _assert_product(U, M, V, S)
-    for i, row in enumerate(S):
-        for j in range(len(row)):
-            changed = [list(r) for r in S]
-            changed[i][j] += 1
-            with pytest.raises(AssertionError, match="verification failed"):
-                _assert_product(U, M, V, changed)
+# Matrices whose first echelon basis is not diagonal, so the Smith form
+# takes more than one pass.
+_MULTI_PASS = {
+    "dense": [[2, 4, 6, 8, 1], [3, 0, -3, 5, 2], [1, 1, 1, 1, 1], [0, 6, 3, 9, 12]],
+    "dihedral-d3": boundary_dense(rack_chain_complex(dihedral_nrack(3), 3), 3),
+    "2x2": [[2, 1], [0, 2]],
+    "3x3": [[6, 4, 0], [0, 10, 15], [9, 0, 12]],
+}
+
+
+@pytest.mark.parametrize("M", _MULTI_PASS.values(), ids=_MULTI_PASS)
+def test_smith_form_alternates_until_diagonal(monkeypatch, M):
+    original, calls = snf._echelon_basis, []
+
+    def counting(vectors):
+        calls.append(len(vectors))
+        return original(vectors)
+
+    monkeypatch.setattr(snf, "_echelon_basis", counting)
+    S = smith_normal_form(M)
+    assert len(calls) >= 2
+    assert tuple(d for d in diagonal(S) if d) == _sympy_factors(M)
+
+
+@pytest.mark.parametrize("M", _MULTI_PASS.values(), ids=_MULTI_PASS)
+def test_a_corrupted_later_pass_is_caught(monkeypatch, M):
+    # The second pass's basis loses its last vector: the membership check
+    # on that pass must fail, as the first pass is sound.
+    original, calls = snf._echelon_basis, []
+
+    def corrupted(vectors):
+        basis = original(vectors)
+        calls.append(len(basis))
+        if len(calls) == 2:
+            del basis[max(basis)]
+        return basis
+
+    monkeypatch.setattr(snf, "_echelon_basis", corrupted)
+    with pytest.raises(AssertionError, match="echelon residual verification failed"):
+        smith_normal_form(M)
+    assert len(calls) == 2
 
 
 def _columns(M):
@@ -208,9 +223,9 @@ def _transposed(M):
 
 @settings(max_examples=150, deadline=None)
 @given(_wide_residual_matrices(), st.booleans())
-def test_dense_smith_form_sees_at_most_the_short_side(M, transpose):
+def test_echelon_passes_see_at_most_the_short_side(M, transpose):
     # The residual is wide, or tall once the input is transposed; either
-    # way the dense Smith form gets the echelon basis, at most r x r.
+    # way the Smith form gets the vectors of its long side, each in Z^r.
     if transpose:
         M = _transposed(M)
     columns = _columns(M)
@@ -218,17 +233,17 @@ def test_dense_smith_form_sees_at_most_the_short_side(M, transpose):
     height = len({i for col in residual for i in col})
     assert (len(residual) > height) != transpose
     r = min(len(residual), height)
-    shapes = []
-    original = snf.smith_normal_form
+    spans = []
+    original = snf._smith_factors
 
-    def spy(R):
-        shapes.append((len(R), len(R[0])))
-        return original(R)
+    def spy(vectors):
+        spans.append(len({t for vector in vectors for t in vector}))
+        return original(vectors)
 
-    with mock.patch.object(snf, "smith_normal_form", spy):
+    with mock.patch.object(snf, "_smith_factors", spy):
         got = sparse_invariant_factors(columns)
     assert got == _sympy_factors(M)
-    assert len(shapes) == 1 and max(shapes[0]) <= r
+    assert len(spans) == 1 and spans[0] <= r
 
 
 @st.composite
@@ -352,10 +367,10 @@ def test_unit_keys_stay_unimodular_when_a_column_regains_a_row():
 
 def test_unit_pivots_alone_factor_torsion_free_maps_and_relators():
     # The z4 (n=3) boundary maps and every abelianized relator matrix,
-    # whose rows are e_[xs] - e_{x_n}, eliminate completely, so the dense
-    # Smith form never runs.
+    # whose rows are e_[xs] - e_{x_n}, eliminate completely, so the
+    # residual's Smith form never runs.
     C = rack_chain_complex(build_z4_module_nrack(3, 4), 3)
-    with mock.patch.object(snf, "smith_normal_form", side_effect=AssertionError):
+    with mock.patch.object(snf, "_smith_factors", side_effect=AssertionError):
         assert [len(C.factors(k)) for k in (1, 2, 3)] == [0, 8, 184]
         for R in (dihedral_nrack(3), build_conjugation_nrack(symmetric_group(3), 3)):
             for paper_form in (False, True):

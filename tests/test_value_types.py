@@ -91,8 +91,8 @@ CASES = {
         f"InnerMap(source={NRACK_REPR}, arguments=(1,), permutation=(0, 1))",
     ),
     "FiniteGroup": (
-        FiniteGroup, (2, [0, 1, 1, 0], 0, (1, 1)),
-        dict(size=2, cayley=Z2_TABLE, identity=0, inverse=None),
+        FiniteGroup, (2, [0, 1, 1, 0], 0),
+        dict(size=2, cayley=Z2_TABLE, identity=0),
         Z2_REPR,
     ),
     "GroupModule": (
@@ -190,7 +190,7 @@ def test_defaults():
 
 def test_fields_are_normalized():
     assert FiniteNRack(2, 2, [0, 1, 0, 1]).table == (0, 1, 0, 1)
-    assert FiniteGroup(2, [0, 1, 1, 0], 0, inverse=(1, 1)).inverse == (0, 1)
+    assert FiniteGroup(2, [0, 1, 1, 0], 0).cayley == Z2_TABLE
     assert GroupModule(_z2(), _z2(), [[0, 1], [0, 1]]).action == ((0, 1), (0, 1))
     assert GroupPresentation(1, [[1]]).relators == ((1,),)
     assert AbelianGroupInvariants(0, [2]).torsion == (2,)
